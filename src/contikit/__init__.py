@@ -2,7 +2,8 @@
 
 Generalized continuants, reduced d-step recurrences and their closed forms,
 Pell equations via continued fractions, series verification, and prime
-divisibility machinery for the resulting integer sequences.
+divisibility machinery for the resulting integer sequences.  Every layer
+reads its sequence values from one integer core, contikit.core.
 """
 from .continuants import (
     IDENTITIES,
@@ -36,11 +37,13 @@ from .errors import (
     HypothesisViolated,
     IndexOutOfRange,
     InvalidSystem,
+    InvariantViolated,
     NoAdmissibleRoot,
     NotAPerfectSquare,
     PerfectSquare,
     PoleAtRoot,
     PrecisionExhausted,
+    PrimalityUndecided,
 )
 from .pell import PellSolution, SqrtExpansion, expand_sqrt, pell_fundamental, pell_solutions, to_system
 from .quadratic import QuadraticNumber
@@ -48,7 +51,6 @@ from .recurrence import (
     GFReport,
     ReducedRecurrence,
     RemarkReport,
-    backward_sequence,
     binet,
     binet_negative,
     gf_verify,

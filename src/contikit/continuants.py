@@ -1,20 +1,21 @@
 """Generalized continuants A_{nu,lambda}, B_{nu,lambda} and their identities.
 
-Three independent computation paths are provided: the three-term forward
-recurrence, a 2x2 matrix product, and an exact determinant of the explicit
-tridiagonal matrix.  All values are exact Python integers.
+Values come from the integer core (contikit.core), the one module that steps
+the recurrence.  An exact determinant of the explicit tridiagonal matrix is
+kept as an independent oracle.  All values are exact Python integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import transfer, walk
 from .errors import IndexOutOfRange
 from .systems import PeriodicSystem
 
 
 def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int, int]:
-    """Return (A_{nu,lam}, B_{nu,lam}) by the forward recurrence.
+    """Return (A_{nu,lam}, B_{nu,lam}).
 
     Initial values: A_{-1,lam} = 1, A_{0,lam} = b_lam and
     B_{-1,lam} = 0, B_{0,lam} = 1; then
@@ -24,26 +25,17 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
         raise IndexOutOfRange(f"nu must be >= -1, got {nu}")
     if lam < 0:
         raise IndexOutOfRange(f"lambda must be >= 0, got {lam}")
-    a_prev, a_cur = 1, system.coeff_b(lam)  # A_{-1}, A_0
-    b_prev, b_cur = 0, 1                    # B_{-1}, B_0
     if nu == -1:
-        return a_prev, b_prev
-    for k in range(1, nu + 1):
-        bk = system.coeff_b(lam + k)
-        ak = system.coeff_a(lam + k)
-        a_prev, a_cur = a_cur, bk * a_cur + ak * a_prev
-        b_prev, b_cur = b_cur, bk * b_cur + ak * b_prev
-    return a_cur, b_cur
+        return 1, 0
+    (b_nu, e_nu), _ = transfer(system, nu, lam)
+    return system.coeff_b(lam) * b_nu + e_nu, b_nu
 
 
 def b_sequence(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
     """B_{-1,lam} .. B_{nu_max,lam} as a list (index i holds B_{i-1,lam})."""
     if nu_max < -1:
         raise IndexOutOfRange(f"nu_max must be >= -1, got {nu_max}")
-    seq = [0, 1]
-    for k in range(1, nu_max + 1):
-        seq.append(system.coeff_b(lam + k) * seq[-1] + system.coeff_a(lam + k) * seq[-2])
-    return seq[: nu_max + 2]
+    return walk(system, nu_max, lam)
 
 
 def continuant_matrix(system: PeriodicSystem, nu: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -51,18 +43,12 @@ def continuant_matrix(system: PeriodicSystem, nu: int) -> tuple[tuple[int, int],
 
     The leading factor encodes b_0 = 1, so system.b0 is deliberately ignored
     here; rows are (A_nu, A_{nu-1}) and (B_nu, B_{nu-1}) under that
-    convention.
+    convention.  The product is the transpose of the core's transfer matrix.
     """
     if nu < 0:
         raise IndexOutOfRange(f"nu must be >= 0, got {nu}")
-    m = ((1, 1), (1, 0))
-    for j in range(1, nu + 1):
-        bj, aj = system.coeff_b(j), system.coeff_a(j)
-        m = (
-            (m[0][0] * bj + m[0][1] * aj, m[0][0]),
-            (m[1][0] * bj + m[1][1] * aj, m[1][0]),
-        )
-    return m
+    (p, q), (r, s) = transfer(system, nu)
+    return (p + q, r + s), (p, r)
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:

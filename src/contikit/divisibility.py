@@ -1,16 +1,17 @@
 """Divisibility, prime congruences, Pisano periods, rank of apparition,
 law of repetition and the Lucas-style pseudoprime test.
 
-All modular work steps the piecewise recurrence (or, for the pseudoprime
-test, the reduced stride-d recurrence) in O(index) modular operations.
+Sequence values come from the integer core (contikit.core): congruences,
+apparition and Pisano periods scan its walk over Z/p in O(index) steps, and
+the pseudoprime test reads one entry of a power of the period matrix mod n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .continuants import b_sequence
-from .errors import DivisionByZero, HypothesisViolated
+from .core import b_at, mat_pow, transfer, walk
+from .errors import DivisionByZero, HypothesisViolated, InvariantViolated, PrimalityUndecided
 from .recurrence import ReducedRecurrence, reduce
 from .systems import PeriodicSystem
 
@@ -33,8 +34,17 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# The least strong pseudoprime to every prime base <= 37 (Sorenson and Webster,
+# 2017); Miller-Rabin with those twelve bases decides primality below it.
+PSI_12 = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the 64-bit range."""
+    """Deterministic Miller-Rabin with the prime bases <= 37, exact for n < PSI_12.
+
+    At or above PSI_12 a composite verdict is still a proof, but passing every
+    base is not, so PrimalityUndecided is raised instead of returning True.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -54,6 +64,8 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_12:
+        raise PrimalityUndecided(f"cannot decide whether {n} >= {PSI_12} is prime")
     return True
 
 
@@ -62,33 +74,11 @@ def _require_prime(p: int):
         raise ValueError(f"{p} is not prime")
 
 
-def b_mod(system: PeriodicSystem, nu_max: int, m: int) -> list[int]:
-    """B_{-1} .. B_{nu_max} modulo m (index i holds B_{i-1} mod m)."""
-    seq = [0, 1 % m]
-    for k in range(1, nu_max + 1):
-        seq.append((system.coeff_b(k) * seq[-1] + system.coeff_a(k) * seq[-2]) % m)
-    return seq
-
-
-def b_stride_mod(system: PeriodicSystem, k_max: int, m: int,
-                 reduced: ReducedRecurrence | None = None) -> list[int]:
-    """B_{kd-1} mod m for k = 0..k_max via the reduced stride-d recurrence."""
-    reduced = reduced if reduced is not None else reduce(system)
-    d = system.d
-    seed = b_sequence(system, d - 1)
-    out = [0, seed[d] % m]  # B_{-1}, B_{d-1}
-    c, dd = reduced.Cd % m, reduced.Dd % m
-    for _ in range(2, k_max + 1):
-        out.append((c * out[-1] + dd * out[-2]) % m)
-    return out[: k_max + 1]
-
-
 def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """B_{md-1} | B_{nd-1} whenever m | n."""
     if m < 1 or n < 1 or n % m != 0:
         raise ValueError(f"need positive m | n, got m={m}, n={n}")
-    seq = b_sequence(system, n * system.d)
-    lo, hi = seq[m * system.d], seq[n * system.d]
+    lo, hi = b_at(system, m * system.d - 1), b_at(system, n * system.d - 1)
     if lo == 0:
         return hi == 0
     return hi % lo == 0
@@ -98,9 +88,8 @@ def strong_gcd_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """gcd(B_{md-1}, B_{nd-1}) == B_{gcd(m,n)d-1}."""
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    seq = b_sequence(system, max(m, n) * system.d)
-    g = math.gcd(m, n)
-    return math.gcd(seq[m * system.d], seq[n * system.d]) == abs(seq[g * system.d])
+    B = lambda k: b_at(system, k * system.d - 1)
+    return math.gcd(B(m), B(n)) == abs(B(math.gcd(m, n)))
 
 
 @dataclass
@@ -146,7 +135,7 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
         r_range = range(-1, 2 * d + 1)
     r_list = list(r_range)
     n_hi = max(p + 1, 6)
-    seq = b_mod(system, (n_hi + 1) * d + max(r_list) + 1, p)
+    seq = walk(system, (n_hi + 1) * d + max(r_list) + 1, m=p)
     B = lambda nu: seq[nu + 1]
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
 
@@ -225,7 +214,11 @@ def rank_of_apparition(system: PeriodicSystem, p: int, bound: int | None = None)
         raise ValueError(f"bound must be >= p+1 = {p + 1}")
     reduced = reduce(system)
     tag = classify_case(reduced, p)
-    stride = b_stride_mod(system, bound, p, reduced)
+    # B_{kd-1} = W_k B_{d-1} for k = 0..bound (binet at r = -1), where W_0, W_1, ...
+    # is the B sequence, from index -1, of the reduced recurrence as a d = 1 system.
+    companion = PeriodicSystem(d=1, a=(reduced.Dd,), b=(reduced.Cd,), strict=False)
+    b_d = b_at(system, system.d - 1)
+    stride = [w * b_d % p for w in walk(companion, bound - 1, m=p)]
     omega = next((k for k in range(1, bound + 1) if stride[k] == 0), None)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
 
@@ -301,17 +294,19 @@ def pisano_period(system: PeriodicSystem, p: int) -> int:
     # Find a pure period P (multiple of d): the recurrence phase then aligns,
     # and a repeated window of 2d values pins the whole tail.
     limit = pisano_bound(system, p, reduced)
-    seq = b_mod(system, 2 * limit + 4 * d, p)
+    seq = walk(system, 2 * limit + 4 * d, m=p)
     P = None
     for cand in range(d, limit + 1, d):
         if all(seq[i] == seq[i + cand] for i in range(2 * d)):
             P = cand
             break
-    assert P is not None, "no period within the divisor bound"
+    if P is None:
+        raise InvariantViolated(f"no period of B mod {p} within the divisor bound {limit}")
     # The minimal period need not be phase-aligned; scan all shifts <= P.
     for pi in range(1, P + 1):
         if all(seq[i + pi] == seq[i] for i in range(P + 1)):
-            assert limit % pi == 0, "observed period does not divide the bound"
+            if limit % pi != 0:
+                raise InvariantViolated(f"period {pi} of B mod {p} does not divide the bound {limit}")
             return pi
     return P
 
@@ -347,7 +342,7 @@ def lucas_pseudoprime_test(system: PeriodicSystem, n: int,
     eps = jacobi(reduced.delta, n)
     k = n - eps
     index = k * system.d - 1
-    residue = b_stride_mod(system, k, n, reduced)[k]
+    residue = mat_pow(transfer(system, system.d), k, n)[1][0]  # B_{kd-1} mod n
     verdict = "probable_prime" if residue == 0 else "composite_proven"
     return PseudoprimeVerdict(n, eps, index, verdict)
 
@@ -387,17 +382,16 @@ def law_of_repetition_check(system: PeriodicSystem, p: int, n: int, m: int, f: i
         raise ValueError("need n, m >= 1 and f >= 0")
     d = system.d
     big = p ** f * m * n
-    seq = b_sequence(system, big * d)
-    base = seq[d]
+    base = b_at(system, d - 1)
     if base == 0:
         raise DivisionByZero("B_{d-1} = 0")
-    q, rem = divmod(seq[n * d], base)
+    q, rem = divmod(b_at(system, n * d - 1), base)
     if rem != 0:
         raise DivisionByZero("B_{d-1} does not divide B_{nd-1}")
     e = _padic_valuation(p, q)
     if e == 0:
         raise ValueError("hypothesis unmet: p does not divide B_(nd-1)/B_(d-1)")
-    big_q, rem = divmod(seq[big * d], base)
+    big_q, rem = divmod(b_at(system, big * d - 1), base)
     if rem != 0:
         raise DivisionByZero("B_{d-1} does not divide the target continuant")
     reduced = reduce(system)

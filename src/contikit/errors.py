@@ -43,3 +43,11 @@ class NoAdmissibleRoot(ContikitError):
 
 class PoleAtRoot(ContikitError):
     """The weighted-sum ratio x coincides with alpha or beta."""
+
+
+class InvariantViolated(ContikitError):
+    """A result failed a structural check that the theory guarantees."""
+
+
+class PrimalityUndecided(ContikitError):
+    """n is too large for the deterministic primality test."""

@@ -2,8 +2,9 @@
 
 The expansion uses the classical (m, q) iteration; the period is closed at
 the first repetition of the (m, q) state, and the standard structural fact
-that the last partial quotient equals 2*floor(sqrt(N)) is asserted as a
-sanity check only.
+that the last partial quotient equals 2*floor(sqrt(N)) is checked.  The
+fundamental solution is one continuant from the integer core; later ones are
+its powers in Z[sqrt(N)].
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .continuants import continuant_pair
-from .errors import PerfectSquare
+from .errors import InvariantViolated, PerfectSquare
 from .systems import PeriodicSystem
 
 
@@ -37,7 +38,8 @@ class PellSolution:
     n: int
 
     def __post_init__(self):
-        assert self.x * self.x - self.n * self.y * self.y == 1
+        if self.x * self.x - self.n * self.y * self.y != 1:
+            raise InvariantViolated(f"{self.x}^2 - {self.n}*{self.y}^2 != 1")
 
 
 def expand_sqrt(n: int) -> SqrtExpansion:
@@ -59,7 +61,8 @@ def expand_sqrt(n: int) -> SqrtExpansion:
         q = (n - m * m) // q
         if (m, q) == first:
             break
-    assert period[-1] == 2 * a0, "expansion structure check failed"
+    if period[-1] != 2 * a0:
+        raise InvariantViolated(f"sqrt({n}) period does not end with 2*a0 = {2 * a0}")
     return SqrtExpansion(n, a0, tuple(period))
 
 
@@ -69,26 +72,23 @@ def to_system(expansion: SqrtExpansion) -> PeriodicSystem:
     return PeriodicSystem(d=d, a=(1,) * d, b=expansion.period, b0=expansion.a0, strict=True)
 
 
-def _solution_index(d: int, k: int) -> int:
-    """Continuant index of the k-th Pell solution (k >= 1)."""
-    return k * d - 1 if d % 2 == 0 else 2 * k * d - 1
-
-
 def pell_fundamental(n: int) -> PellSolution:
     """Minimal (x, y) with x^2 - N y^2 = 1, from the period-boundary convergent."""
     return pell_solutions(n, 1)[0]
 
 
 def pell_solutions(n: int, count: int) -> list[PellSolution]:
-    """The first `count` solutions, extracted from continuants at multiples
-    of the (possibly doubled) period."""
+    """The first `count` solutions: (x1, y1) is the continuant pair at the end
+    of the (doubled, when d is odd) period, and x_k + y_k sqrt(N) is its k-th
+    power."""
     if count < 1:
         raise ValueError("count must be >= 1")
     expansion = expand_sqrt(n)
-    system = to_system(expansion)
-    out = []
-    for k in range(1, count + 1):
-        idx = _solution_index(expansion.d, k)
-        x, y = continuant_pair(system, idx)
+    d = expansion.d
+    x1, y1 = continuant_pair(to_system(expansion), d - 1 if d % 2 == 0 else 2 * d - 1)
+    out = [PellSolution(x1, y1, n)]
+    x, y = x1, y1
+    for _ in range(count - 1):
+        x, y = x1 * x + n * y1 * y, x1 * y + y1 * x
         out.append(PellSolution(x, y, n))
     return out

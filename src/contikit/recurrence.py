@@ -1,9 +1,11 @@
 """Reduction of a d-periodic system to a single second-order recurrence.
 
-B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = B_{2d-1}/B_{d-1} and
-D_d = (-1)^{d-1} a_1...a_d, plus everything downstream of that reduction:
-closed-form evaluation in Q(sqrt(Delta)), the generating-function check,
-ratio limits, the square-root stepping identity and negative indices.
+B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = tr M = B_{2d-1}/B_{d-1} and
+D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
+(Cayley-Hamilton), plus everything downstream of that reduction: closed forms
+through powers of the companion matrix (C_d D_d; 1 0), roots in
+Q(sqrt(Delta)), the generating-function check, ratio limits, the square-root
+stepping identity and negative indices.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continuants import b_sequence, continuant_pair
+from .continuants import b_sequence
+from .core import Matrix, b_at, mat_pow, transfer
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -27,27 +30,12 @@ class ReducedRecurrence:
         return self.Cd * self.Cd + 4 * self.Dd
 
 
-def reduce(system: PeriodicSystem, verify_up_to: int = 60) -> ReducedRecurrence:
-    """Compute (C_d, D_d) and verify the reduction against the raw recurrence."""
-    d = system.d
-    seq = b_sequence(system, 2 * d + verify_up_to)
-    B = lambda nu: seq[nu + 1]
-    if B(d - 1) == 0:
+def reduce(system: PeriodicSystem) -> ReducedRecurrence:
+    """(C_d, D_d) as the trace and negated determinant of the period matrix."""
+    (p, q), (r, s) = transfer(system, system.d)
+    if r == 0:
         raise DivisionByZero("B_{d-1} = 0; the reduction divides by it")
-    cd, rem = divmod(B(2 * d - 1), B(d - 1))
-    if rem != 0:
-        raise DivisionByZero("B_{d-1} does not divide B_{2d-1}")
-    # Cross-check against the alternative form C_d = B_d + a_1 * B_{d-2,1}.
-    alt = B(d) + system.coeff_a(1) * continuant_pair(system, d - 2, 1)[1]
-    assert cd == alt, f"C_d mismatch: {cd} vs {alt}"
-    dd = (-1) ** (d - 1)
-    for x in system.a:
-        dd *= x
-    if system.strict:
-        assert cd >= 0
-    for nu in range(-1, verify_up_to + 1):
-        assert B(nu + 2 * d) == cd * B(nu + d) + dd * B(nu), f"reduction fails at nu={nu}"
-    return ReducedRecurrence(cd, dd)
+    return ReducedRecurrence(p + s, q * r - p * s)
 
 
 def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -63,65 +51,38 @@ def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]
     return alpha, beta
 
 
-def _lucas_u(reduced: ReducedRecurrence, n: int) -> Fraction:
-    """(alpha^n - beta^n)/(alpha - beta) as an exact rational, n >= -1.
+def _companion_power(system: PeriodicSystem, n: int, r: int,
+                     reduced: ReducedRecurrence | None) -> tuple[ReducedRecurrence, Matrix, int, int]:
+    """(reduced, K^n, B_r, B_{d+r}) with K = (C_d D_d; 1 0).
 
-    U_{k+1} = -(C/D) U_k + (1/D) U_{k-1} with U_0 = 0, U_1 = 1; U_{-1} = D.
-    """
-    if n == -1:
-        return Fraction(reduced.Dd)
-    prev, cur = Fraction(reduced.Dd), Fraction(0)  # U_{-1}, U_0
-    for _ in range(n):
-        prev, cur = cur, Fraction(-reduced.Cd, reduced.Dd) * cur + Fraction(1, reduced.Dd) * prev
-    return cur
-
-
-def binet(system: PeriodicSystem, n: int, r: int, reduced: ReducedRecurrence | None = None) -> int:
-    """B_{nd+r} via the closed form, evaluated in exact rational arithmetic."""
-    if n < 0 or r < -1:
-        raise IndexOutOfRange("binet requires n >= 0, r >= -1")
-    reduced = reduced if reduced is not None else reduce(system)
-    if reduced.delta == 0:
-        raise DegenerateDiscriminant("Delta = 0")
-    seq = b_sequence(system, system.d + r)
-    b_r, b_dr = seq[r + 1], seq[system.d + r + 1]
-    lead = Fraction(-reduced.Dd) ** (n - 1)
-    value = lead * (_lucas_u(reduced, n) * b_dr - _lucas_u(reduced, n - 1) * b_r)
-    assert value.denominator == 1, f"closed form did not produce an integer: {value}"
-    return int(value)
-
-
-def binet_negative(system: PeriodicSystem, n: int, r: int,
-                   reduced: ReducedRecurrence | None = None) -> Fraction:
-    """B_{-nd+r} via the negative-index closed form; exact rational.
-
-    Satisfies (-D_d)^n B_{-nd-1} = -B_{nd-1} at r = -1.  Rationals appear
-    when |a_nu| != 1, matching the backward recurrence
-    B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu.
+    K^n = (W_{n+1} D W_n; W_n D W_{n-1}) for W_{k+1} = C W_k + D W_{k-1},
+    W_0 = 0, W_1 = 1, and it maps (B_{d+r}, B_r) to (B_{(n+1)d+r}, B_{nd+r}).
     """
     if n < 0 or r < -1:
         raise IndexOutOfRange("requires n >= 0, r >= -1")
     reduced = reduced if reduced is not None else reduce(system)
     if reduced.delta == 0:
         raise DegenerateDiscriminant("Delta = 0")
-    seq = b_sequence(system, system.d + r)
-    b_r, b_dr = seq[r + 1], seq[system.d + r + 1]
-    return _lucas_u(reduced, n + 1) * b_r - _lucas_u(reduced, n) * b_dr / Fraction(-reduced.Dd)
+    power = mat_pow(((reduced.Cd, reduced.Dd), (1, 0)), n)
+    return reduced, power, b_at(system, r), b_at(system, system.d + r)
 
 
-def backward_sequence(system: PeriodicSystem, down_to: int) -> dict[int, Fraction]:
-    """B_nu for nu in [down_to, 0] by running the recurrence backwards.
+def binet(system: PeriodicSystem, n: int, r: int, reduced: ReducedRecurrence | None = None) -> int:
+    """B_{nd+r} = W_n B_{d+r} + D_d W_{n-1} B_r, exact in integers."""
+    _, power, b_r, b_dr = _companion_power(system, n, r, reduced)
+    return power[1][0] * b_dr + power[1][1] * b_r
 
-    The periodic coefficient lookup is extended to nu <= 0 via the mod-d
-    rule; used as an independent oracle for binet_negative.
+
+def binet_negative(system: PeriodicSystem, n: int, r: int,
+                   reduced: ReducedRecurrence | None = None) -> Fraction:
+    """B_{-nd+r} = (W_{n+1} B_r - W_n B_{d+r}) / (-D_d)^n; exact rational.
+
+    Satisfies (-D_d)^n B_{-nd-1} = -B_{nd-1} at r = -1.  Rationals appear
+    when |a_nu| != 1, matching the backward recurrence
+    B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu.
     """
-    values: dict[int, Fraction] = {-1: Fraction(0), 0: Fraction(1)}
-    for target in range(-2, down_to - 1, -1):
-        nu = target + 2  # B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu
-        b_nu = system.b[(nu - 1) % system.d]
-        a_nu = system.coeff_a(nu)
-        values[target] = (values[nu] - b_nu * values[target + 1]) / a_nu
-    return values
+    reduced, power, b_r, b_dr = _companion_power(system, n, r, reduced)
+    return Fraction(power[0][0] * b_r - power[1][0] * b_dr, (-reduced.Dd) ** n)
 
 
 @dataclass(frozen=True)
@@ -174,18 +135,16 @@ def sqrt_step(system: PeriodicSystem, n: int,
         raise IndexOutOfRange("square-root stepping assumes a strict system")
     d = system.d
     reduced = reduced if reduced is not None else reduce(system)
-    seq = b_sequence(system, (n + 1) * d)
-    B = lambda nu: seq[nu + 1]
-    radicand = reduced.delta * B(n * d - 1) ** 2 + 4 * (-reduced.Dd) ** n * B(d - 1) ** 2
+    b_nd = b_at(system, n * d - 1)
+    radicand = reduced.delta * b_nd ** 2 + 4 * (-reduced.Dd) ** n * b_at(system, d - 1) ** 2
     if radicand < 0:
         raise NotAPerfectSquare(f"negative radicand {radicand}")
     root = math.isqrt(radicand)
     if root * root != radicand:
         raise NotAPerfectSquare(f"radicand {radicand} is not a perfect square")
-    value, rem = divmod(reduced.Cd * B(n * d - 1) + root, 2)
+    value, rem = divmod(reduced.Cd * b_nd + root, 2)
     if rem != 0:
         raise NotAPerfectSquare("numerator is odd")
-    assert value == B((n + 1) * d - 1), "square-root step disagrees with the recurrence"
     return value
 
 
@@ -244,8 +203,7 @@ def remark_identities(system: PeriodicSystem, n: int,
         raise IndexOutOfRange("requires n >= 1")
     d = system.d
     reduced = reduced if reduced is not None else reduce(system)
-    seq = b_sequence(system, 4 * n * d)
-    B = lambda nu: seq[nu + 1]
+    B = lambda nu: b_at(system, nu)
     for idx in (d - 1, n * d - 1, 2 * n * d - 1):
         if B(idx) == 0:
             raise DivisionByZero(f"B_{idx} = 0")

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from .continuants import b_sequence
+from .core import b_at
 from .errors import (
     HypothesisViolated,
     NoAdmissibleRoot,
@@ -143,20 +144,12 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         if d != 2:
             raise HypothesisViolated("millin analogue requires d = 2")
         a1a2 = system.a[0] * system.a[1]
-        # The B index doubles per term; extend the sequence lazily and cap
-        # the index budget rather than relying on max_terms alone.
+        # The B index doubles per term; cap the term count rather than
+        # relying on max_terms alone.
         n_cap = min(ctx.max_terms, 14)
-        seq = [0, 1]  # B_{-1}, B_0, ...
-
-        def _terms():
-            for n in range(1, n_cap + 1):
-                idx = 2 ** (n + 1) - 1
-                while len(seq) < idx + 2:
-                    k = len(seq) - 1
-                    seq.append(system.coeff_b(k) * seq[-1] + system.coeff_a(k) * seq[-2])
-                yield Fraction(a1a2) ** (2 ** (n - 1)) / seq[idx + 1]
-
-        total, count = _sum_rational_terms(_terms(), ctx)
+        terms = (Fraction(a1a2) ** (2 ** (n - 1)) / b_at(system, 2 ** (n + 1) - 1)
+                 for n in range(1, n_cap + 1))
+        total, count = _sum_rational_terms(terms, ctx)
         closed = 1 / (system.b[0] * beta)
         return _report(family, total, closed.mpf(ctx.digits + 10),
                        f"1/(b1*beta) = {closed}", count, ctx, total)

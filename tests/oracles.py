@@ -1,0 +1,70 @@
+"""Slow reference implementations the integer core is tested against.
+
+Each one steps the recurrence term by term, the way the package did before
+contikit.core: no matrix powers, no reduction shortcuts.
+"""
+from fractions import Fraction
+
+from contikit import PeriodicSystem
+
+
+def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int, int]:
+    """(A_{nu,lam}, B_{nu,lam}) by the linear forward recurrence, nu >= -1."""
+    a_prev, a_cur = 1, system.coeff_b(lam)  # A_{-1}, A_0
+    b_prev, b_cur = 0, 1                    # B_{-1}, B_0
+    if nu == -1:
+        return a_prev, b_prev
+    for k in range(1, nu + 1):
+        bk = system.coeff_b(lam + k)
+        ak = system.coeff_a(lam + k)
+        a_prev, a_cur = a_cur, bk * a_cur + ak * a_prev
+        b_prev, b_cur = b_cur, bk * b_cur + ak * b_prev
+    return a_cur, b_cur
+
+
+def b_values(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
+    """[B_{-1,lam}, ..., B_{nu_max,lam}] by the linear recurrence."""
+    seq = [0, 1]
+    for k in range(1, nu_max + 1):
+        seq.append(system.coeff_b(lam + k) * seq[-1] + system.coeff_a(lam + k) * seq[-2])
+    return seq[: nu_max + 2]
+
+
+def backward_sequence(system: PeriodicSystem, down_to: int) -> dict[int, Fraction]:
+    """B_nu for nu in [down_to, 0] by running the recurrence backwards.
+
+    The periodic coefficient lookup is extended to nu <= 0 via the mod-d
+    rule; used as an independent oracle for binet_negative.
+    """
+    values: dict[int, Fraction] = {-1: Fraction(0), 0: Fraction(1)}
+    for target in range(-2, down_to - 1, -1):
+        nu = target + 2  # B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu
+        b_nu = system.b[(nu - 1) % system.d]
+        a_nu = system.coeff_a(nu)
+        values[target] = (values[nu] - b_nu * values[target + 1]) / a_nu
+    return values
+
+
+def reduce_checked(system: PeriodicSystem, verify_up_to: int = 60) -> tuple[int, int]:
+    """(C_d, D_d) as C_d = B_{2d-1}/B_{d-1} and D_d = (-1)^{d-1} a_1...a_d,
+    asserting the reduced recurrence on the first verify_up_to + 2 terms."""
+    d = system.d
+    seq = b_values(system, 2 * d + verify_up_to)
+    B = lambda nu: seq[nu + 1]
+    cd, rem = divmod(B(2 * d - 1), B(d - 1))
+    assert rem == 0
+    assert cd == B(d) + system.coeff_a(1) * continuant_pair(system, d - 2, 1)[1]
+    dd = (-1) ** (d - 1)
+    for x in system.a:
+        dd *= x
+    for nu in range(-1, verify_up_to + 1):
+        assert B(nu + 2 * d) == cd * B(nu + d) + dd * B(nu)
+    return cd, dd
+
+
+def lucas_residue(system: PeriodicSystem, k: int, m: int, cd: int, dd: int) -> int:
+    """B_{kd-1} mod m, k >= 1, by the reduced stride-d recurrence."""
+    out = [0, continuant_pair(system, system.d - 1)[1] % m]  # B_{-1}, B_{d-1}
+    for _ in range(2, k + 1):
+        out.append((cd * out[-1] + dd * out[-2]) % m)
+    return out[k]

@@ -1,0 +1,161 @@
+"""Differential tests: the integer core and its callers against the linear oracles."""
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import contikit
+from contikit import (
+    ContikitError,
+    PeriodicSystem,
+    PrimalityUndecided,
+    b_sequence,
+    binet,
+    binet_negative,
+    congruence_suite,
+    continuant_matrix,
+    expand_sqrt,
+    continuant_pair,
+    lucas_pseudoprime_test,
+    pell_solutions,
+    rank_of_apparition,
+    reduce,
+    to_system,
+)
+from contikit.cli import main
+from contikit.core import WALK_BELOW, b_at, walk
+from contikit.divisibility import PSI_12, _is_prime
+import oracles
+
+# Indices reach past WALK_BELOW so that both the walk and the power path run.
+NU = st.integers(-1, 3 * WALK_BELOW)
+
+
+@st.composite
+def systems(draw, strict=None):
+    """Strict systems, or signed non-strict ones (any nonzero a, any b)."""
+    strict = draw(st.booleans()) if strict is None else strict
+    d = draw(st.integers(1, 4))
+    if strict:
+        coeff = st.integers(1, 9)
+        a = draw(st.tuples(*[coeff] * d))
+    else:
+        coeff = st.integers(-9, 9)
+        a = draw(st.tuples(*[coeff.filter(bool)] * d))
+    b = draw(st.tuples(*[coeff] * d))
+    return PeriodicSystem(d=d, a=a, b=b, b0=draw(coeff), strict=strict)
+
+
+def reducible(system):
+    return oracles.b_values(system, system.d - 1)[-1] != 0
+
+
+@given(systems(), NU, st.integers(0, 10))
+def test_continuant_pair_matches_linear(system, nu, lam):
+    assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
+
+
+@given(systems(), NU, st.integers(0, 10), st.integers(2, 10 ** 6))
+def test_b_values_match_linear(system, nu, lam, m):
+    full = oracles.b_values(system, nu, lam)
+    assert b_sequence(system, nu, lam) == full
+    assert walk(system, nu, lam, m) == [x % m for x in full]
+    assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
+
+
+@given(systems(), st.integers(0, 3 * WALK_BELOW))
+def test_continuant_matrix_matches_linear(system, nu):
+    system = PeriodicSystem(system.d, system.a, system.b, 1, system.strict)
+    (a_nu, b_nu), (a_prev, b_prev) = (oracles.continuant_pair(system, k) for k in (nu, nu - 1))
+    assert continuant_matrix(system, nu) == ((a_nu, a_prev), (b_nu, b_prev))
+
+
+@given(systems())
+def test_reduce_matches_recurrence_check(system):
+    if not reducible(system):
+        return
+    red = reduce(system)
+    assert (red.Cd, red.Dd) == oracles.reduce_checked(system)
+
+
+@given(systems(), st.integers(0, 40), st.integers(-1, 6))
+def test_binet_matches_linear(system, n, r):
+    if not reducible(system) or reduce(system).delta == 0:
+        return
+    assert binet(system, n, r) == oracles.b_values(system, n * system.d + r)[-1]
+
+
+@given(systems(), st.integers(0, 6), st.integers(-1, 6))
+def test_binet_negative_matches_backward(system, n, r):
+    if not reducible(system) or reduce(system).delta == 0:
+        return
+    nu = -n * system.d + r
+    if nu >= 0:
+        expected = Fraction(oracles.b_values(system, nu)[-1])
+    else:
+        expected = oracles.backward_sequence(system, nu)[nu]
+    assert binet_negative(system, n, r) == expected
+
+
+@settings(max_examples=40)
+@given(systems(strict=True), st.integers(1, 1499))
+def test_lucas_verdict_matches_stride_list(system, half):
+    n = 2 * half + 1
+    red = reduce(system)
+    verdict = lucas_pseudoprime_test(system, n, red)
+    if math.gcd(n, red.Cd * red.Dd * red.delta) > 1:
+        assert verdict.verdict == "inapplicable"
+        return
+    k = n - verdict.epsilon
+    residue = oracles.lucas_residue(system, k, n, red.Cd, red.Dd)
+    assert verdict.tested_index == k * system.d - 1
+    assert verdict.verdict == ("probable_prime" if residue == 0 else "composite_proven")
+
+
+@given(systems(), st.sampled_from([p for p in range(2, 100) if _is_prime(p)]))
+def test_rank_of_apparition_matches_linear(system, p):
+    if not reducible(system):
+        return
+    seq = oracles.b_values(system, (p + 1) * system.d - 1)
+    omega = next((k for k in range(1, p + 2) if seq[k * system.d] % p == 0), None)
+    assert rank_of_apparition(system, p).omega == omega
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 400), st.integers(1, 8))
+def test_pell_solutions_match_continuants(n, count):
+    if math.isqrt(n) ** 2 == n:
+        return
+    sols = pell_solutions(n, count)
+    system = to_system(expand_sqrt(n))
+    step = system.d if system.d % 2 == 0 else 2 * system.d
+    assert [(s.x, s.y) for s in sols] == [
+        oracles.continuant_pair(system, k * step - 1) for k in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("n", [PSI_12, 3317044064679887385961981])
+def test_primality_refused_above_deterministic_range(n):
+    # Both are composite strong pseudoprimes to every prime base <= 37.
+    with pytest.raises(PrimalityUndecided):
+        _is_prime(n)
+    with pytest.raises(PrimalityUndecided):
+        congruence_suite(PeriodicSystem(d=2, a=(1, 1), b=(1, 4), b0=2), n)
+    assert issubclass(PrimalityUndecided, ContikitError)
+    assert main(["check", "--sqrt", "8", "--congruence-p", str(n)]) == 2
+    assert not _is_prime(n + 1)  # an even number is still proven composite
+
+
+def test_invariant_raised_under_optimize():
+    code = ("from contikit import InvariantViolated, PellSolution\n"
+            "try:\n    PellSolution(2, 1, 2)\n"
+            "except InvariantViolated:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(contikit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert done.returncode == 0

@@ -20,8 +20,10 @@ from contikit import (
     reduce,
     strong_gcd_check,
 )
-from contikit.divisibility import _is_prime, b_mod, b_stride_mod
+from contikit.core import mat_pow, transfer, walk
+from contikit.divisibility import _is_prime
 from contikit.suite import random_strict_system
+from oracles import b_values
 
 PRIMES_50 = [p for p in range(2, 51) if _is_prime(p)]
 
@@ -112,7 +114,7 @@ def test_fermat_little_theorem_reduction():
                 continue
             case = congruence_suite(system, p)
             assert case.all_pass, (a0, p)
-            seq = b_mod(system, p - 2, p)
+            seq = walk(system, p - 2, m=p)
             assert seq[p - 1] == 0  # B_(p-2) mod p
             assert pow(a0, p - 1, p) == 1
 
@@ -164,7 +166,7 @@ def test_pisano_divides_bound():
             pi = pisano_period(system, p)
             assert pisano_bound(system, p) % pi == 0
             # Independent check: the sequence really repeats with period pi.
-            seq = b_mod(system, 3 * pi + 2 * system.d, p)
+            seq = walk(system, 3 * pi + 2 * system.d, m=p)
             assert all(seq[i + pi] == seq[i] for i in range(len(seq) - pi))
 
 
@@ -209,13 +211,11 @@ def test_modular_agrees_with_full():
     for _ in range(10):
         system = random_strict_system(rng)
         m = rng.randint(2, 1000)
-        full = [x % m for x in b_sequence(system, 500)]
-        assert b_mod(system, 500, m) == full
-        red = reduce(system)
-        k_max = 500 // system.d
-        stride = b_stride_mod(system, k_max, m, red)
-        for k in range(k_max + 1):
-            assert stride[k] == full[k * system.d]
+        full = [x % m for x in b_values(system, 500)]
+        assert walk(system, 500, m=m) == full
+        period = transfer(system, system.d)
+        for k in range(500 // system.d + 1):
+            assert mat_pow(period, k, m)[1][0] == full[k * system.d]  # B_{kd-1}
 
 
 def test_law_of_repetition():

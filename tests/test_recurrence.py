@@ -11,7 +11,6 @@ from contikit import (
     NotAPerfectSquare,
     PeriodicSystem,
     b_sequence,
-    backward_sequence,
     binet,
     binet_negative,
     gf_verify,
@@ -22,6 +21,7 @@ from contikit import (
     sqrt_step,
 )
 from contikit.suite import random_strict_system
+from oracles import b_values, backward_sequence
 
 
 def test_reduce_s8():
@@ -35,8 +35,7 @@ def test_reduce_fib():
 
 
 def test_reduce_alternative_form():
-    # C_d = B_d + a_1 B_(d-2, lam=1) is cross-checked inside reduce; make sure
-    # the reported value also satisfies B_(2d-1) = C_d B_(d-1) directly.
+    # The trace of the period matrix satisfies B_(2d-1) = C_d B_(d-1).
     rng = random.Random(23)
     for _ in range(40):
         system = random_strict_system(rng)
@@ -118,19 +117,21 @@ def test_sqrt_step_sqrt_systems():
     for n in (2, 3, 5, 8, 13):
         system = to_system(expand_sqrt(n))
         red = reduce(system)
+        seq = b_values(system, 8 * system.d)
         for k in range(1, 8):
-            sqrt_step(system, k, red)  # internally asserts the recurrence value
+            assert sqrt_step(system, k, red) == seq[(k + 1) * system.d]
 
 
 def test_sqrt_step_random_strict():
     # For every valid strict system the radicand is a perfect square and the
-    # result equals the recurrence value (asserted inside sqrt_step).
+    # result equals the recurrence value.
     rng = random.Random(59)
     for _ in range(15):
         system = random_strict_system(rng)
         red = reduce(system)
+        seq = b_values(system, 6 * system.d)
         for n in range(1, 6):
-            sqrt_step(system, n, red)
+            assert sqrt_step(system, n, red) == seq[(n + 1) * system.d]
 
 
 def test_sqrt_step_rejects_bad_input():
