@@ -13,6 +13,7 @@ from .continuants import (
     continuant_matrix,
     continuant_pair,
     convergent,
+    verify_identities,
     verify_identity,
 )
 from .divisibility import (

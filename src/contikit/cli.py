@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -155,10 +156,8 @@ def cmd_check(args) -> int:
     raise SystemExit2("check needs --identity or --congruence-p")
 
 
-def _scan_one(payload: tuple[str, int]) -> dict:
-    system_json, n = payload
-    system = PeriodicSystem.from_json(system_json)
-    return divisibility.lucas_pseudoprime_test(system, n).to_dict()
+def _scan_one(system: PeriodicSystem, red: recurrence.ReducedRecurrence, n: int) -> dict:
+    return divisibility.lucas_pseudoprime_test(system, n, red).to_dict()
 
 
 def cmd_pseudoprime(args) -> int:
@@ -172,13 +171,14 @@ def cmd_pseudoprime(args) -> int:
     if args.range is None:
         raise SystemExit2("pseudoprime needs --candidate or --range lo:hi")
     lo, hi = (int(x) for x in args.range.split(":"))
-    odd = [n for n in range(max(lo, 3), hi + 1) if n % 2 == 1]
-    payloads = [(system.to_json(), n) for n in odd]
+    odd = range(max(lo, 3) | 1, hi + 1, 2)
+    # Reduced once here; the pool pickles (system, red) once per chunk.
+    scan = functools.partial(_scan_one, system, recurrence.reduce(system))
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_scan_one, payloads, chunksize=16))
+            results = list(pool.map(scan, odd, chunksize=16))
     else:
-        results = [_scan_one(p) for p in payloads]
+        results = [scan(n) for n in odd]
     for res in results:
         if args.json:
             print(json.dumps(res))
@@ -284,6 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact results can run to any number of digits; print them all.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        set_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

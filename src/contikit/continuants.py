@@ -1,13 +1,20 @@
 """Generalized continuants A_{nu,lambda}, B_{nu,lambda} and their identities.
 
 Values come from the integer core (contikit.core), the one module that steps
-the recurrence.  An exact determinant of the explicit tridiagonal matrix is
-kept as an independent oracle.  All values are exact Python integers.
+the recurrence.  A single value costs O(d + log nu) matrix products.  Batches
+of identity instances (verify_identities) read one table per system instead:
+B at every phase l mod d walked to the largest index the batch needs, A from
+B, and a-products as ratios of prefix products.  An exact determinant of the
+explicit tridiagonal matrix is kept as an independent oracle.  All values are
+exact Python integers.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import transfer, walk
 from .errors import IndexOutOfRange
@@ -139,6 +146,31 @@ def _a_product(system: PeriodicSystem, lo: int, hi: int) -> int:
     return prod
 
 
+def _table_lookups(system: PeriodicSystem, top: int):
+    """A(n, l), B(n, l) and a_product(lo, hi) read from tables: B and A for
+    n <= top and 0 <= l <= top + 1, a-products for hi <= top.
+
+    B_{n,l} depends only on l mod d, so d walks give every B.  A_{n,l} =
+    b_l B_{n,l} + a_{l+1} B_{n-1,l+1} (A_{-1,l} = 1) depends on l mod d too,
+    except at l = 0 where b_l is the leading term b_0.  a-products are ratios
+    of prefix products, exact because every a is nonzero.
+    """
+    d = system.d
+    b_rows = [walk(system, top, phi) for phi in range(d)]
+
+    def a_row(b_l: int, phi: int) -> list[int]:
+        row, nxt, a_next = b_rows[phi], b_rows[(phi + 1) % d], system.a[phi]
+        return [1] + [b_l * row[i + 1] + a_next * nxt[i] for i in range(top + 1)]
+
+    a_rows = [a_row(system.b[phi - 1], phi) for phi in range(d)]  # l = phi mod d, l >= 1
+    a_by_l = [a_row(system.b0, 0)] + [a_rows[l % d] for l in range(1, top + 2)]
+    b_by_l = [b_rows[l % d] for l in range(top + 2)]
+    prefix = list(accumulate((system.coeff_a(k) for k in range(1, top + 1)), operator.mul, initial=1))
+    A = lambda n, l=0: a_by_l[l][n + 1]
+    B = lambda n, l=0: b_by_l[l][n + 1]
+    return A, B, lambda lo, hi: prefix[hi] // prefix[lo - 1]
+
+
 def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ...]) -> IdentityReport:
     """Evaluate both sides of one of the catalogued identities exactly.
 
@@ -151,7 +183,26 @@ def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ..
     """
     A = lambda n, l=0: continuant_pair(system, n, l)[0]
     B = lambda n, l=0: continuant_pair(system, n, l)[1]
+    return _evaluate(system, identity, params, A, B, lambda lo, hi: _a_product(system, lo, hi))
 
+
+def verify_identities(system: PeriodicSystem,
+                      instances: Iterable[tuple[str, tuple[int, ...]]]) -> list[IdentityReport]:
+    """verify_identity for each (identity, params) pair, in order, with the same
+    reports and errors.
+
+    Every value an instance reads has index at most sum(params), so all of
+    them read one table walked to the largest such sum.
+    """
+    instances = list(instances)
+    table = _table_lookups(system, max([0] + [sum(params) for _, params in instances]))
+    return [_evaluate(system, identity, params, *table) for identity, params in instances]
+
+
+def _evaluate(system: PeriodicSystem, identity: str, params: tuple[int, ...],
+              A, B, a_product) -> IdentityReport:
+    """Check params, then evaluate both sides from lookups A(n, l), B(n, l)
+    and a_product(lo, hi)."""
     if identity in ("cassini_A", "cassini_B"):
         lam, nu, mu = params
         if min(lam, nu, mu) < 0:
@@ -160,7 +211,7 @@ def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ..
         lhs = X(nu + lam + mu - 1) * B(nu - 1, lam)
         rhs = (
             X(nu + lam - 1) * B(nu + mu - 1, lam)
-            + _sign(nu - 1) * _a_product(system, lam + 1, lam + nu) * X(lam - 1) * B(mu - 1, nu + lam)
+            + _sign(nu - 1) * a_product(lam + 1, lam + nu) * X(lam - 1) * B(mu - 1, nu + lam)
         )
         return IdentityReport(identity, tuple(params), (lhs,), (rhs,))
 
@@ -180,7 +231,7 @@ def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ..
         lam, nu = params
         if nu < 0 or lam < nu:
             raise IndexOutOfRange("docagne requires 0 <= nu <= lam")
-        prod = _sign(nu - 1) * _a_product(system, lam - nu + 1, lam)
+        prod = _sign(nu - 1) * a_product(lam - nu + 1, lam)
         lhs = (A(lam) * B(nu - 1, lam - nu), B(lam) * B(nu - 1, lam - nu))
         rhs = (
             A(lam - 1) * B(nu, lam - nu) + prod * A(lam - nu - 1),
@@ -205,7 +256,7 @@ def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ..
             raise IndexOutOfRange("telescoping requires 0 <= nu <= lam")
         if (lam - nu) % system.d != 0:
             raise IndexOutOfRange("telescoping requires d | (lam - nu)")
-        prod = _sign(nu) * _a_product(system, lam - nu + 1, lam)
+        prod = _sign(nu) * a_product(lam - nu + 1, lam)
         lhs = (A(lam - 1) * B(nu) - A(lam) * B(nu - 1), B(lam - 1) * B(nu) - B(lam) * B(nu - 1))
         rhs = (prod * A(lam - nu - 1), prod * B(lam - nu - 1))
         return IdentityReport(identity, tuple(params), lhs, rhs)

@@ -23,7 +23,8 @@ IDENTITY: Matrix = ((1, 0), (0, 1))
 # ones jump whole periods with a matrix power.  Measured on random systems with
 # coefficients 1..9 and d = 1..4 (Python 3.11), the walk costs 0.6x the power
 # at 8 steps and 1.4-2x at 32; the two cross between 16 and 20 steps for every
-# d.  `contikit paper` makes about a million queries, all below 24 steps.
+# d.  Batches of small queries, such as the identity sweeps of `contikit
+# paper`, read a table from `walk` instead (continuants.verify_identities).
 WALK_BELOW = 20
 
 

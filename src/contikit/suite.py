@@ -78,6 +78,7 @@ def check_identity_sweeps(rng: random.Random, n_systems: int = 100, pmax: int = 
     for _ in range(n_systems):
         system = random_strict_system(rng)
         d = system.d
+        instances = []
         for lam in range(pmax + 1):
             for nu in range(pmax + 1):
                 for ident in ("catalan", "docagne", "index_changing", "telescoping"):
@@ -87,14 +88,13 @@ def check_identity_sweeps(rng: random.Random, n_systems: int = 100, pmax: int = 
                         continue
                     if ident == "index_changing" and nu < 1:
                         continue
-                    rep = continuants.verify_identity(system, ident, (lam, nu))
-                    checked += 1
-                    failures += not rep.equal
+                    instances.append((ident, (lam, nu)))
                 for mu in range(pmax + 1):
                     for ident in ("cassini_A", "cassini_B"):
-                        rep = continuants.verify_identity(system, ident, (lam, nu, mu))
-                        checked += 1
-                        failures += not rep.equal
+                        instances.append((ident, (lam, nu, mu)))
+        reports = continuants.verify_identities(system, instances)
+        checked += len(reports)
+        failures += sum(not rep.equal for rep in reports)
     return _row("identity-sweeps", failures == 0, f"{checked} identity instances, {failures} failures")
 
 

@@ -1,9 +1,24 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contikit
 from contikit import PeriodicSystem, S8
 from contikit.cli import main
+from contikit.core import b_at
+
+# sha256 of `contikit paper` stdout at the default seed 20240801 and 50 digits.
+PAPER_TEXT_SHA256 = "684fd09d3dd6a784ab0adfa0f91dc06bc5a12e8398db8d3407b7e5a04d29c1b6"
+PAPER_JSON_SHA256 = "cdf7ddec9c0e024750b4d11796c1ec6a87945ab0ffb9976316a5acbc39af32f2"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(capsys, *argv):
@@ -75,6 +90,15 @@ def test_binet_verb(capsys):
         assert json.loads(out)["B"] == expect
 
 
+def test_binet_past_the_int_str_digit_limit(capsys):
+    # B_100000 has about 38 000 digits, past CPython's default 4300.
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "binet", "--sqrt", "8", "--nu", "100000", *extra)
+        assert code == 0, err
+        value = json.loads(out)["B"] if extra else out.strip().removeprefix("B_100000 = ")
+        assert value == str(b_at(S8, 100000))
+
+
 def test_pseudoprime_example_json(capsys):
     code, out, _ = run(capsys, "pseudoprime", "--sqrt", "8",
                        "--candidate", "35", "--json")
@@ -94,10 +118,13 @@ def test_pseudoprime_range_scan(capsys):
 
 
 def test_pseudoprime_range_scan_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:60", "--json")
-    _, parallel, _ = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:60",
-                         "--json", "--jobs", "2")
-    assert serial == parallel
+    for mode in ((), ("--json",)):
+        code1, serial, _ = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:400", *mode)
+        code2, parallel, _ = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:400",
+                                 *mode, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert serial == parallel
+        assert len(serial.splitlines()) == 199
 
 
 def test_series_verb(capsys):
@@ -154,6 +181,19 @@ def test_paper_verb_deterministic(capsys):
     assert out1 == out2
     assert "seed=20240801" in out1.splitlines()[0]
     assert all("PASS" in line for line in out1.splitlines()[1:-1])
+    assert "168132 identity instances, 0 failures" in out1
+    assert sha256(out1) == PAPER_TEXT_SHA256
+    code, doc, _ = run(capsys, "paper", "--json")
+    assert code == 0
+    assert sha256(doc) == PAPER_JSON_SHA256
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(contikit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "contikit", "binet", "--sqrt", "8", "--nu", "10"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"B_10 = {b_at(S8, 10)}\n"
 
 
 def test_nonstrict_flag(capsys):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import contikit
 from contikit import (
+    IDENTITIES,
     ContikitError,
     PeriodicSystem,
     PrimalityUndecided,
@@ -27,6 +29,8 @@ from contikit import (
     rank_of_apparition,
     reduce,
     to_system,
+    verify_identities,
+    verify_identity,
 )
 from contikit.cli import main
 from contikit.core import WALK_BELOW, b_at, walk
@@ -101,6 +105,59 @@ def test_binet_negative_matches_backward(system, n, r):
     else:
         expected = oracles.backward_sequence(system, nu)[nu]
     assert binet_negative(system, n, r) == expected
+
+
+def oracle_report(system, identity, params):
+    """verify_identity with every value from the linear oracle."""
+    with mock.patch.object(contikit.continuants, "continuant_pair", oracles.continuant_pair):
+        return verify_identity(system, identity, params)
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def identity_instances(draw):
+    identity = draw(st.sampled_from(IDENTITIES))
+    size = 3 if identity.startswith("cassini") else 2
+    return identity, tuple(draw(st.lists(st.integers(0, 12), min_size=size, max_size=size)))
+
+
+@given(systems(), st.lists(identity_instances(), max_size=30))
+def test_verify_identities_matches_oracle(system, instances):
+    valid, expected = [], []
+    for identity, params in instances:
+        error = raised(lambda: oracle_report(system, identity, params))
+        if error is None:
+            valid.append((identity, params))
+            expected.append(oracle_report(system, identity, params))
+        else:  # docagne/telescoping with lam < nu, and the like: same error, even mid-batch
+            assert raised(lambda: verify_identities(system, valid + [(identity, params)])) == error
+    reports = verify_identities(system, valid)
+    assert reports == expected
+    assert [verify_identity(system, *inst) for inst in valid] == expected
+    assert all(rep.equal for rep in reports)
+
+
+@given(systems(), st.sampled_from(IDENTITIES + ("nope",)), st.lists(st.integers(-3, 12), max_size=4))
+def test_verify_identities_raises_like_verify_identity(system, identity, params):
+    params = tuple(params)
+    expected = raised(lambda: verify_identity(system, identity, params))
+    assert raised(lambda: verify_identities(system, [(identity, params)])) == expected
+
+
+def test_verify_identities_large_indices():
+    system = PeriodicSystem(d=3, a=(2, -1, 3), b=(0, 5, -2), b0=4, strict=False)
+    batch = [("catalan", (3, 4)), ("cassini_A", (64, 1, 2)), ("docagne", (69, 7)),
+             ("telescoping", (69, 3)), ("index_changing", (2, 64))]
+    reports = verify_identities(system, batch)
+    assert reports == [oracle_report(system, *inst) for inst in batch]
+    assert all(rep.equal for rep in reports)
 
 
 @settings(max_examples=40)
