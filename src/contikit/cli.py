@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import divisibility, pell, recurrence, series, suite
-from .continuants import verify_identity
+from .continuants import IDENTITIES, verify_identity
 from .errors import ContikitError
 from .systems import PeriodicSystem
 
@@ -156,8 +156,8 @@ def cmd_check(args) -> int:
     raise SystemExit2("check needs --identity or --congruence-p")
 
 
-def _scan_one(system: PeriodicSystem, red: recurrence.ReducedRecurrence, n: int) -> dict:
-    return divisibility.lucas_pseudoprime_test(system, n, red).to_dict()
+def _scan_one(system: PeriodicSystem, n: int) -> dict:
+    return divisibility.lucas_pseudoprime_test(system, n).to_dict()
 
 
 def cmd_pseudoprime(args) -> int:
@@ -172,8 +172,10 @@ def cmd_pseudoprime(args) -> int:
         raise SystemExit2("pseudoprime needs --candidate or --range lo:hi")
     lo, hi = (int(x) for x in args.range.split(":"))
     odd = range(max(lo, 3) | 1, hi + 1, 2)
-    # Reduced once here; the pool pickles (system, red) once per chunk.
-    scan = functools.partial(_scan_one, system, recurrence.reduce(system))
+    # Reducing here makes a system with B_{d-1} = 0 exit 2 even when the range
+    # holds no odd candidate; the pool pickles the system once per chunk.
+    recurrence.reduce(system)
+    scan = functools.partial(_scan_one, system)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(scan, odd, chunksize=16))
@@ -253,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a continuant identity or congruence suite")
     _add_system_args(p)
-    p.add_argument("--identity", choices=("cassini_A", "cassini_B", "catalan",
-                                          "docagne", "index_changing", "telescoping"))
+    p.add_argument("--identity", choices=IDENTITIES)
     p.add_argument("--params", default="0,3", help="comma-separated identity parameters")
     p.add_argument("--congruence-p", type=int, default=None)
     common(p)

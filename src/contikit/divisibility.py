@@ -2,7 +2,8 @@
 law of repetition and the Lucas-style pseudoprime test.
 
 Sequence values come from the integer core (contikit.core): congruences,
-apparition and Pisano periods scan its walk over Z/p in O(index) steps, and
+apparition and Pisano periods scan its walk over Z/p in O(index) steps (the
+Pisano period is the first shift at which a window of 2d values recurs), and
 the pseudoprime test reads one entry of a power of the period matrix mod n.
 """
 from __future__ import annotations
@@ -200,8 +201,8 @@ class ApparitionReport:
     clause_holds: bool
 
 
-def rank_of_apparition(system: PeriodicSystem, p: int, bound: int | None = None) -> ApparitionReport:
-    """Least k >= 1 with p | B_{kd-1}, or None if absent within bound.
+def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
+    """Least k >= 1 with p | B_{kd-1}, or None if no k <= p + 1 works.
 
     Asserts the matching clause of the apparition theorem.  When p | C_d the
     identity B_{2d-1} = C_d B_{d-1} forces omega <= 2 whenever it exists;
@@ -209,9 +210,7 @@ def rank_of_apparition(system: PeriodicSystem, p: int, bound: int | None = None)
     p|C,p|D case.
     """
     _require_prime(p)
-    bound = bound if bound is not None else p + 1
-    if bound < p + 1:
-        raise ValueError(f"bound must be >= p+1 = {p + 1}")
+    bound = p + 1
     reduced = reduce(system)
     tag = classify_case(reduced, p)
     # B_{kd-1} = W_k B_{d-1} for k = 0..bound (binet at r = -1), where W_0, W_1, ...
@@ -269,9 +268,9 @@ def _mult_order(x: int, p: int) -> int:
     return k
 
 
-def pisano_bound(system: PeriodicSystem, p: int, reduced: ReducedRecurrence | None = None) -> int:
+def pisano_bound(system: PeriodicSystem, p: int) -> int:
     """The divisor bound on the Pisano period modulo p (p coprime to C_d D_d)."""
-    reduced = reduced if reduced is not None else reduce(system)
+    reduced = reduce(system)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
     if p == 2 or D % p == 0:
         raise HypothesisViolated("bound requires odd p coprime to D_d")
@@ -290,25 +289,17 @@ def pisano_period(system: PeriodicSystem, p: int) -> int:
     reduced = reduce(system)
     if p == 2 or reduced.Dd % p == 0:
         raise HypothesisViolated("pisano_period requires odd p coprime to D_d")
-    d = system.d
-    # Find a pure period P (multiple of d): the recurrence phase then aligns,
-    # and a repeated window of 2d values pins the whole tail.
-    limit = pisano_bound(system, p, reduced)
-    seq = walk(system, 2 * limit + 4 * d, m=p)
-    P = None
-    for cand in range(d, limit + 1, d):
-        if all(seq[i] == seq[i + cand] for i in range(2 * d)):
-            P = cand
-            break
-    if P is None:
+    window = 2 * system.d
+    limit = pisano_bound(system, p)
+    seq = walk(system, limit + window, m=p)
+    # Every shift of B obeys the reduced recurrence from nu = -1, so 2d equal values pin it.
+    head = seq[:window]
+    pi = next((k for k in range(1, limit + 1) if seq[k:k + window] == head), None)
+    if pi is None:
         raise InvariantViolated(f"no period of B mod {p} within the divisor bound {limit}")
-    # The minimal period need not be phase-aligned; scan all shifts <= P.
-    for pi in range(1, P + 1):
-        if all(seq[i + pi] == seq[i] for i in range(P + 1)):
-            if limit % pi != 0:
-                raise InvariantViolated(f"period {pi} of B mod {p} does not divide the bound {limit}")
-            return pi
-    return P
+    if limit % pi != 0:
+        raise InvariantViolated(f"period {pi} of B mod {p} does not divide the bound {limit}")
+    return pi
 
 
 @dataclass(frozen=True)
@@ -327,8 +318,7 @@ class PseudoprimeVerdict:
         }
 
 
-def lucas_pseudoprime_test(system: PeriodicSystem, n: int,
-                           reduced: ReducedRecurrence | None = None) -> PseudoprimeVerdict:
+def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict:
     """Lucas-style compositeness test: B_{(n - eps(n))d - 1} mod n.
 
     eps(n) is the Jacobi symbol (Delta | n).  Applicable only to odd n >= 3
@@ -336,7 +326,7 @@ def lucas_pseudoprime_test(system: PeriodicSystem, n: int,
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    reduced = reduced if reduced is not None else reduce(system)
+    reduced = reduce(system)
     if n % 2 == 0 or math.gcd(n, reduced.Cd * reduced.Dd * reduced.delta) > 1:
         return PseudoprimeVerdict(n, 0, 0, "inapplicable")
     eps = jacobi(reduced.delta, n)

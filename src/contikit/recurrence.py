@@ -51,8 +51,8 @@ def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]
     return alpha, beta
 
 
-def _companion_power(system: PeriodicSystem, n: int, r: int,
-                     reduced: ReducedRecurrence | None) -> tuple[ReducedRecurrence, Matrix, int, int]:
+def _companion_power(system: PeriodicSystem, n: int,
+                     r: int) -> tuple[ReducedRecurrence, Matrix, int, int]:
     """(reduced, K^n, B_r, B_{d+r}) with K = (C_d D_d; 1 0).
 
     K^n = (W_{n+1} D W_n; W_n D W_{n-1}) for W_{k+1} = C W_k + D W_{k-1},
@@ -60,28 +60,27 @@ def _companion_power(system: PeriodicSystem, n: int, r: int,
     """
     if n < 0 or r < -1:
         raise IndexOutOfRange("requires n >= 0, r >= -1")
-    reduced = reduced if reduced is not None else reduce(system)
+    reduced = reduce(system)
     if reduced.delta == 0:
         raise DegenerateDiscriminant("Delta = 0")
     power = mat_pow(((reduced.Cd, reduced.Dd), (1, 0)), n)
     return reduced, power, b_at(system, r), b_at(system, system.d + r)
 
 
-def binet(system: PeriodicSystem, n: int, r: int, reduced: ReducedRecurrence | None = None) -> int:
+def binet(system: PeriodicSystem, n: int, r: int) -> int:
     """B_{nd+r} = W_n B_{d+r} + D_d W_{n-1} B_r, exact in integers."""
-    _, power, b_r, b_dr = _companion_power(system, n, r, reduced)
+    _, power, b_r, b_dr = _companion_power(system, n, r)
     return power[1][0] * b_dr + power[1][1] * b_r
 
 
-def binet_negative(system: PeriodicSystem, n: int, r: int,
-                   reduced: ReducedRecurrence | None = None) -> Fraction:
+def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
     """B_{-nd+r} = (W_{n+1} B_r - W_n B_{d+r}) / (-D_d)^n; exact rational.
 
     Satisfies (-D_d)^n B_{-nd-1} = -B_{nd-1} at r = -1.  Rationals appear
     when |a_nu| != 1, matching the backward recurrence
     B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu.
     """
-    reduced, power, b_r, b_dr = _companion_power(system, n, r, reduced)
+    reduced, power, b_r, b_dr = _companion_power(system, n, r)
     return Fraction(power[0][0] * b_r - power[1][0] * b_dr, (-reduced.Dd) ** n)
 
 
@@ -98,13 +97,12 @@ class GFReport:
         return pad(self.numerator) == pad(self.product)
 
 
-def gf_verify(system: PeriodicSystem, n_terms: int,
-              reduced: ReducedRecurrence | None = None) -> GFReport:
+def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
     """Check (1 - C x^d - D x^{2d}) * sum B_n x^n against the numerator poly."""
     d = system.d
     if n_terms < 2 * d:
         raise IndexOutOfRange(f"need N >= 2d = {2 * d}, got {n_terms}")
-    reduced = reduced if reduced is not None else reduce(system)
+    reduced = reduce(system)
     seq = b_sequence(system, n_terms)[1:]  # B_0 .. B_N
     prod = [0] * (n_terms + 1)
     for i, bn in enumerate(seq):
@@ -122,8 +120,7 @@ def gf_verify(system: PeriodicSystem, n_terms: int,
     return GFReport(tuple(numer), tuple(prod[: deg + 1]), deg)
 
 
-def sqrt_step(system: PeriodicSystem, n: int,
-              reduced: ReducedRecurrence | None = None) -> int:
+def sqrt_step(system: PeriodicSystem, n: int) -> int:
     """B_{(n+1)d-1} from B_{nd-1} via the square-root identity.
 
     radicand = Delta B_{nd-1}^2 + 4 (-D_d)^n B_{d-1}^2 must be a perfect
@@ -134,7 +131,7 @@ def sqrt_step(system: PeriodicSystem, n: int,
     if not system.strict:
         raise IndexOutOfRange("square-root stepping assumes a strict system")
     d = system.d
-    reduced = reduced if reduced is not None else reduce(system)
+    reduced = reduce(system)
     b_nd = b_at(system, n * d - 1)
     radicand = reduced.delta * b_nd ** 2 + 4 * (-reduced.Dd) ** n * b_at(system, d - 1) ** 2
     if radicand < 0:
@@ -148,10 +145,9 @@ def sqrt_step(system: PeriodicSystem, n: int,
     return value
 
 
-def limit_ratio(system: PeriodicSystem, mode: str, r: int,
-                reduced: ReducedRecurrence | None = None) -> QuadraticNumber:
+def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}."""
-    reduced = reduced if reduced is not None else reduce(system)
+    reduced = reduce(system)
     if reduced.delta <= 0:
         raise DegenerateDiscriminant("limits require Delta > 0")
     if reduced.Cd == 0:
@@ -197,12 +193,11 @@ class RemarkReport:
         return self.identity2_lhs == self.identity2_rhs_printed
 
 
-def remark_identities(system: PeriodicSystem, n: int,
-                      reduced: ReducedRecurrence | None = None) -> RemarkReport:
+def remark_identities(system: PeriodicSystem, n: int) -> RemarkReport:
     if n < 1:
         raise IndexOutOfRange("requires n >= 1")
     d = system.d
-    reduced = reduced if reduced is not None else reduce(system)
+    reduced = reduce(system)
     B = lambda nu: b_at(system, nu)
     for idx in (d - 1, n * d - 1, 2 * n * d - 1):
         if B(idx) == 0:

@@ -16,6 +16,12 @@ from . import continuants, divisibility, pell, recurrence, series
 from .quadratic import QuadraticNumber
 from .systems import FIB, S8, PeriodicSystem
 
+# Sizes of the randomized rows; run_full_suite draws every case from one seed.
+IDENTITY_SYSTEMS = 100
+IDENTITY_PMAX = 8
+EXACT_SUM_CASES = 100
+CONGRUENCE_SYSTEMS = 20
+
 
 @dataclass(frozen=True)
 class SuiteRow:
@@ -49,7 +55,7 @@ def check_sqrt8_sequence() -> SuiteRow:
     d = S8.d
     via_reduced = all(raw[nu] == reduced.Cd * raw[nu - d] + reduced.Dd * raw[nu - 2 * d]
                       for nu in range(2 * d, 9))
-    via_binet = [recurrence.binet(S8, nu // 2, nu % 2, reduced) for nu in range(9)]
+    via_binet = [recurrence.binet(S8, nu // 2, nu % 2) for nu in range(9)]
     ok = raw == expected and via_reduced and via_binet == expected
     ok = ok and (reduced.Cd, reduced.Dd) == (6, -1)
     return _row("sqrt8-sequence", ok, f"recurrence/reduced/closed-form all = {raw}")
@@ -72,15 +78,16 @@ def check_generating_function(rng: random.Random) -> SuiteRow:
     return _row("generating-function", ok, "; ".join(details))
 
 
-def check_identity_sweeps(rng: random.Random, n_systems: int = 100, pmax: int = 8) -> SuiteRow:
+def check_identity_sweeps(rng: random.Random) -> SuiteRow:
     failures = 0
     checked = 0
-    for _ in range(n_systems):
+    params = range(IDENTITY_PMAX + 1)
+    for _ in range(IDENTITY_SYSTEMS):
         system = random_strict_system(rng)
         d = system.d
         instances = []
-        for lam in range(pmax + 1):
-            for nu in range(pmax + 1):
+        for lam in params:
+            for nu in params:
                 for ident in ("catalan", "docagne", "index_changing", "telescoping"):
                     if ident in ("docagne", "telescoping") and lam < nu:
                         continue
@@ -89,19 +96,13 @@ def check_identity_sweeps(rng: random.Random, n_systems: int = 100, pmax: int = 
                     if ident == "index_changing" and nu < 1:
                         continue
                     instances.append((ident, (lam, nu)))
-                for mu in range(pmax + 1):
+                for mu in params:
                     for ident in ("cassini_A", "cassini_B"):
                         instances.append((ident, (lam, nu, mu)))
         reports = continuants.verify_identities(system, instances)
         checked += len(reports)
         failures += sum(not rep.equal for rep in reports)
     return _row("identity-sweeps", failures == 0, f"{checked} identity instances, {failures} failures")
-
-
-def _partial_vs(value_terms, closed, count, dps=50):
-    with mpmath.workdps(dps):
-        partial = mpmath.fsum(value_terms[:count])
-        return abs(partial - closed)
 
 
 def check_millin() -> SuiteRow:
@@ -171,13 +172,13 @@ def check_zeta_series(digits: int = 50) -> SuiteRow:
                 f"error {mpmath.nstr(err, 4)}; printed-root residual {mpmath.nstr(cmp_res, 4)}")
 
 
-def check_exact_sums(rng: random.Random, n_cases: int = 100) -> SuiteRow:
+def check_exact_sums(rng: random.Random) -> SuiteRow:
     rep1 = series.weighted_sum_exact(S8, "geometric", x=1, big_n=2, r=-1)
     rep2 = series.weighted_sum_exact(S8, "binomial", big_n=2)
     ok = rep1.equal and rep1.lhs == 7 and rep2.equal and rep2.lhs == 204
     xs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(3, 5)]
     done = 0
-    while done < n_cases:
+    while done < EXACT_SUM_CASES:
         system = random_strict_system(rng)
         x = rng.choice(xs)
         big_n = rng.randint(1, 6)
@@ -192,7 +193,7 @@ def check_exact_sums(rng: random.Random, n_cases: int = 100) -> SuiteRow:
     return _row("exact-finite-sums", ok, f"S8 values 7/204 plus {done} randomized cases")
 
 
-def check_congruences(rng: random.Random, n_systems: int = 20) -> SuiteRow:
+def check_congruences(rng: random.Random) -> SuiteRow:
     c3 = divisibility.congruence_suite(S8, 3, range(-1, 7))
     c7 = divisibility.congruence_suite(S8, 7, range(-1, 7))
     ok = c3.all_pass and c7.all_pass
@@ -205,7 +206,7 @@ def check_congruences(rng: random.Random, n_systems: int = 20) -> SuiteRow:
         ok = ok and (B(r + 16) - (6 * B(r + 2) - B(r))) % 7 == 0
     ran = 0
     primes = [p for p in range(2, 51) if divisibility._is_prime(p)]
-    for _ in range(n_systems):
+    for _ in range(CONGRUENCE_SYSTEMS):
         system = random_strict_system(rng)
         for p in primes:
             case = divisibility.congruence_suite(system, p)
@@ -224,7 +225,7 @@ def check_pseudoprime(rng: random.Random) -> SuiteRow:
         for p in primes:
             if math.gcd(p, red.Cd * red.Dd * red.delta) > 1:
                 continue
-            if divisibility.lucas_pseudoprime_test(system, p, red).verdict != "probable_prime":
+            if divisibility.lucas_pseudoprime_test(system, p).verdict != "probable_prime":
                 bad += 1
     return _row("lucas-pseudoprime", ok and bad == 0,
                 f"35 -> {v35.verdict} at index {v35.tested_index}; {bad} false composites")
@@ -249,7 +250,7 @@ def check_pisano(rng: random.Random) -> SuiteRow:
             if red.Dd % p == 0:
                 continue
             pi = divisibility.pisano_period(system, p)
-            bound = divisibility.pisano_bound(system, p, red)
+            bound = divisibility.pisano_bound(system, p)
             ok = ok and bound % pi == 0
             tested += 1
     return _row("pisano-periods", ok,

@@ -68,3 +68,18 @@ def lucas_residue(system: PeriodicSystem, k: int, m: int, cd: int, dd: int) -> i
     for _ in range(2, k + 1):
         out.append((cd * out[-1] + dd * out[-2]) % m)
     return out[k]
+
+
+def pisano_period(system: PeriodicSystem, p: int, limit: int) -> int | None:
+    """Least period of B mod p by the two-stage scan the package used to run:
+    the least phase-aligned period P <= limit (2d matching values), then every
+    shift up to P checked against P + 1 values.  None if no P <= limit."""
+    d = system.d
+    seq = [0, 1]  # B_{-1}, B_0 mod p
+    for k in range(1, 2 * limit + 4 * d + 1):
+        seq.append((system.coeff_b(k) * seq[-1] + system.coeff_a(k) * seq[-2]) % p)
+    aligned = (c for c in range(d, limit + 1, d) if all(seq[i] == seq[i + c] for i in range(2 * d)))
+    P = next(aligned, None)
+    if P is None:
+        return None
+    return next(pi for pi in range(1, P + 1) if all(seq[i + pi] == seq[i] for i in range(P + 1)))

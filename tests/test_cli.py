@@ -127,6 +127,16 @@ def test_pseudoprime_range_scan_parallel_matches_serial(capsys):
         assert len(serial.splitlines()) == 199
 
 
+def test_pseudoprime_range_unreducible_system_exit2(capsys):
+    # b_1 = 0 gives B_{d-1} = 0, so the system has no reduction; --range 4:4
+    # holds no odd candidate, and the scan still refuses the system.
+    code, out, err = run(capsys, "pseudoprime", "--d", "2", "--a", "1,1", "--b", "0,1",
+                         "--non-strict", "--range", "4:4")
+    assert code == 2
+    assert out == ""
+    assert "DivisionByZero" in err
+
+
 def test_series_verb(capsys):
     code, out, _ = run(capsys, "series", "--sqrt", "8", "--family", "millin", "--json")
     assert code == 0

@@ -26,6 +26,8 @@ from contikit import (
     continuant_pair,
     lucas_pseudoprime_test,
     pell_solutions,
+    pisano_bound,
+    pisano_period,
     rank_of_apparition,
     reduce,
     to_system,
@@ -165,7 +167,7 @@ def test_verify_identities_large_indices():
 def test_lucas_verdict_matches_stride_list(system, half):
     n = 2 * half + 1
     red = reduce(system)
-    verdict = lucas_pseudoprime_test(system, n, red)
+    verdict = lucas_pseudoprime_test(system, n)
     if math.gcd(n, red.Cd * red.Dd * red.delta) > 1:
         assert verdict.verdict == "inapplicable"
         return
@@ -182,6 +184,13 @@ def test_rank_of_apparition_matches_linear(system, p):
     seq = oracles.b_values(system, (p + 1) * system.d - 1)
     omega = next((k for k in range(1, p + 2) if seq[k * system.d] % p == 0), None)
     assert rank_of_apparition(system, p).omega == omega
+
+
+@given(systems(), st.sampled_from([p for p in range(3, 200) if _is_prime(p)]))
+def test_pisano_period_matches_two_stage_scan(system, p):
+    if not reducible(system) or reduce(system).Dd % p == 0:
+        return
+    assert pisano_period(system, p) == oracles.pisano_period(system, p, pisano_bound(system, p))
 
 
 @settings(max_examples=30)

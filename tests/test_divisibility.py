@@ -189,16 +189,15 @@ def test_pseudoprime_soundness():
         for p in primes:
             if math.gcd(p, red.Cd * red.Dd * red.delta) > 1:
                 continue
-            assert lucas_pseudoprime_test(system, p, red).verdict == "probable_prime"
+            assert lucas_pseudoprime_test(system, p).verdict == "probable_prime"
 
 
 def test_pseudoprime_detects_composites():
-    red = reduce(S8)
     verdicts = {}
     for n in range(9, 201, 2):
         if _is_prime(n):
             continue
-        verdicts[n] = lucas_pseudoprime_test(S8, n, red).verdict
+        verdicts[n] = lucas_pseudoprime_test(S8, n).verdict
     assert "composite_proven" in verdicts.values()
     # Any composite_proven verdict must name a true composite (always here),
     # and no tested n was prime, so probable_prime entries are pseudoprimes.

@@ -62,12 +62,11 @@ def test_binet_matches_recurrence():
     rng = random.Random(31)
     for _ in range(15):
         system = random_strict_system(rng)
-        red = reduce(system)
         seq = b_sequence(system, 61)
         for nu in range(-1, 61):
             n, r = divmod(nu + 1, system.d)
             r -= 1
-            assert binet(system, n, r, red) == seq[nu + 1]
+            assert binet(system, n, r) == seq[nu + 1]
 
 
 def test_binet_negative_consistency():
@@ -116,10 +115,9 @@ def test_sqrt_step_sqrt_systems():
     from contikit import expand_sqrt, to_system
     for n in (2, 3, 5, 8, 13):
         system = to_system(expand_sqrt(n))
-        red = reduce(system)
         seq = b_values(system, 8 * system.d)
         for k in range(1, 8):
-            assert sqrt_step(system, k, red) == seq[(k + 1) * system.d]
+            assert sqrt_step(system, k) == seq[(k + 1) * system.d]
 
 
 def test_sqrt_step_random_strict():
@@ -128,10 +126,9 @@ def test_sqrt_step_random_strict():
     rng = random.Random(59)
     for _ in range(15):
         system = random_strict_system(rng)
-        red = reduce(system)
         seq = b_values(system, 6 * system.d)
         for n in range(1, 6):
-            assert sqrt_step(system, n, red) == seq[(n + 1) * system.d]
+            assert sqrt_step(system, n) == seq[(n + 1) * system.d]
 
 
 def test_sqrt_step_rejects_bad_input():
@@ -154,7 +151,7 @@ def test_limit_ratio_numeric():
         seq = b_sequence(system, 21 * system.d)
         B = lambda nu: seq[nu + 1]
         with mpmath.workdps(60):
-            lim = limit_ratio(system, "consecutive_periods", -1, red).mpf(60)
+            lim = limit_ratio(system, "consecutive_periods", -1).mpf(60)
             obs = mpmath.mpf(B(20 * system.d - 1)) / B(19 * system.d - 1)
             alpha, beta = roots(red)
             ratio = abs(alpha.mpf(60) / beta.mpf(60))
