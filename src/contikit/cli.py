@@ -11,7 +11,6 @@ import concurrent.futures
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import divisibility, pell, recurrence, series, suite
 from .continuants import IDENTITIES, verify_identity
@@ -24,8 +23,10 @@ def _add_system_args(p: argparse.ArgumentParser):
     p.add_argument("--sqrt", type=int, metavar="N",
                    help="use the continued-fraction system of sqrt(N)")
     p.add_argument("--d", type=int, help="period length")
-    p.add_argument("--a", help="comma-separated a_1..a_d")
-    p.add_argument("--b", help="comma-separated b_1..b_d")
+    p.add_argument("--a", help="comma-separated a_1..a_d; write a list that starts "
+                               "with a minus sign as --a=-1,2")
+    p.add_argument("--b", help="comma-separated b_1..b_d; write a list that starts "
+                               "with a minus sign as --b=-1,2")
     p.add_argument("--b0", type=int, default=None, help="leading b_0 (default 1)")
     p.add_argument("--non-strict", action="store_true",
                    help="allow non-positive coefficients")
@@ -34,29 +35,19 @@ def _add_system_args(p: argparse.ArgumentParser):
 def _system_from_args(args) -> PeriodicSystem:
     given = [x is not None for x in (args.system, args.sqrt, args.d)]
     if sum(given) != 1:
-        raise SystemExit2("give exactly one of --system, --sqrt, or --d/--a/--b")
+        raise ValueError("give exactly one of --system, --sqrt, or --d/--a/--b")
     if args.system is not None:
         with open(args.system) as fh:
             return PeriodicSystem.from_json(fh.read())
     if args.sqrt is not None:
         return pell.to_system(pell.expand_sqrt(args.sqrt))
     if args.a is None or args.b is None:
-        raise SystemExit2("--d requires --a and --b")
+        raise ValueError("--d requires --a and --b")
     a = tuple(int(x) for x in args.a.split(","))
     b = tuple(int(x) for x in args.b.split(","))
     return PeriodicSystem(d=args.d, a=a, b=b,
                           b0=args.b0 if args.b0 is not None else 1,
                           strict=not args.non_strict)
-
-
-class SystemExit2(Exception):
-    """Usage error detected after argparse."""
-
-
-def _int_str(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
-    return str(x)
 
 
 def _emit(args, obj: dict, text: str):
@@ -102,7 +93,7 @@ def cmd_binet(args) -> int:
         value = recurrence.binet(system, n, r)
     else:
         value = recurrence.binet_negative(system, -n, r)
-    _emit(args, {"nu": str(nu), "B": _int_str(value)}, f"B_{nu} = {value}")
+    _emit(args, {"nu": str(nu), "B": str(value)}, f"B_{nu} = {value}")
     return 0
 
 
@@ -114,7 +105,7 @@ def cmd_series(args) -> int:
                                  compare_zeta=args.compare_zeta)
     elif args.family.startswith("pell_"):
         if args.sqrt is None:
-            raise SystemExit2(f"{args.family} needs --sqrt N")
+            raise ValueError(f"{args.family} needs --sqrt N")
         rep = series.telescoping_sum(args.sqrt, args.family, ctx)
     else:
         system = _system_from_args(args)
@@ -137,8 +128,8 @@ def cmd_check(args) -> int:
         rep = verify_identity(system, args.identity, params)
         _emit(args,
               {"identity": rep.identity, "params": list(rep.params),
-               "lhs": [_int_str(v) for v in rep.lhs],
-               "rhs": [_int_str(v) for v in rep.rhs], "equal": rep.equal},
+               "lhs": [str(v) for v in rep.lhs],
+               "rhs": [str(v) for v in rep.rhs], "equal": rep.equal},
               f"{rep.identity}{rep.params}: lhs={rep.lhs} rhs={rep.rhs} equal={rep.equal}")
         return 0 if rep.equal else 1
     if args.congruence_p is not None:
@@ -153,7 +144,7 @@ def cmd_check(args) -> int:
             for lbl, ok in case.verified:
                 print(f"  [{'ok' if ok else 'FAIL'}] {lbl}")
         return 0 if case.all_pass else 1
-    raise SystemExit2("check needs --identity or --congruence-p")
+    raise ValueError("check needs --identity or --congruence-p")
 
 
 def _scan_one(system: PeriodicSystem, n: int) -> dict:
@@ -169,7 +160,7 @@ def cmd_pseudoprime(args) -> int:
               f"(epsilon = {verdict.epsilon}, tested B index {verdict.tested_index})")
         return 0
     if args.range is None:
-        raise SystemExit2("pseudoprime needs --candidate or --range lo:hi")
+        raise ValueError("pseudoprime needs --candidate or --range lo:hi")
     lo, hi = (int(x) for x in args.range.split(":"))
     odd = range(max(lo, 3) | 1, hi + 1, 2)
     # Reducing here makes a system with B_{d-1} = 0 exit 2 even when the range
@@ -292,9 +283,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ContikitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

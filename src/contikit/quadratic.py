@@ -6,7 +6,6 @@ expressions exactly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,18 +87,6 @@ class QuadraticNumber:
             return other
         return QuadraticNumber.rational(other, self.delta)
 
-    def __pow__(self, n: int) -> "QuadraticNumber":
-        if n < 0:
-            return QuadraticNumber.rational(1, self.delta) / self ** (-n)
-        out = QuadraticNumber.rational(1, self.delta)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "QuadraticNumber":
         return QuadraticNumber(self.p, -self.q, self.delta)
 
@@ -116,9 +103,6 @@ class QuadraticNumber:
                 mpmath.mpf(self.q.numerator) / self.q.denominator
             ) * mpmath.sqrt(self.delta)
 
-    def __float__(self) -> float:
-        return float(self.mpf(30))
-
     def __str__(self) -> str:
         if self.q == 0:
             return str(self.p)
@@ -126,21 +110,3 @@ class QuadraticNumber:
             return f"{self.q}*sqrt({self.delta})"
         sign = "+" if self.q > 0 else "-"
         return f"{self.p} {sign} {abs(self.q)}*sqrt({self.delta})"
-
-    def to_dict(self) -> dict:
-        return {
-            "p": f"{self.p.numerator}/{self.p.denominator}",
-            "q": f"{self.q.numerator}/{self.q.denominator}",
-            "delta": str(self.delta),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "QuadraticNumber":
-        return cls(Fraction(obj["p"]), Fraction(obj["q"]), int(obj["delta"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuadraticNumber":
-        return cls.from_dict(json.loads(text))

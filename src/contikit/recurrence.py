@@ -3,9 +3,9 @@
 B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = tr M = B_{2d-1}/B_{d-1} and
 D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
 (Cayley-Hamilton), plus everything downstream of that reduction: closed forms
-through powers of the companion matrix (C_d D_d; 1 0), roots in
-Q(sqrt(Delta)), the generating-function check, ratio limits, the square-root
-stepping identity and negative indices.
+at positive and negative indices through powers of M and of its adjugate,
+roots in Q(sqrt(Delta)), the generating-function check, ratio limits and the
+square-root stepping identity.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import b_sequence
-from .core import Matrix, b_at, mat_pow, transfer
+from .core import b_at, mat_mul, mat_pow, transfer
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -51,37 +51,31 @@ def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]
     return alpha, beta
 
 
-def _companion_power(system: PeriodicSystem, n: int,
-                     r: int) -> tuple[ReducedRecurrence, Matrix, int, int]:
-    """(reduced, K^n, B_r, B_{d+r}) with K = (C_d D_d; 1 0).
-
-    K^n = (W_{n+1} D W_n; W_n D W_{n-1}) for W_{k+1} = C W_k + D W_{k-1},
-    W_0 = 0, W_1 = 1, and it maps (B_{d+r}, B_r) to (B_{(n+1)d+r}, B_{nd+r}).
-    """
+def _require_closed_form(system: PeriodicSystem, n: int, r: int) -> None:
     if n < 0 or r < -1:
         raise IndexOutOfRange("requires n >= 0, r >= -1")
-    reduced = reduce(system)
-    if reduced.delta == 0:
+    if reduce(system).delta == 0:
         raise DegenerateDiscriminant("Delta = 0")
-    power = mat_pow(((reduced.Cd, reduced.Dd), (1, 0)), n)
-    return reduced, power, b_at(system, r), b_at(system, system.d + r)
 
 
 def binet(system: PeriodicSystem, n: int, r: int) -> int:
-    """B_{nd+r} = W_n B_{d+r} + D_d W_{n-1} B_r, exact in integers."""
-    _, power, b_r, b_dr = _companion_power(system, n, r)
-    return power[1][0] * b_dr + power[1][1] * b_r
+    """B_{nd+r} read from the core's power of M, exact in integers."""
+    _require_closed_form(system, n, r)
+    return b_at(system, n * system.d + r)
 
 
 def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
-    """B_{-nd+r} = (W_{n+1} B_r - W_n B_{d+r}) / (-D_d)^n; exact rational.
+    """B_{-nd+r} = [T_{r+1} ... T_1 adj(M)^n]_{1,0} / det(M)^n; exact rational.
 
-    Satisfies (-D_d)^n B_{-nd-1} = -B_{nd-1} at r = -1.  Rationals appear
-    when |a_nu| != 1, matching the backward recurrence
+    M^{-n} carries (B_0, B_{-1}) back to (B_{-nd}, B_{-nd-1}), and
+    det M = -D_d.  Satisfies (-D_d)^n B_{-nd-1} = -B_{nd-1} at r = -1.
+    Rationals appear when |a_nu| != 1, matching the backward recurrence
     B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu.
     """
-    reduced, power, b_r, b_dr = _companion_power(system, n, r)
-    return Fraction(power[0][0] * b_r - power[1][0] * b_dr, (-reduced.Dd) ** n)
+    _require_closed_form(system, n, r)
+    (p, q), (t, s) = transfer(system, system.d)
+    steps = mat_mul(transfer(system, r + 1), mat_pow(((s, -q), (-t, p)), n))
+    return Fraction(steps[1][0], (p * s - q * t) ** n)
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,11 @@ def _report(family: str, partial, closed, symbolic: str, terms: int,
             ctx: PrecisionContext, partial_exact: Fraction | None = None,
             extras: dict | None = None) -> SeriesReport:
     with mpmath.workdps(ctx.digits + 10):
-        if isinstance(partial, Fraction):
-            partial = _frac_to_mpf(partial)
-        err = abs(mpmath.mpf(partial) - closed)
+        partial = _to_mpf(partial)
+        err = abs(partial - closed)
         return SeriesReport(
             family=family,
-            partial_sum=mpmath.nstr(mpmath.mpf(partial), ctx.digits),
+            partial_sum=mpmath.nstr(partial, ctx.digits),
             closed_form=mpmath.nstr(mpmath.mpf(closed), ctx.digits),
             closed_symbolic=symbolic,
             abs_error=mpmath.nstr(err, 10),
@@ -97,20 +96,20 @@ def _report(family: str, partial, closed, symbolic: str, terms: int,
         )
 
 
-def _frac_to_mpf(x: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(x.numerator) / x.denominator
+def _to_mpf(x) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
 
 
-def _sum_rational_terms(terms_iter, ctx: PrecisionContext) -> tuple[Fraction, int]:
-    """Accumulate exact rational terms until they drop below tolerance."""
-    total = Fraction(0)
+def _sum_terms(terms_iter, ctx: PrecisionContext):
+    """Sum Fraction terms exactly, or mpf terms, until one drops below tolerance."""
+    total = 0
     count = 0
     with mpmath.workdps(ctx.digits + 10):
         tol = ctx.tolerance / 4
         for term in terms_iter:
             total += term
             count += 1
-            if abs(_frac_to_mpf(term)) < tol:
+            if abs(_to_mpf(term)) < tol:
                 return total, count
             if count >= ctx.max_terms:
                 raise PrecisionExhausted(
@@ -149,7 +148,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         n_cap = min(ctx.max_terms, 14)
         terms = (Fraction(a1a2) ** (2 ** (n - 1)) / b_at(system, 2 ** (n + 1) - 1)
                  for n in range(1, n_cap + 1))
-        total, count = _sum_rational_terms(terms, ctx)
+        total, count = _sum_terms(terms, ctx)
         closed = 1 / (system.b[0] * beta)
         return _report(family, total, closed.mpf(ctx.digits + 10),
                        f"1/(b1*beta) = {closed}", count, ctx, total)
@@ -159,7 +158,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         B = lambda nu: seq[nu + 1]
         terms = (Fraction((-reduced.Dd) ** (n - 1), B(n * d - 1) * B((n + 1) * d - 1))
                  for n in range(1, ctx.max_terms + 1))
-        total, count = _sum_rational_terms(terms, ctx)
+        total, count = _sum_terms(terms, ctx)
         closed = alpha / QuadraticNumber.rational(B(d - 1) ** 2, reduced.delta)
         return _report(family, total, closed.mpf(ctx.digits + 10),
                        f"alpha/B_(d-1)^2 = {closed}", count, ctx, total)
@@ -169,9 +168,6 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
     seq = b_sequence(system, (2 * ctx.max_terms + 4) * d)
     B = lambda nu: seq[nu + 1]
     with mpmath.workdps(ctx.digits + 10):
-        total = mpmath.mpf(0)
-        count = 0
-        tol = ctx.tolerance / 4
         if family == "arctan":
             closed = mpmath.atan(mpmath.mpf(B(d - 1)) / B(2 * d - 1))
             symbolic = f"arctan({B(d - 1)}/{B(2 * d - 1)})"
@@ -182,14 +178,8 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
             symbolic = f"ln(({B(3 * d - 1)}+{B(d - 1)})/({B(3 * d - 1)}-{B(d - 1)}))/2"
             terms = (mpmath.atanh(mpmath.mpf(B(2 * d - 1)) / B(2 * n * d - 1))
                      for n in range(2, ctx.max_terms + 2))
-        for term in terms:
-            total += term
-            count += 1
-            if abs(term) < tol:
-                break
-        else:
-            raise PrecisionExhausted(f"{count} terms did not reach tolerance")
-        return _report(family, total, closed, symbolic, count, ctx)
+    total, count = _sum_terms(terms, ctx)
+    return _report(family, total, closed, symbolic, count, ctx)
 
 
 def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
@@ -217,7 +207,7 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
                  for k in range(1, ctx.max_terms))
         closed = QuadraticNumber.rational(Fraction(1, y1 ** 3), delta)
         symbolic = f"1/y1^3 = {closed}"
-    total, count = _sum_rational_terms(terms, ctx)
+    total, count = _sum_terms(terms, ctx)
     return _report(family, total, closed.mpf(ctx.digits + 10), symbolic, count, ctx, total)
 
 

@@ -76,11 +76,24 @@ def test_reduce_system_file(tmp_path, capsys):
     assert "C_d = 6" in out
 
 
+USAGE_ERRORS = (
+    (("reduce", "--sqrt", "8", "--d", "2", "--a", "1,1", "--b", "1,4"),
+     "give exactly one of --system, --sqrt, or --d/--a/--b"),
+    (("reduce", "--d", "2", "--a", "1,1"), "--d requires --a and --b"),
+    (("series", "--d", "2", "--a", "1,1", "--b", "1,4", "--family", "pell_y"),
+     "pell_y needs --sqrt N"),
+    (("check", "--sqrt", "8"), "check needs --identity or --congruence-p"),
+    (("pseudoprime", "--sqrt", "8"), "pseudoprime needs --candidate or --range lo:hi"),
+)
+
+
 def test_system_sources_are_exclusive(capsys):
-    code, _, err = run(capsys, "reduce", "--sqrt", "8", "--d", "2", "--a", "1,1",
-                       "--b", "1,4")
-    assert code == 2
-    assert "exactly one" in err
+    # Every usage error found after argparse exits 2 with one stderr line.
+    for argv, message in USAGE_ERRORS:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_binet_verb(capsys):
@@ -88,6 +101,10 @@ def test_binet_verb(capsys):
         code, out, _ = run(capsys, "binet", "--sqrt", "8", "--nu", str(nu), "--json")
         assert code == 0
         assert json.loads(out)["B"] == expect
+    # a_1 = 2 makes negative indices non-integer.
+    code, out, _ = run(capsys, "binet", "--d", "1", "--a", "2", "--b", "3", "--nu", "-7", "--json")
+    assert code == 0
+    assert json.loads(out) == {"nu": "-7", "B": "-495/64"}
 
 
 def test_binet_past_the_int_str_digit_limit(capsys):
@@ -212,3 +229,7 @@ def test_nonstrict_flag(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["C_d"] == "3" and doc["D_d"] == "-2"
+    # A list that starts with a minus sign needs the --a=... form.
+    code, out, _ = run(capsys, "reduce", "--d", "2", "--a=-1,-1", "--b", "2,2", "--non-strict")
+    assert code == 0
+    assert out == "C_d = 2, D_d = -1, Delta = 0\n"

@@ -7,7 +7,9 @@ import pytest
 from contikit import (
     FIB,
     S8,
+    DegenerateDiscriminant,
     DivisionByZero,
+    IndexOutOfRange,
     NotAPerfectSquare,
     PeriodicSystem,
     b_sequence,
@@ -54,8 +56,8 @@ def test_roots_symmetric_functions():
         alpha, beta = roots(red)
         s = alpha + beta
         p = alpha * beta
-        assert s.is_rational and s.p == Fraction(-red.Cd, red.Dd)
-        assert p.is_rational and p.p == Fraction(-1, red.Dd)
+        assert s.is_rational() and s.p == Fraction(-red.Cd, red.Dd)
+        assert p.is_rational() and p.p == Fraction(-1, red.Dd)
 
 
 def test_binet_matches_recurrence():
@@ -79,6 +81,17 @@ def test_binet_negative_consistency():
                 nu = -n * system.d + r
                 if nu in back:
                     assert binet_negative(system, n, r) == back[nu]
+
+
+@pytest.mark.parametrize("closed_form", [binet, binet_negative])
+def test_closed_forms_reject_bad_input(closed_form):
+    for n, r in ((-1, 0), (0, -2)):
+        with pytest.raises(IndexOutOfRange):
+            closed_form(S8, n, r)
+    # C_1 = 2, D_1 = -1: Delta = 0.
+    degenerate = PeriodicSystem(d=1, a=(-1,), b=(2,), strict=False)
+    with pytest.raises(DegenerateDiscriminant):
+        closed_form(degenerate, 2, 0)
 
 
 def test_negative_index_reflection():
@@ -132,7 +145,6 @@ def test_sqrt_step_random_strict():
 
 
 def test_sqrt_step_rejects_bad_input():
-    from contikit import IndexOutOfRange
     with pytest.raises(IndexOutOfRange):
         sqrt_step(S8, 0)
     loose = PeriodicSystem(d=1, a=(-2,), b=(3,), strict=False)

@@ -12,6 +12,7 @@ from contikit import (
     PoleAtRoot,
     PeriodicSystem,
     PrecisionContext,
+    PrecisionExhausted,
     b_sequence,
     expand_sqrt,
     telescoping_sum,
@@ -21,6 +22,8 @@ from contikit import (
 )
 from contikit.series import TELESCOPING_FAMILIES, ZETA_KINDS
 from contikit.suite import random_strict_system
+
+SQRT2 = to_system(expand_sqrt(2))
 
 
 def test_millin_s8_exact_partial():
@@ -59,14 +62,30 @@ def test_pell_families_need_even_period():
 
 
 def test_arctan_artanh_sqrt2():
-    system = to_system(expand_sqrt(2))
     ctx = PrecisionContext(40, 120)
-    at = telescoping_sum(system, "arctan", ctx)
-    ah = telescoping_sum(system, "artanh", ctx)
+    at = telescoping_sum(SQRT2, "arctan", ctx)
+    ah = telescoping_sum(SQRT2, "artanh", ctx)
     assert at.converged and ah.converged
     with mpmath.workdps(50):
         assert abs(mpmath.mpf(at.closed_form) - mpmath.atan(mpmath.mpf(1) / 2)) < 1e-35
         assert abs(mpmath.mpf(ah.closed_form) - mpmath.log(mpmath.mpf(3) / 2) / 2) < 1e-35
+
+
+@pytest.mark.parametrize("source, family, ctx, message", [
+    (S8, "millin", PrecisionContext(20, 2), "2 terms did not reach the tolerance 10^-15"),
+    # The millin B index doubles per term, so its stream stops after 14 terms.
+    (PeriodicSystem(d=2, a=(1, 1), b=(1, 1)), "millin", PrecisionContext(7000, 60),
+     "term stream exhausted before reaching tolerance"),
+    (S8, "period_reciprocal", PrecisionContext(20, 3),
+     "3 terms did not reach the tolerance 10^-15"),
+    (8, "pell_y", PrecisionContext(20, 3), "term stream exhausted before reaching tolerance"),
+    (SQRT2, "arctan", PrecisionContext(20, 3), "3 terms did not reach the tolerance 10^-15"),
+    (SQRT2, "artanh", PrecisionContext(20, 2), "2 terms did not reach the tolerance 10^-15"),
+])
+def test_telescoping_sums_exhaust_precision(source, family, ctx, message):
+    with pytest.raises(PrecisionExhausted) as exc:
+        telescoping_sum(source, family, ctx)
+    assert str(exc.value) == message
 
 
 def test_arctan_requires_unit_d():
