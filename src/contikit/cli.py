@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import sys
@@ -167,16 +168,13 @@ def cmd_pseudoprime(args) -> int:
     # holds no odd candidate; the pool pickles the system once per chunk.
     recurrence.reduce(system)
     scan = functools.partial(_scan_one, system)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(scan, odd, chunksize=16))
-    else:
-        results = [scan(n) for n in odd]
-    for res in results:
-        if args.json:
-            print(json.dumps(res))
-        else:
-            print(f"n = {res['n']}: {res['verdict']}")
+    with contextlib.ExitStack() as stack:
+        results = map(scan, odd)
+        if args.jobs > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs))
+            results = pool.map(scan, odd, chunksize=16)
+        for res in results:  # in order, each printed as soon as it is ready
+            print(json.dumps(res) if args.json else f"n = {res['n']}: {res['verdict']}")
     return 0
 
 

@@ -1,20 +1,19 @@
 """Generalized continuants A_{nu,lambda}, B_{nu,lambda} and their identities.
 
-Values come from the integer core (contikit.core), the one module that steps
-the recurrence.  A single value costs O(d + log nu) matrix products.  Batches
-of identity instances (verify_identities) read one table per system instead:
-B at every phase l mod d walked to the largest index the batch needs, A from
-B, and a-products as ratios of prefix products.  An exact determinant of the
-explicit tridiagonal matrix is kept as an independent oracle.  All values are
-exact Python integers.
+Values are exact integers from the integer core (contikit.core); a single one
+costs O(d + log nu) matrix products.  Each identity has one evaluator over rows
+of A and B values, backed by continuant_pair in verify_identity and by one
+table per system in verify_identities; both return IdentityReport named
+tuples.  An exact tridiagonal determinant is kept as an independent oracle.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import transfer, walk
 from .errors import IndexOutOfRange
@@ -118,8 +117,7 @@ def convergent(system: PeriodicSystem, nu: int, lam: int = 0) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: str
     params: tuple[int, ...]
     lhs: tuple[int, ...]
@@ -130,31 +128,100 @@ class IdentityReport:
         return self.lhs == self.rhs
 
 
-IDENTITIES = ("cassini_A", "cassini_B", "catalan", "docagne", "index_changing", "telescoping")
+class _Evaluators(dict):
+    """Identity name -> evaluator, which checks params and returns (lhs, rhs) from
+    rows A[l][n + 1] = A_{n,l}, B[l][n + 1] = B_{n,l} and prefix[k] = a_1 ... a_k."""
+
+    def __missing__(self, identity):
+        raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
 
 
-def _sign(k: int) -> int:
-    """(-1)**k as an int, valid for negative k too."""
-    return -1 if k % 2 else 1
+def _cassini(numerator: bool):
+    """Cassini's identity for X = A (numerator) or X = B."""
+    def evaluate(A, B, prefix, system, params):
+        lam, nu, mu = params
+        if lam < 0 or nu < 0 or mu < 0:
+            raise IndexOutOfRange("cassini requires lam, nu, mu >= 0")
+        X, b_lam = (A[0] if numerator else B[0]), B[lam]
+        term = prefix[lam + nu] // prefix[lam] * X[lam] * B[nu + lam][mu]  # * (-1)^(nu-1)
+        return ((X[nu + lam + mu] * b_lam[nu],),
+                (X[nu + lam] * b_lam[nu + mu] + (term if nu % 2 else -term),))
+    return evaluate
 
 
-def _a_product(system: PeriodicSystem, lo: int, hi: int) -> int:
-    """a_lo * a_{lo+1} * ... * a_hi (empty product = 1)."""
-    prod = 1
-    for i in range(lo, hi + 1):
-        prod *= system.coeff_a(i)
-    return prod
+def _catalan(A, B, prefix, system, params):
+    lam, nu = params
+    if lam < 0 or nu < 0:
+        raise IndexOutOfRange("catalan requires lam, nu >= 0")
+    A0, B0, b_lam, b_next, a1 = A[0], B[0], B[lam], B[lam + 1], system.coeff_a(lam + 1)
+    return ((A0[nu + lam + 1], B0[nu + lam + 1]),
+            (A0[lam + 1] * b_lam[nu + 1] + a1 * A0[lam] * b_next[nu],
+             B0[lam + 1] * b_lam[nu + 1] + a1 * B0[lam] * b_next[nu]))
 
 
-def _table_lookups(system: PeriodicSystem, top: int):
-    """A(n, l), B(n, l) and a_product(lo, hi) read from tables: B and A for
-    n <= top and 0 <= l <= top + 1, a-products for hi <= top.
+def _docagne(A, B, prefix, system, params):
+    lam, nu = params
+    if nu < 0 or lam < nu:
+        raise IndexOutOfRange("docagne requires 0 <= nu <= lam")
+    A0, B0, gap = A[0], B[0], B[lam - nu]
+    prod = prefix[lam] // prefix[lam - nu] * (1 if nu % 2 else -1)
+    return ((A0[lam + 1] * gap[nu], B0[lam + 1] * gap[nu]),
+            (A0[lam] * gap[nu + 1] + prod * A0[lam - nu], B0[lam] * gap[nu + 1] + prod * B0[lam - nu]))
 
-    B_{n,l} depends only on l mod d, so d walks give every B.  A_{n,l} =
-    b_l B_{n,l} + a_{l+1} B_{n-1,l+1} (A_{-1,l} = 1) depends on l mod d too,
-    except at l = 0 where b_l is the leading term b_0.  a-products are ratios
-    of prefix products, exact because every a is nonzero.
-    """
+
+def _index_changing(A, B, prefix, system, params):
+    lam, nu = params
+    if lam < 0 or nu < 1:
+        raise IndexOutOfRange("index_changing requires lam >= 0, nu >= 1")
+    return ((A[lam][nu + 1], B[lam][nu + 1]),
+            (system.coeff_b(lam) * A[lam + 1][nu] + system.coeff_a(lam + 1) * A[lam + 2][nu - 1],
+             system.coeff_b(lam + 1) * B[lam + 1][nu] + system.coeff_a(lam + 2) * B[lam + 2][nu - 1]))
+
+
+def _telescoping(A, B, prefix, system, params):
+    lam, nu = params
+    if nu < 0 or lam < nu:
+        raise IndexOutOfRange("telescoping requires 0 <= nu <= lam")
+    if (lam - nu) % system.d != 0:
+        raise IndexOutOfRange("telescoping requires d | (lam - nu)")
+    A0, B0 = A[0], B[0]
+    prod = prefix[lam] // prefix[lam - nu] * (-1 if nu % 2 else 1)
+    return ((A0[lam] * B0[nu + 1] - A0[lam + 1] * B0[nu],
+             B0[lam] * B0[nu + 1] - B0[lam + 1] * B0[nu]),
+            (prod * A0[lam - nu], prod * B0[lam - nu]))
+
+
+_EVALUATORS = _Evaluators(cassini_A=_cassini(True), cassini_B=_cassini(False), catalan=_catalan,
+                          docagne=_docagne, index_changing=_index_changing, telescoping=_telescoping)
+IDENTITIES = tuple(_EVALUATORS)
+
+
+class _PairRows:
+    """rows[l][i] = continuant_pair(system, i - 1, l)[part], computed when read."""
+
+    def __init__(self, system: PeriodicSystem, part: int, lam: int | None = None):
+        self.system, self.part, self.lam = system, part, lam
+
+    def __getitem__(self, k: int):
+        if self.lam is None:
+            return _PairRows(self.system, self.part, k)
+        return continuant_pair(self.system, k - 1, self.lam)[self.part]
+
+
+class _APrefix:
+    """prefix[k] = a_1 ... a_k = (a_1 ... a_d)^(k // d) a_1 ... a_(k mod d), computed when read."""
+
+    def __init__(self, system: PeriodicSystem):
+        self.a = system.a
+
+    def __getitem__(self, k: int) -> int:
+        return math.prod(self.a) ** (k // len(self.a)) * math.prod(self.a[:k % len(self.a)])
+
+
+def _tables(system: PeriodicSystem, top: int):
+    """Rows A[l], B[l] of X_{-1,l} .. X_{top,l} for l <= top + 1, and prefix[k] for k <= top.
+    B_{n,l}, and A_{n,l} = b_l B_{n,l} + a_{l+1} B_{n-1,l+1} except at l = 0 (where b_l
+    is b_0), depend only on l mod d, so d walks give every row."""
     d = system.d
     b_rows = [walk(system, top, phi) for phi in range(d)]
 
@@ -163,16 +230,14 @@ def _table_lookups(system: PeriodicSystem, top: int):
         return [1] + [b_l * row[i + 1] + a_next * nxt[i] for i in range(top + 1)]
 
     a_rows = [a_row(system.b[phi - 1], phi) for phi in range(d)]  # l = phi mod d, l >= 1
-    a_by_l = [a_row(system.b0, 0)] + [a_rows[l % d] for l in range(1, top + 2)]
-    b_by_l = [b_rows[l % d] for l in range(top + 2)]
-    prefix = list(accumulate((system.coeff_a(k) for k in range(1, top + 1)), operator.mul, initial=1))
-    A = lambda n, l=0: a_by_l[l][n + 1]
-    B = lambda n, l=0: b_by_l[l][n + 1]
-    return A, B, lambda lo, hi: prefix[hi] // prefix[lo - 1]
+    A = [a_row(system.b0, 0)] + [a_rows[l % d] for l in range(1, top + 2)]
+    B = [b_rows[l % d] for l in range(top + 2)]
+    return A, B, list(accumulate((system.coeff_a(k) for k in range(1, top + 1)), operator.mul, initial=1))
 
 
 def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ...]) -> IdentityReport:
-    """Evaluate both sides of one of the catalogued identities exactly.
+    """Evaluate both sides of one of the catalogued identities exactly, taking
+    every value from continuant_pair.
 
     Parameter conventions:
       cassini_A / cassini_B: params = (lam, nu, mu), all >= 0
@@ -181,84 +246,19 @@ def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ..
       index_changing:        params = (lam, nu) with nu >= 1
       telescoping:           params = (lam, nu) with lam >= nu, d | (lam - nu)
     """
-    A = lambda n, l=0: continuant_pair(system, n, l)[0]
-    B = lambda n, l=0: continuant_pair(system, n, l)[1]
-    return _evaluate(system, identity, params, A, B, lambda lo, hi: _a_product(system, lo, hi))
+    rows = _PairRows(system, 0), _PairRows(system, 1), _APrefix(system)
+    lhs, rhs = _EVALUATORS[identity](*rows, system, params)
+    return IdentityReport(identity, tuple(params), lhs, rhs)
 
 
 def verify_identities(system: PeriodicSystem,
                       instances: Iterable[tuple[str, tuple[int, ...]]]) -> list[IdentityReport]:
-    """verify_identity for each (identity, params) pair, in order, with the same
-    reports and errors.
-
-    Every value an instance reads has index at most sum(params), so all of
-    them read one table walked to the largest such sum.
-    """
+    """verify_identity for each (identity, params) pair, in order, with the same reports
+    and errors, all read from one table walked to the largest sum(params)."""
     instances = list(instances)
-    table = _table_lookups(system, max([0] + [sum(params) for _, params in instances]))
-    return [_evaluate(system, identity, params, *table) for identity, params in instances]
-
-
-def _evaluate(system: PeriodicSystem, identity: str, params: tuple[int, ...],
-              A, B, a_product) -> IdentityReport:
-    """Check params, then evaluate both sides from lookups A(n, l), B(n, l)
-    and a_product(lo, hi)."""
-    if identity in ("cassini_A", "cassini_B"):
-        lam, nu, mu = params
-        if min(lam, nu, mu) < 0:
-            raise IndexOutOfRange("cassini requires lam, nu, mu >= 0")
-        X = A if identity == "cassini_A" else B
-        lhs = X(nu + lam + mu - 1) * B(nu - 1, lam)
-        rhs = (
-            X(nu + lam - 1) * B(nu + mu - 1, lam)
-            + _sign(nu - 1) * a_product(lam + 1, lam + nu) * X(lam - 1) * B(mu - 1, nu + lam)
-        )
-        return IdentityReport(identity, tuple(params), (lhs,), (rhs,))
-
-    if identity == "catalan":
-        lam, nu = params
-        if lam < 0 or nu < 0:
-            raise IndexOutOfRange("catalan requires lam, nu >= 0")
-        a1 = system.coeff_a(lam + 1)
-        lhs = (A(nu + lam), B(nu + lam))
-        rhs = (
-            A(lam) * B(nu, lam) + a1 * A(lam - 1) * B(nu - 1, lam + 1),
-            B(lam) * B(nu, lam) + a1 * B(lam - 1) * B(nu - 1, lam + 1),
-        )
-        return IdentityReport(identity, tuple(params), lhs, rhs)
-
-    if identity == "docagne":
-        lam, nu = params
-        if nu < 0 or lam < nu:
-            raise IndexOutOfRange("docagne requires 0 <= nu <= lam")
-        prod = _sign(nu - 1) * a_product(lam - nu + 1, lam)
-        lhs = (A(lam) * B(nu - 1, lam - nu), B(lam) * B(nu - 1, lam - nu))
-        rhs = (
-            A(lam - 1) * B(nu, lam - nu) + prod * A(lam - nu - 1),
-            B(lam - 1) * B(nu, lam - nu) + prod * B(lam - nu - 1),
-        )
-        return IdentityReport(identity, tuple(params), lhs, rhs)
-
-    if identity == "index_changing":
-        lam, nu = params
-        if lam < 0 or nu < 1:
-            raise IndexOutOfRange("index_changing requires lam >= 0, nu >= 1")
-        lhs = (A(nu, lam), B(nu, lam))
-        rhs = (
-            system.coeff_b(lam) * A(nu - 1, lam + 1) + system.coeff_a(lam + 1) * A(nu - 2, lam + 2),
-            system.coeff_b(lam + 1) * B(nu - 1, lam + 1) + system.coeff_a(lam + 2) * B(nu - 2, lam + 2),
-        )
-        return IdentityReport(identity, tuple(params), lhs, rhs)
-
-    if identity == "telescoping":
-        lam, nu = params
-        if nu < 0 or lam < nu:
-            raise IndexOutOfRange("telescoping requires 0 <= nu <= lam")
-        if (lam - nu) % system.d != 0:
-            raise IndexOutOfRange("telescoping requires d | (lam - nu)")
-        prod = _sign(nu) * a_product(lam - nu + 1, lam)
-        lhs = (A(lam - 1) * B(nu) - A(lam) * B(nu - 1), B(lam - 1) * B(nu) - B(lam) * B(nu - 1))
-        rhs = (prod * A(lam - nu - 1), prod * B(lam - nu - 1))
-        return IdentityReport(identity, tuple(params), lhs, rhs)
-
-    raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
+    A, B, prefix = _tables(system, max([0] + [sum(params) for _, params in instances]))
+    reports = []
+    for identity, params in instances:
+        lhs, rhs = _EVALUATORS[identity](A, B, prefix, system, params)
+        reports.append(IdentityReport(identity, tuple(params), lhs, rhs))
+    return reports

@@ -194,17 +194,17 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
     delta = x1 * x1 - 1  # = N * y1^2
 
     if family == "pell_y":
-        terms = (Fraction(1, y[k] * y[k + 1]) for k in range(1, ctx.max_terms))
+        terms = (Fraction(1, y[k] * y[k + 1]) for k in range(1, ctx.max_terms + 1))
         closed = QuadraticNumber(Fraction(x1, y1 * y1), Fraction(-1, y1 * y1), delta)
         symbolic = f"(x1 - sqrt(x1^2-1))/y1^2 = {closed}"
     elif family == "pell_x":
-        terms = (Fraction(1, x[k] * x[k + 1]) for k in range(1, ctx.max_terms))
+        terms = (Fraction(1, x[k] * x[k + 1]) for k in range(1, ctx.max_terms + 1))
         closed = (QuadraticNumber(Fraction(x1), Fraction(-1), delta)
                   / QuadraticNumber(Fraction(0), Fraction(x1), delta))
         symbolic = f"(x1 - sqrt(x1^2-1))/(x1*sqrt(x1^2-1)) = {closed}"
     else:  # pell_y2
         terms = (Fraction(y[2 * k + 1], y[k] ** 2 * y[k + 1] ** 2)
-                 for k in range(1, ctx.max_terms))
+                 for k in range(1, ctx.max_terms + 1))
         closed = QuadraticNumber.rational(Fraction(1, y1 ** 3), delta)
         symbolic = f"1/y1^3 = {closed}"
     total, count = _sum_terms(terms, ctx)

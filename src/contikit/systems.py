@@ -65,17 +65,37 @@ class PeriodicSystem:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PeriodicSystem":
+        """The inverse of to_dict; a document of any other shape raises InvalidSystem."""
+        if not isinstance(obj, dict):
+            raise InvalidSystem(f"a system must be a JSON object, got {type(obj).__name__}")
+        missing = [key for key in ("d", "a", "b") if key not in obj]
+        if missing:
+            raise InvalidSystem(f"system is missing {', '.join(missing)}")
+        if not all(isinstance(obj[key], (list, tuple)) for key in ("a", "b")):
+            raise InvalidSystem("system entries a and b must be lists")
         return cls(
-            d=int(obj["d"]),
-            a=tuple(int(x) for x in obj["a"]),
-            b=tuple(int(x) for x in obj["b"]),
-            b0=int(obj.get("b0", 1)),
+            d=_integer(obj["d"]),
+            a=tuple(map(_integer, obj["a"])),
+            b=tuple(map(_integer, obj["b"])),
+            b0=_integer(obj.get("b0", 1)),
             strict=bool(obj.get("strict", True)),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "PeriodicSystem":
         return cls.from_dict(json.loads(text))
+
+
+def _integer(x) -> int:
+    """A JSON integer, or the decimal string that to_dict writes for a large one."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise InvalidSystem(f"system entries must be integers, got {x!r}")
 
 
 # The sqrt(8) convergent-denominator system, used as a worked example all over

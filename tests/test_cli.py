@@ -4,17 +4,22 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import contikit
-from contikit import PeriodicSystem, S8
+from contikit import HypothesisViolated, PeriodicSystem, S8
+from contikit import cli
 from contikit.cli import main
 from contikit.core import b_at
 
 # sha256 of `contikit paper` stdout at the default seed 20240801 and 50 digits.
 PAPER_TEXT_SHA256 = "684fd09d3dd6a784ab0adfa0f91dc06bc5a12e8398db8d3407b7e5a04d29c1b6"
 PAPER_JSON_SHA256 = "cdf7ddec9c0e024750b4d11796c1ec6a87945ab0ffb9976316a5acbc39af32f2"
+# sha256 of `contikit pseudoprime --sqrt 8 --range 3:301` stdout, text and --json.
+RANGE_TEXT_SHA256 = "74f908b4a4dc28b6780793b36742588eafe4069067587524ce7005786cbf0079"
+RANGE_JSON_SHA256 = "6c4192f3e3d28fa10b7870f0f9c730845eb983a3730e6b8591f8d542378872cb"
 
 
 def sha256(text):
@@ -74,6 +79,19 @@ def test_reduce_system_file(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", "--system", str(path))
     assert code == 0
     assert "C_d = 6" in out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"a": [1, 1], "b": [1, 4]}', "system is missing d"),
+    ("[1, 2]", "a system must be a JSON object, got list"),
+], ids=["missing-d", "not-an-object"])
+def test_malformed_system_file_exit2(tmp_path, capsys, doc, message):
+    path = tmp_path / "system.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "reduce", "--system", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: InvalidSystem: {message}\n"
 
 
 USAGE_ERRORS = (
@@ -142,6 +160,29 @@ def test_pseudoprime_range_scan_parallel_matches_serial(capsys):
         assert code1 == code2 == 0
         assert serial == parallel
         assert len(serial.splitlines()) == 199
+
+
+def test_pseudoprime_range_output_is_pinned_for_every_jobs(capsys):
+    for mode, pinned in (((), RANGE_TEXT_SHA256), (("--json",), RANGE_JSON_SHA256)):
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:301",
+                               "--jobs", jobs, *mode)
+            assert code == 0
+            assert sha256(out) == pinned, (mode, jobs)
+
+
+def test_pseudoprime_range_streams_results(capsys):
+    # Results print as they are ready: an error at n = 9 leaves 3, 5 and 7 printed.
+    def scan(system, n):
+        if n == 9:
+            raise HypothesisViolated("stop at 9")
+        return {"n": str(n), "verdict": "probable_prime"}
+
+    with mock.patch.object(cli, "_scan_one", scan):
+        code, out, err = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:20")
+    assert code == 2
+    assert out == "n = 3: probable_prime\nn = 5: probable_prime\nn = 7: probable_prime\n"
+    assert err == "error: HypothesisViolated: stop at 9\n"
 
 
 def test_pseudoprime_range_unreducible_system_exit2(capsys):

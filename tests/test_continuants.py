@@ -1,12 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import contikit.continuants as continuants
 from contikit import (
     FIB,
     S8,
+    IdentityReport,
     IndexOutOfRange,
     InvalidSystem,
     PeriodicSystem,
@@ -15,6 +18,7 @@ from contikit import (
     continuant_matrix,
     continuant_pair,
     convergent,
+    verify_identities,
     verify_identity,
 )
 from contikit.suite import random_strict_system
@@ -139,6 +143,33 @@ def test_unknown_identity_rejected():
         verify_identity(S8, "nope", (0, 1))
 
 
+def test_identity_report_is_a_named_tuple():
+    rep = verify_identity(S8, "catalan", (2, 1))
+    assert IdentityReport._fields == ("identity", "params", "lhs", "rhs")
+    assert rep == IdentityReport("catalan", (2, 1), rep.lhs, rep.rhs)
+    assert rep == ("catalan", (2, 1), rep.lhs, rep.rhs)  # a plain tuple with the same values
+    assert rep.equal and not rep._replace(rhs=(0, 0)).equal
+    assert hash(rep) == hash(tuple(rep))
+    assert verify_identities(S8, [("catalan", (2, 1))]) == [rep]
+    with pytest.raises(AttributeError):
+        rep.lhs = (0, 0)
+
+
+def test_verify_identity_reads_continuant_pair():
+    # verify_identity takes every value from continuant_pair, so patching it in
+    # tests/test_core.py::oracle_report makes a real differential.
+    with mock.patch.object(continuants, "continuant_pair", wraps=continuant_pair) as pair:
+        for identity in ("cassini_A", "cassini_B"):
+            assert verify_identity(S8, identity, (1, 2, 3)).equal
+        calls = pair.call_count
+        for identity in ("catalan", "docagne", "index_changing", "telescoping"):
+            assert verify_identity(S8, identity, (4, 2)).equal
+    assert calls > 0 and pair.call_count > calls
+    with mock.patch.object(continuants, "continuant_pair", side_effect=RuntimeError("oracle")):
+        with pytest.raises(RuntimeError):
+            verify_identity(S8, "telescoping", (4, 2))
+
+
 def test_system_validation():
     with pytest.raises(InvalidSystem):
         PeriodicSystem(d=0, a=(), b=())
@@ -158,3 +189,19 @@ def test_system_json_roundtrip_big_ints():
     assert again == system
     small = PeriodicSystem.from_json(S8.to_json())
     assert small == S8
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "a system must be a JSON object, got list"),
+    ({"a": [1, 1], "b": [1, 4]}, "system is missing d"),
+    ({"d": 2}, "system is missing a, b"),
+    ({"d": 2, "a": "11", "b": [1, 4]}, "system entries a and b must be lists"),
+    ({"d": 2, "a": [1.5, 1], "b": [1, 4]}, "system entries must be integers, got 1.5"),
+    ({"d": 2, "a": [1, 1], "b": [1, "x"]}, "system entries must be integers, got 'x'"),
+    ({"d": 2, "a": [1, 1], "b": [1, 4], "b0": None}, "system entries must be integers, got None"),
+    ({"d": True, "a": [1], "b": [1]}, "system entries must be integers, got True"),
+])
+def test_system_from_dict_rejects_malformed(doc, message):
+    with pytest.raises(InvalidSystem) as exc:
+        PeriodicSystem.from_dict(doc)
+    assert str(exc.value) == message

@@ -78,9 +78,11 @@ def test_arctan_artanh_sqrt2():
      "term stream exhausted before reaching tolerance"),
     (S8, "period_reciprocal", PrecisionContext(20, 3),
      "3 terms did not reach the tolerance 10^-15"),
-    (8, "pell_y", PrecisionContext(20, 3), "term stream exhausted before reaching tolerance"),
+    (8, "pell_y", PrecisionContext(20, 3), "3 terms did not reach the tolerance 10^-15"),
     (SQRT2, "arctan", PrecisionContext(20, 3), "3 terms did not reach the tolerance 10^-15"),
     (SQRT2, "artanh", PrecisionContext(20, 2), "2 terms did not reach the tolerance 10^-15"),
+    (8, "pell_x", PrecisionContext(20, 3), "3 terms did not reach the tolerance 10^-15"),
+    (8, "pell_y2", PrecisionContext(20, 3), "3 terms did not reach the tolerance 10^-15"),
 ])
 def test_telescoping_sums_exhaust_precision(source, family, ctx, message):
     with pytest.raises(PrecisionExhausted) as exc:
