@@ -37,6 +37,7 @@ from .errors import (
     DivisionByZero,
     HypothesisViolated,
     IndexOutOfRange,
+    InputTooLarge,
     InvalidSystem,
     InvariantViolated,
     NoAdmissibleRoot,

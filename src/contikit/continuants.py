@@ -1,7 +1,7 @@
 """Generalized continuants A_{nu,lambda}, B_{nu,lambda} and their identities.
 
 Values are exact integers from the integer core (contikit.core); a single one
-costs O(d + log nu) matrix products.  Each identity has one evaluator over rows
+costs O(d + log nu) ladder products.  Each identity has one evaluator over rows
 of A and B values, backed by continuant_pair in verify_identity and by one
 table per system in verify_identities; both return IdentityReport named
 tuples.  An exact tridiagonal determinant is kept as an independent oracle.

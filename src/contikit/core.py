@@ -9,7 +9,9 @@ times M^q, where M = T_{lam+d} ... T_{lam+1} is the period matrix; its trace
 and negated determinant are C_d and D_d.
 
 Two primitives, over Z or over Z/m: a forward walk that returns the prefix of
-B values, and square-and-multiply powers of 2x2 integer matrices.
+B values, and a Lucas doubling ladder with three big products per bit (Joye and
+Quisquater, 1996).  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I for a
+2x2 matrix x with c = tr x, d = -det x and W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}.
 """
 from __future__ import annotations
 
@@ -20,12 +22,12 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 IDENTITY: Matrix = ((1, 0), (0, 1))
 
 # Single-index queries shorter than this many steps walk the whole way; longer
-# ones jump whole periods with a matrix power.  Measured on random systems with
-# coefficients 1..9 and d = 1..4 (Python 3.11), the walk costs 0.6x the power
-# at 8 steps and 1.4-2x at 32; the two cross between 16 and 20 steps for every
-# d.  Batches of small queries, such as the identity sweeps of `contikit
-# paper`, read a table from `walk` instead (continuants.verify_identities).
-WALK_BELOW = 20
+# ones jump whole periods with the ladder.  Measured on random systems with
+# coefficients 1..9 and d = 1..4 (Python 3.11), the walk costs 0.7-0.8x the
+# ladder at 8 steps and 2.2-2.7x at 32; they cross at 11-14 steps (16-20 against
+# square-and-multiply).  Batches of small queries, such as the identity sweeps
+# of `contikit paper`, read a table from `walk` instead (continuants.verify_identities).
+WALK_BELOW = 12
 
 
 def walk(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None) -> list[int]:
@@ -42,29 +44,29 @@ def walk(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None
     return seq[: nu_max + 2]
 
 
-def mat_mul(x: Matrix, y: Matrix, m: int | None = None) -> Matrix:
-    (p, q), (r, s) = x
-    (e, f), (g, h) = y
-    z = ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
-    return z if m is None else _mod(z, m)
-
-
-def mat_pow(x: Matrix, n: int, m: int | None = None) -> Matrix:
-    """x^n (mod m) by square-and-multiply, n >= 0."""
-    result = IDENTITY if m is None else _mod(IDENTITY, m)
-    for bit in bin(n)[2:]:
-        result = mat_mul(result, result, m)
+def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:
+    """(W_k, W_{k+1}) (mod m) for W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}, k >= 0."""
+    w, w1 = 0, 1
+    for bit in bin(k)[2:]:
+        w, w1 = w * (2 * w1 - c * w), w1 * w1 + d * (w * w)
         if bit == "1":
-            result = mat_mul(result, x, m)
-    return result
+            w, w1 = w1, c * w1 + d * w
+        if m is not None:
+            w, w1 = w % m, w1 % m
+    return w, w1
 
 
-def _mod(x: Matrix, m: int) -> Matrix:
-    return (x[0][0] % m, x[0][1] % m), (x[1][0] % m, x[1][1] % m)
+def power(x: Matrix, n: int) -> Matrix:
+    """x^n over Z for n >= 0, read from the Lucas sequence of tr x and -det x."""
+    (p, q), (r, s) = x
+    c = p + s
+    w, w1 = lucas(c, q * r - p * s, n)
+    e = w1 - c * w
+    return (w * p + e, w * q), (w * r, w * s + e)
 
 
-def _steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matrix:
-    """T_{lam+count} ... T_{lam+1} * start over Z."""
+def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matrix:
+    """T_{lam+count} ... T_{lam+1} * start over Z, one transfer step at a time."""
     a, b, d = system.a, system.b, system.d
     (p, q), (r, s) = start
     for i in range(lam, lam + count):
@@ -77,9 +79,9 @@ def _steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matri
 def transfer(system: PeriodicSystem, nu: int, lam: int = 0) -> Matrix:
     """T_{lam+nu} ... T_{lam+1} for nu >= 0."""
     if nu < WALK_BELOW:
-        return _steps(system, lam, nu, IDENTITY)
+        return steps(system, lam, nu, IDENTITY)
     q, r = divmod(nu, system.d)
-    return _steps(system, lam, r, mat_pow(_steps(system, lam, system.d, IDENTITY), q))
+    return steps(system, lam, r, power(steps(system, lam, system.d, IDENTITY), q))
 
 
 def b_at(system: PeriodicSystem, nu: int) -> int:

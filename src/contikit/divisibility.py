@@ -3,16 +3,18 @@ law of repetition and the Lucas-style pseudoprime test.
 
 Sequence values come from the integer core (contikit.core): congruences,
 apparition and Pisano periods scan its walk over Z/p in O(index) steps (the
-Pisano period is the first shift at which a window of 2d values recurs), and
-the pseudoprime test reads one entry of a power of the period matrix mod n.
+Pisano period is the first shift at which a window of 2d values recurs; a
+bound above PISANO_SCAN_MAX is refused), and the pseudoprime test reads
+B_{kd-1} = W_k B_{d-1} mod n from the core's Lucas ladder for (C_d, D_d).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .core import b_at, mat_pow, transfer, walk
-from .errors import DivisionByZero, HypothesisViolated, InvariantViolated, PrimalityUndecided
+from .core import b_at, lucas, walk
+from .errors import (DivisionByZero, HypothesisViolated, InputTooLarge, InvariantViolated,
+                     PrimalityUndecided)
 from .recurrence import ReducedRecurrence, reduce
 from .systems import PeriodicSystem
 
@@ -283,6 +285,10 @@ def pisano_bound(system: PeriodicSystem, p: int) -> int:
     return (p + 1) * d * _mult_order(-D, p)
 
 
+# Most residues (about 40 bytes each) pisano_period lists; bounds up to 10**6 at d <= 4 fit.
+PISANO_SCAN_MAX = 2 ** 20
+
+
 def pisano_period(system: PeriodicSystem, p: int) -> int:
     """Least pi >= 1 with B_{nu+pi} = B_nu (mod p) for all nu >= -1."""
     _require_prime(p)
@@ -291,6 +297,8 @@ def pisano_period(system: PeriodicSystem, p: int) -> int:
         raise HypothesisViolated("pisano_period requires odd p coprime to D_d")
     window = 2 * system.d
     limit = pisano_bound(system, p)
+    if limit + window > PISANO_SCAN_MAX:
+        raise InputTooLarge(f"Pisano scan mod {p} needs {limit + window} residues > {PISANO_SCAN_MAX}")
     seq = walk(system, limit + window, m=p)
     # Every shift of B obeys the reduced recurrence from nu = -1, so 2d equal values pin it.
     head = seq[:window]
@@ -331,10 +339,9 @@ def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict
         return PseudoprimeVerdict(n, 0, 0, "inapplicable")
     eps = jacobi(reduced.delta, n)
     k = n - eps
-    index = k * system.d - 1
-    residue = mat_pow(transfer(system, system.d), k, n)[1][0]  # B_{kd-1} mod n
+    residue = lucas(reduced.Cd, reduced.Dd, k, n)[0] * b_at(system, system.d - 1) % n  # B_{kd-1}
     verdict = "probable_prime" if residue == 0 else "composite_proven"
-    return PseudoprimeVerdict(n, eps, index, verdict)
+    return PseudoprimeVerdict(n, eps, k * system.d - 1, verdict)
 
 
 @dataclass(frozen=True)

@@ -51,3 +51,7 @@ class InvariantViolated(ContikitError):
 
 class PrimalityUndecided(ContikitError):
     """n is too large for the deterministic primality test."""
+
+
+class InputTooLarge(ContikitError):
+    """An input would need more memory than a documented module limit allows."""

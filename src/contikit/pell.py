@@ -38,7 +38,7 @@ class PellSolution:
     n: int
 
     def __post_init__(self):
-        if self.x * self.x - self.n * self.y * self.y != 1:
+        if self.x * self.x - self.n * (self.y * self.y) != 1:
             raise InvariantViolated(f"{self.x}^2 - {self.n}*{self.y}^2 != 1")
 
 
@@ -80,15 +80,15 @@ def pell_fundamental(n: int) -> PellSolution:
 def pell_solutions(n: int, count: int) -> list[PellSolution]:
     """The first `count` solutions: (x1, y1) is the continuant pair at the end
     of the (doubled, when d is odd) period, and x_k + y_k sqrt(N) is its k-th
-    power."""
+    power, a root of t^2 - 2 x1 t + 1: X_{k+1} = 2 x1 X_k - X_{k-1} for X = x, y."""
     if count < 1:
         raise ValueError("count must be >= 1")
     expansion = expand_sqrt(n)
     d = expansion.d
     x1, y1 = continuant_pair(to_system(expansion), d - 1 if d % 2 == 0 else 2 * d - 1)
     out = [PellSolution(x1, y1, n)]
-    x, y = x1, y1
+    x0, y0, x, y, t = 1, 0, x1, y1, 2 * x1
     for _ in range(count - 1):
-        x, y = x1 * x + n * y1 * y, x1 * y + y1 * x
+        x0, y0, x, y = x, y, t * x - x0, t * y - y0
         out.append(PellSolution(x, y, n))
     return out

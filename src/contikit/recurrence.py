@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import b_sequence
-from .core import b_at, mat_mul, mat_pow, transfer
+from .core import b_at, power, steps, transfer
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -74,8 +74,8 @@ def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
     """
     _require_closed_form(system, n, r)
     (p, q), (t, s) = transfer(system, system.d)
-    steps = mat_mul(transfer(system, r + 1), mat_pow(((s, -q), (-t, p)), n))
-    return Fraction(steps[1][0], (p * s - q * t) ** n)
+    back = steps(system, 0, r + 1, power(((s, -q), (-t, p)), n))
+    return Fraction(back[1][0], (p * s - q * t) ** n)
 
 
 @dataclass(frozen=True)

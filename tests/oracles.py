@@ -1,11 +1,38 @@
 """Slow reference implementations the integer core is tested against.
 
 Each one steps the recurrence term by term, the way the package did before
-contikit.core: no matrix powers, no reduction shortcuts.
+contikit.core: no matrix powers, no reduction shortcuts.  The exception is
+mat_pow, the square-and-multiply power the core used before its Lucas ladder,
+kept as the oracle that core.power is tested against.
 """
 from fractions import Fraction
 
 from contikit import PeriodicSystem
+
+
+def mat_mul(x, y, m=None):
+    (p, q), (r, s) = x
+    (e, f), (g, h) = y
+    z = ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
+    return z if m is None else tuple(tuple(v % m for v in row) for row in z)
+
+
+def mat_pow(x, n, m=None):
+    """x^n (mod m) by square-and-multiply, n >= 0."""
+    result = ((1, 0), (0, 1)) if m is None else ((1 % m, 0), (0, 1 % m))
+    for bit in bin(n)[2:]:
+        result = mat_mul(result, result, m)
+        if bit == "1":
+            result = mat_mul(result, x, m)
+    return result
+
+
+def lucas_w(c, d, k):
+    """[W_0, ..., W_k] for W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}, by the linear walk."""
+    w = [0, 1]
+    while len(w) <= k:
+        w.append(c * w[-1] + d * w[-2])
+    return w[: k + 1]
 
 
 def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int, int]:

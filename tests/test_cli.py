@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -240,6 +241,15 @@ def test_pisano_verb(capsys):
     code, out, _ = run(capsys, "pisano", "--sqrt", "8", "--p", "7", "--json")
     assert code == 0
     assert json.loads(out) == {"p": "7", "pi": "6", "bound": "12"}
+
+
+def test_pisano_verb_refuses_a_huge_scan(capsys):
+    # Divisor bound 300 420 144: listing that many residues used to get the process killed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pisano", "--d", "3", "--a", "1,2,3", "--b", "4,5,6", "--p", "10007")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: InputTooLarge: Pisano scan mod 10007 needs 300420150 residues > 1048576\n"
 
 
 def test_paper_verb_deterministic(capsys):

@@ -35,12 +35,12 @@ from contikit import (
     verify_identity,
 )
 from contikit.cli import main
-from contikit.core import WALK_BELOW, b_at, walk
+from contikit.core import WALK_BELOW, b_at, lucas, power, walk
 from contikit.divisibility import PSI_12, _is_prime
 import oracles
 
 # Indices reach past WALK_BELOW so that both the walk and the power path run.
-NU = st.integers(-1, 3 * WALK_BELOW)
+NU = st.integers(-1, max(60, 3 * WALK_BELOW))
 
 
 @st.composite
@@ -62,6 +62,30 @@ def reducible(system):
     return oracles.b_values(system, system.d - 1)[-1] != 0
 
 
+def period_matrix(system):
+    """M = T_d ... T_1 with T_k = (b_k a_k; 1 0), multiplied out by the oracle."""
+    product = ((1, 0), (0, 1))
+    for k in range(1, system.d + 1):
+        product = oracles.mat_mul(((system.coeff_b(k), system.coeff_a(k)), (1, 0)), product)
+    return product
+
+
+MODULI = st.one_of(st.none(), st.just(1), st.integers(2, 10 ** 6))
+
+
+@given(systems(), st.integers(0, 4096))
+def test_power_matches_square_and_multiply(system, n):
+    (p, q), (r, s) = period_matrix(system)
+    for x in (((p, q), (r, s)), ((s, -q), (-r, p))):  # M and its adjugate
+        assert power(x, n) == oracles.mat_pow(x, n)
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 300), MODULI)
+def test_lucas_matches_linear_walk(c, d, k, m):
+    w = oracles.lucas_w(c, d, k + 1)
+    assert lucas(c, d, k, m) == ((w[k], w[k + 1]) if m is None else (w[k] % m, w[k + 1] % m))
+
+
 @given(systems(), NU, st.integers(0, 10))
 def test_continuant_pair_matches_linear(system, nu, lam):
     assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
@@ -75,7 +99,7 @@ def test_b_values_match_linear(system, nu, lam, m):
     assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
 
 
-@given(systems(), st.integers(0, 3 * WALK_BELOW))
+@given(systems(), st.integers(0, max(60, 3 * WALK_BELOW)))
 def test_continuant_matrix_matches_linear(system, nu):
     system = PeriodicSystem(system.d, system.a, system.b, 1, system.strict)
     (a_nu, b_nu), (a_prev, b_prev) = (oracles.continuant_pair(system, k) for k in (nu, nu - 1))
@@ -107,6 +131,52 @@ def test_binet_negative_matches_backward(system, n, r):
     else:
         expected = oracles.backward_sequence(system, nu)[nu]
     assert binet_negative(system, n, r) == expected
+
+
+# Up to about 12 ladder bits: a slip in a high bit of the doubling shows here.
+@settings(max_examples=60)
+@given(systems(), st.integers(-1, 3000), st.integers(0, 10))
+def test_continuant_pair_and_b_at_at_large_index(system, nu, lam):
+    assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
+    assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
+
+
+@settings(max_examples=60)
+@given(systems(), st.integers(0, 1000), st.integers(-1, 6))
+def test_binet_at_large_index(system, n, r):
+    if not reducible(system) or reduce(system).delta == 0:
+        return
+    assert binet(system, n, r) == oracles.b_values(system, n * system.d + r)[-1]
+
+
+@settings(max_examples=40)
+@given(systems(), st.integers(0, 200), st.integers(-1, 6))
+def test_binet_negative_at_large_index(system, n, r):
+    if not reducible(system) or reduce(system).delta == 0:
+        return
+    nu = -n * system.d + r
+    if nu >= 0:
+        expected = Fraction(oracles.b_values(system, nu)[-1])
+    else:
+        expected = oracles.backward_sequence(system, nu)[nu]
+    assert binet_negative(system, n, r) == expected
+
+
+@settings(max_examples=60)
+@given(systems(), st.integers(1, 1492))
+def test_lucas_verdicts_on_signed_systems_match_stride_list(system, half):
+    if not reducible(system):
+        return
+    red = reduce(system)
+    for n in range(2 * half + 1, 2 * half + 17, 2):  # eight consecutive odd n below 3000
+        verdict = lucas_pseudoprime_test(system, n)
+        if math.gcd(n, red.Cd * red.Dd * red.delta) > 1:
+            assert verdict.verdict == "inapplicable"
+            continue
+        k = n - verdict.epsilon
+        residue = oracles.lucas_residue(system, k, n, red.Cd, red.Dd)
+        assert verdict.tested_index == k * system.d - 1
+        assert verdict.verdict == ("probable_prime" if residue == 0 else "composite_proven")
 
 
 def oracle_report(system, identity, params):

@@ -1,12 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from contikit import (
     FIB,
     S8,
+    ContikitError,
     HypothesisViolated,
+    InputTooLarge,
     PeriodicSystem,
     b_sequence,
     congruence_suite,
@@ -20,10 +23,11 @@ from contikit import (
     reduce,
     strong_gcd_check,
 )
-from contikit.core import mat_pow, transfer, walk
-from contikit.divisibility import _is_prime
+from contikit.core import transfer, walk
+from contikit import divisibility
+from contikit.divisibility import PISANO_SCAN_MAX, _is_prime
 from contikit.suite import random_strict_system
-from oracles import b_values
+from oracles import b_values, mat_pow
 
 PRIMES_50 = [p for p in range(2, 51) if _is_prime(p)]
 
@@ -168,6 +172,31 @@ def test_pisano_divides_bound():
             # Independent check: the sequence really repeats with period pi.
             seq = walk(system, 3 * pi + 2 * system.d, m=p)
             assert all(seq[i + pi] == seq[i] for i in range(len(seq) - pi))
+
+
+def test_pisano_refuses_before_listing():
+    system = PeriodicSystem(d=3, a=(1, 2, 3), b=(4, 5, 6))
+    assert pisano_bound(system, 10007) == 300420144
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputTooLarge):
+            pisano_period(system, 10007)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
+    assert issubclass(InputTooLarge, ContikitError)
+
+
+def test_pisano_scan_cap_is_exact(monkeypatch):
+    # Divisor bounds up to 10^6 at d <= 4 must stay answerable.
+    assert PISANO_SCAN_MAX >= 10 ** 6 + 8
+    needed = pisano_bound(S8, 7) + 2 * S8.d
+    monkeypatch.setattr(divisibility, "PISANO_SCAN_MAX", needed)
+    assert pisano_period(S8, 7) == 6
+    monkeypatch.setattr(divisibility, "PISANO_SCAN_MAX", needed - 1)
+    with pytest.raises(InputTooLarge):
+        pisano_period(S8, 7)
 
 
 def test_pseudoprime_s8_35():
