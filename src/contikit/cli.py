@@ -180,8 +180,7 @@ def cmd_pseudoprime(args) -> int:
 
 def cmd_pisano(args) -> int:
     system = _system_from_args(args)
-    pi = divisibility.pisano_period(system, args.p)
-    bound = divisibility.pisano_bound(system, args.p)
+    pi, bound = divisibility._pisano(system, args.p)
     _emit(args, {"p": str(args.p), "pi": str(pi), "bound": str(bound)},
           f"pi({args.p}) = {pi}  (divisor bound {bound})")
     return 0

@@ -4,8 +4,10 @@ law of repetition and the Lucas-style pseudoprime test.
 Sequence values come from the integer core (contikit.core): congruences,
 apparition and Pisano periods scan its walk over Z/p in O(index) steps (the
 Pisano period is the first shift at which a window of 2d values recurs; a
-bound above PISANO_SCAN_MAX is refused), and the pseudoprime test reads
+scan above PISANO_SCAN_MAX residues is refused, before the O(p) divisor bound
+is derived when even (p - 1) d is too large), and the pseudoprime test reads
 B_{kd-1} = W_k B_{d-1} mod n from the core's Lucas ladder for (C_d, D_d).
+Every function here that takes a prime modulus p refuses one that is not.
 """
 from __future__ import annotations
 
@@ -271,7 +273,8 @@ def _mult_order(x: int, p: int) -> int:
 
 
 def pisano_bound(system: PeriodicSystem, p: int) -> int:
-    """The divisor bound on the Pisano period modulo p (p coprime to C_d D_d)."""
+    """The divisor bound on the Pisano period modulo a prime p coprime to 2 D_d."""
+    _require_prime(p)
     reduced = reduce(system)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
     if p == 2 or D % p == 0:
@@ -289,13 +292,13 @@ def pisano_bound(system: PeriodicSystem, p: int) -> int:
 PISANO_SCAN_MAX = 2 ** 20
 
 
-def pisano_period(system: PeriodicSystem, p: int) -> int:
-    """Least pi >= 1 with B_{nu+pi} = B_nu (mod p) for all nu >= -1."""
+def _pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
+    """(pisano_period, pisano_bound) of system mod p, with the bound derived once."""
     _require_prime(p)
-    reduced = reduce(system)
-    if p == 2 or reduced.Dd % p == 0:
-        raise HypothesisViolated("pisano_period requires odd p coprime to D_d")
     window = 2 * system.d
+    least = (p - 1) * system.d + window  # every bound is at least (p - 1) d
+    if least > PISANO_SCAN_MAX:  # refused before pisano_bound's O(p) _mult_order loop
+        raise InputTooLarge(f"Pisano scan mod {p} needs at least {least} residues > {PISANO_SCAN_MAX}")
     limit = pisano_bound(system, p)
     if limit + window > PISANO_SCAN_MAX:
         raise InputTooLarge(f"Pisano scan mod {p} needs {limit + window} residues > {PISANO_SCAN_MAX}")
@@ -307,7 +310,12 @@ def pisano_period(system: PeriodicSystem, p: int) -> int:
         raise InvariantViolated(f"no period of B mod {p} within the divisor bound {limit}")
     if limit % pi != 0:
         raise InvariantViolated(f"period {pi} of B mod {p} does not divide the bound {limit}")
-    return pi
+    return pi, limit
+
+
+def pisano_period(system: PeriodicSystem, p: int) -> int:
+    """Least pi >= 1 with B_{nu+pi} = B_nu (mod p) for all nu >= -1."""
+    return _pisano(system, p)[0]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ integer equality where stated, 1e-10 for the few-term partial sums, 1e-20
 at 50 digits for the zeta series.
 """
 import random
+from collections import Counter
 
-from contikit import suite
+from contikit import continuants, suite
 
 CRITERIA = (
     (1, "sqrt(8) B-sequence by three computation paths", suite.check_sqrt8_sequence, False),
@@ -92,3 +93,41 @@ def test_criterion_12():
 
 def test_criterion_13():
     _run(*CRITERIA[12])
+
+
+def nested_loop_instances(d):
+    """The identity instances the sweep used to build for each system, one nested loop."""
+    params = range(suite.IDENTITY_PMAX + 1)
+    instances = []
+    for lam in params:
+        for nu in params:
+            for ident in ("catalan", "docagne", "index_changing", "telescoping"):
+                if ident in ("docagne", "telescoping") and lam < nu:
+                    continue
+                if ident == "telescoping" and (lam - nu) % d != 0:
+                    continue
+                if ident == "index_changing" and nu < 1:
+                    continue
+                instances.append((ident, (lam, nu)))
+            for mu in params:
+                for ident in ("cassini_A", "cassini_B"):
+                    instances.append((ident, (lam, nu, mu)))
+    return instances
+
+
+def test_identity_sweep_checks_the_nested_loop_instances(monkeypatch):
+    calls = []
+    verify = continuants.verify_identities
+
+    def record(system, instances):
+        calls.append((system, list(instances)))
+        return verify(system, instances)
+
+    monkeypatch.setattr(continuants, "verify_identities", record)
+    row = suite.check_identity_sweeps(random.Random(20240801))
+    rng = random.Random(20240801)
+    assert [system for system, _ in calls] == [suite.random_strict_system(rng)
+                                               for _ in range(suite.IDENTITY_SYSTEMS)]
+    for system, instances in calls:
+        assert Counter(instances) == Counter(nested_loop_instances(system.d))
+    assert row.detail == f"{sum(len(instances) for _, instances in calls)} identity instances, 0 failures"

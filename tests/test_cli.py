@@ -11,7 +11,7 @@ import pytest
 
 import contikit
 from contikit import HypothesisViolated, PeriodicSystem, S8
-from contikit import cli
+from contikit import cli, divisibility
 from contikit.cli import main
 from contikit.core import b_at
 
@@ -237,6 +237,30 @@ def test_check_congruence_composite_exit2(capsys):
     assert code == 2
 
 
+SERIES_MILLIN_TEXT = """\
+family      : millin
+partial sum : 0.171572875253809902396622551581  (6 terms)
+closed form : 0.171572875253809902396622551581  [1/(b1*beta) = 3 - 1/2*sqrt(32)]
+abs error   : 1.11593347e-43
+converged   : True
+"""
+
+
+def test_series_text_output(capsys):
+    code, out, err = run(capsys, "series", "--sqrt", "8", "--family", "millin", "--digits", "30")
+    assert (code, out, err) == (0, SERIES_MILLIN_TEXT, "")
+
+
+def test_check_congruence_text_output(capsys):
+    code, out, err = run(capsys, "check", "--sqrt", "8", "--congruence-p", "7")
+    assert (code, err) == (0, "")
+    lines = ["p = 7  case: QR"]
+    for r in range(-1, 5):
+        lines += [f"  [ok] B_((p+1)d+{r})", f"  [ok] B_((p-1)d+{r}) = B_{r}"]
+    lines += ["  [ok] B_((p+1)d-1) = C*B_(d-1)", "  [ok] B_((p-1)d-1) = 0"]
+    assert out == "\n".join(lines) + "\n"
+
+
 def test_pisano_verb(capsys):
     code, out, _ = run(capsys, "pisano", "--sqrt", "8", "--p", "7", "--json")
     assert code == 0
@@ -250,6 +274,26 @@ def test_pisano_verb_refuses_a_huge_scan(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == "error: InputTooLarge: Pisano scan mod 10007 needs 300420150 residues > 1048576\n"
+
+
+def test_pisano_verb_refuses_a_large_prime_before_any_order(capsys, monkeypatch):
+    # Every divisor bound is at least (p - 1) d, so this needs no O(p) order loop to refuse.
+    def no_order(x, p):
+        raise AssertionError(f"_mult_order({x}, {p}) ran")
+
+    monkeypatch.setattr(divisibility, "_mult_order", no_order)
+    code, out, err = run(capsys, "pisano", "--d", "1", "--a", "3", "--b", "1", "--p", "1000000007")
+    assert (code, out) == (2, "")
+    assert err == ("error: InputTooLarge: Pisano scan mod 1000000007 needs at least "
+                   "1000000008 residues > 1048576\n")
+
+
+def test_pisano_verb_derives_its_bound_once(capsys):
+    with mock.patch.object(divisibility, "reduce", wraps=divisibility.reduce) as reduce, \
+            mock.patch.object(divisibility, "_mult_order", wraps=divisibility._mult_order) as order:
+        code, out, _ = run(capsys, "pisano", "--d", "1", "--a", "3", "--b", "1", "--p", "109")
+    assert (code, out) == (0, "pi(109) = 5940  (divisor bound 5940)\n")
+    assert (reduce.call_count, order.call_count) == (1, 1)
 
 
 def test_paper_verb_deterministic(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contikit
@@ -177,6 +177,17 @@ def test_lucas_verdicts_on_signed_systems_match_stride_list(system, half):
         residue = oracles.lucas_residue(system, k, n, red.Cd, red.Dd)
         assert verdict.tested_index == k * system.d - 1
         assert verdict.verdict == ("probable_prime" if residue == 0 else "composite_proven")
+
+
+@settings(max_examples=60)
+@given(systems())
+def test_pseudoprime_inapplicable_exactly_where_prime_divides_cd_dd_delta(system):
+    assume(reducible(system))
+    red = reduce(system)
+    for p in range(3, 500):
+        if _is_prime(p):
+            expected = "inapplicable" if math.gcd(p, red.Cd * red.Dd * red.delta) > 1 else "probable_prime"
+            assert lucas_pseudoprime_test(system, p).verdict == expected, p
 
 
 def oracle_report(system, identity, params):

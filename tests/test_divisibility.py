@@ -199,6 +199,17 @@ def test_pisano_scan_cap_is_exact(monkeypatch):
         pisano_period(S8, 7)
 
 
+def test_pisano_bound_refuses_a_non_prime_modulus(monkeypatch):
+    # Unchecked, _mult_order(-3, 9) never reaches 1 and p = 0 divides by zero.
+    def no_order(x, p):
+        raise AssertionError(f"_mult_order({x}, {p}) ran")
+
+    monkeypatch.setattr(divisibility, "_mult_order", no_order)
+    for system, p in ((PeriodicSystem(d=1, a=(3,), b=(3,)), 9), (FIB, 0)):
+        with pytest.raises(ValueError, match="is not prime"):
+            pisano_bound(system, p)
+
+
 def test_pseudoprime_s8_35():
     verdict = lucas_pseudoprime_test(S8, 35)
     assert verdict.verdict == "probable_prime"
