@@ -56,11 +56,12 @@ def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:
     return w, w1
 
 
-def power(x: Matrix, n: int) -> Matrix:
-    """x^n over Z for n >= 0, read from the Lucas sequence of tr x and -det x."""
+def power(x: Matrix, n: int, m: int | None = None) -> Matrix:
+    """x^n for n >= 0 (an entrywise congruent matrix if m is given), read from the
+    Lucas sequence of tr x and -det x (taken mod m)."""
     (p, q), (r, s) = x
     c = p + s
-    w, w1 = lucas(c, q * r - p * s, n)
+    w, w1 = lucas(c, q * r - p * s, n, m)
     e = w1 - c * w
     return (w * p + e, w * q), (w * r, w * s + e)
 
@@ -76,14 +77,16 @@ def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matrix
     return (p, q), (r, s)
 
 
-def transfer(system: PeriodicSystem, nu: int, lam: int = 0) -> Matrix:
-    """T_{lam+nu} ... T_{lam+1} for nu >= 0."""
+def transfer(system: PeriodicSystem, nu: int, lam: int = 0, m: int | None = None) -> Matrix:
+    """T_{lam+nu} ... T_{lam+1} for nu >= 0, each entry reduced mod m if m is given."""
     if nu < WALK_BELOW:
-        return steps(system, lam, nu, IDENTITY)
-    q, r = divmod(nu, system.d)
-    return steps(system, lam, r, power(steps(system, lam, system.d, IDENTITY), q))
+        x = steps(system, lam, nu, IDENTITY)
+    else:
+        q, r = divmod(nu, system.d)
+        x = steps(system, lam, r, power(steps(system, lam, system.d, IDENTITY), q, m))
+    return x if m is None else tuple(tuple(v % m for v in row) for row in x)
 
 
-def b_at(system: PeriodicSystem, nu: int) -> int:
-    """B_nu for nu >= -1."""
-    return transfer(system, nu + 1)[1][0]
+def b_at(system: PeriodicSystem, nu: int, m: int | None = None) -> int:
+    """B_nu (mod m if given) for nu >= -1."""
+    return transfer(system, nu + 1, m=m)[1][0]

@@ -1,13 +1,13 @@
 """Divisibility, prime congruences, Pisano periods, rank of apparition,
 law of repetition and the Lucas-style pseudoprime test.
 
-Sequence values come from the integer core (contikit.core): congruences,
-apparition and Pisano periods scan its walk over Z/p in O(index) steps (the
-Pisano period is the first shift at which a window of 2d values recurs; a
-scan above PISANO_SCAN_MAX residues is refused, before the O(p) divisor bound
-is derived when even (p - 1) d is too large), and the pseudoprime test reads
-B_{kd-1} = W_k B_{d-1} mod n from the core's Lucas ladder for (C_d, D_d).
-Every function here that takes a prime modulus p refuses one that is not.
+Sequence values come from the integer core (contikit.core): the congruence
+suite reads its walk over Z/p, everything else single values from its ladder,
+with B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of (C_d, D_d).  Orders,
+ranks of apparition and Pisano periods are each the least divisor of a known
+bound with some property, found by one search over the bound's prime factors
+(a factor that trial division below 2^20 cannot split is refused).  Every
+function here that takes a prime modulus p refuses one that is not.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import b_at, lucas, walk
-from .errors import (DivisionByZero, HypothesisViolated, InputTooLarge, InvariantViolated,
+from .errors import (HypothesisViolated, IndexOutOfRange, InputTooLarge, InvariantViolated,
                      PrimalityUndecided)
 from .recurrence import ReducedRecurrence, reduce
 from .systems import PeriodicSystem
@@ -139,6 +139,8 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     if r_range is None:
         r_range = range(-1, 2 * d + 1)
     r_list = list(r_range)
+    if min(r_list) < -1:
+        raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {min(r_list)}")
     n_hi = max(p + 1, 6)
     seq = walk(system, (n_hi + 1) * d + max(r_list) + 1, m=p)
     B = lambda nu: seq[nu + 1]
@@ -206,39 +208,25 @@ class ApparitionReport:
 
 
 def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
-    """Least k >= 1 with p | B_{kd-1}, or None if no k <= p + 1 works.
+    """Least k >= 1 with p | B_{kd-1}, or None if there is none.
 
-    Asserts the matching clause of the apparition theorem.  When p | C_d the
-    identity B_{2d-1} = C_d B_{d-1} forces omega <= 2 whenever it exists;
-    that (rather than the bare "omega = 1") is what is checked for the
-    p|C,p|D case.
+    Unless p divides D_d but not B_{d-1}, omega is the least divisor of
+    L = p - (Delta|p) that works ((Delta|2) = -(C_d mod 2)), or None, failing
+    the clause, if p does not divide B_{Ld-1}.  Asserts the matching clause of
+    the apparition theorem.  When p | C_d the identity B_{2d-1} = C_d B_{d-1}
+    forces omega <= 2 whenever it exists; that (rather than the bare
+    "omega = 1") is what is checked for the p|C,p|D case.
     """
     _require_prime(p)
-    bound = p + 1
     reduced = reduce(system)
     tag = classify_case(reduced, p)
-    # B_{kd-1} = W_k B_{d-1} for k = 0..bound (binet at r = -1), where W_0, W_1, ...
-    # is the B sequence, from index -1, of the reduced recurrence as a d = 1 system.
-    companion = PeriodicSystem(d=1, a=(reduced.Dd,), b=(reduced.Cd,), strict=False)
-    b_d = b_at(system, system.d - 1)
-    stride = [w * b_d % p for w in walk(companion, bound - 1, m=p)]
-    omega = next((k for k in range(1, bound + 1) if stride[k] == 0), None)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
-
-    if p == 2:
-        if tag in ("p~C,p|D",):
-            clause = "omega(2) = 1 iff B_(d-1) even, else absent"
-            holds = (omega == 1) if stride[1] == 0 else (omega is None)
-        elif tag == "p|C,p|D":
-            clause = "omega(2) <= 2 (printed: = 1)"
-            holds = omega in (1, 2)
-        elif D % 2 != 0 and (C % 2 == 0 or delta % 2 == 0):
-            clause = "omega(2) in {1, 2}"
-            holds = omega in (1, 2)
-        else:
-            clause = "omega(2) in {1, 3}"
-            holds = omega in (1, 3)
-        return ApparitionReport(p, tag, omega, bound, clause, holds)
+    eps = -(C % 2) if p == 2 else jacobi(delta, p)
+    divides = lambda k: b_at(system, k * system.d - 1, p) == 0
+    if D % p == 0 and not divides(1):
+        omega = 2 if C % p == 0 else None
+    else:
+        omega = _least_divisor(divides, p - eps) if divides(p - eps) else None
 
     if tag == "p|C,p|D":
         clause = "omega(p) <= 2 (printed: = 1)"
@@ -255,25 +243,44 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
         clause = "omega(p) in {1, p}"
         holds = omega in (1, p)
     else:
-        eps = jacobi(delta, p)
         clause = f"omega(p) | p - ({eps})"
         holds = omega is not None and (p - eps) % omega == 0
-    return ApparitionReport(p, tag, omega, bound, clause, holds)
+    return ApparitionReport(p, tag, omega, p + 1, clause, holds)
 
 
-def _mult_order(x: int, p: int) -> int:
-    x %= p
-    if x == 0:
-        raise ValueError("order of 0 is undefined")
-    k, acc = 1, x
-    while acc != 1:
-        acc = acc * x % p
-        k += 1
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1 by trial division below 2^20; InputTooLarge if
+    what is left is not prime (only possible above 2^40)."""
+    primes, q = set(), 2
+    while q * q <= n and q < 1 << 20:
+        while n % q == 0:
+            primes.add(q)
+            n //= q
+        q += 1 if q == 2 else 2
+    if n > 1 and not _is_prime(n):
+        raise InputTooLarge(f"cannot factor {n}: it has no prime factor below 2^20")
+    return primes if n == 1 else primes | {n}
+
+
+def _least_divisor(holds, *parts: int) -> int:
+    """Least divisor of L = prod(parts) that holds, given that L holds and that the
+    divisors of L that hold are the multiples of the least one: strip each prime
+    q | L while L/q holds (Cohen 1993, Algorithm 1.4.3)."""
+    k = math.prod(parts)
+    for q in set().union(*map(_prime_factors, parts)):
+        while k % q == 0 and holds(k // q):
+            k //= q
     return k
 
 
-def pisano_bound(system: PeriodicSystem, p: int) -> int:
-    """The divisor bound on the Pisano period modulo a prime p coprime to 2 D_d."""
+def _mult_order(x: int, p: int) -> int:
+    if x % p == 0:
+        raise ValueError("order of 0 is undefined")
+    return _least_divisor(lambda k: pow(x, k, p) == 1, p - 1)
+
+
+def _bound_parts(system: PeriodicSystem, p: int) -> tuple[int, ...]:
+    """Factors whose product is the Pisano divisor bound mod a prime p coprime to 2 D_d."""
     _require_prime(p)
     reduced = reduce(system)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
@@ -281,36 +288,28 @@ def pisano_bound(system: PeriodicSystem, p: int) -> int:
         raise HypothesisViolated("bound requires odd p coprime to D_d")
     d = system.d
     if delta % p == 0:
-        half_c = C * pow(2, -1, p) % p
-        return p * d * _mult_order(half_c, p)
+        return p, d, _mult_order(C * pow(2, -1, p), p)
     if jacobi(delta, p) == 1:
-        return (p - 1) * d
-    return (p + 1) * d * _mult_order(-D, p)
+        return p - 1, d
+    return p + 1, d, _mult_order(-D, p)
 
 
-# Most residues (about 40 bytes each) pisano_period lists; bounds up to 10**6 at d <= 4 fit.
-PISANO_SCAN_MAX = 2 ** 20
+def pisano_bound(system: PeriodicSystem, p: int) -> int:
+    """The divisor bound on the Pisano period modulo a prime p coprime to 2 D_d."""
+    return math.prod(_bound_parts(system, p))
 
 
 def _pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
     """(pisano_period, pisano_bound) of system mod p, with the bound derived once."""
-    _require_prime(p)
-    window = 2 * system.d
-    least = (p - 1) * system.d + window  # every bound is at least (p - 1) d
-    if least > PISANO_SCAN_MAX:  # refused before pisano_bound's O(p) _mult_order loop
-        raise InputTooLarge(f"Pisano scan mod {p} needs at least {least} residues > {PISANO_SCAN_MAX}")
-    limit = pisano_bound(system, p)
-    if limit + window > PISANO_SCAN_MAX:
-        raise InputTooLarge(f"Pisano scan mod {p} needs {limit + window} residues > {PISANO_SCAN_MAX}")
-    seq = walk(system, limit + window, m=p)
+    parts = _bound_parts(system, p)
+    limit = math.prod(parts)
     # Every shift of B obeys the reduced recurrence from nu = -1, so 2d equal values pin it.
-    head = seq[:window]
-    pi = next((k for k in range(1, limit + 1) if seq[k:k + window] == head), None)
-    if pi is None:
-        raise InvariantViolated(f"no period of B mod {p} within the divisor bound {limit}")
-    if limit % pi != 0:
-        raise InvariantViolated(f"period {pi} of B mod {p} does not divide the bound {limit}")
-    return pi, limit
+    window = range(-1, 2 * system.d - 1)
+    head = [b_at(system, nu, p) for nu in window]
+    is_period = lambda k: all(b_at(system, k + nu, p) == b for nu, b in zip(window, head))
+    if not is_period(limit):
+        raise InvariantViolated(f"the divisor bound {limit} is not a period of B mod {p}")
+    return _least_divisor(is_period, *parts), limit
 
 
 def pisano_period(system: PeriodicSystem, p: int) -> int:
@@ -354,6 +353,8 @@ def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict
 
 @dataclass(frozen=True)
 class RepetitionReport:
+    """observed = v_p(B_{p^f m n d - 1}/B_{d-1}), read mod p^(e+f+1): the value
+    e + f + 1 is a lower bound, which gives the same holds as the exact one."""
     p: int
     e: int
     f: int
@@ -379,26 +380,21 @@ def _padic_valuation(p: int, x: int) -> int:
 
 def law_of_repetition_check(system: PeriodicSystem, p: int, n: int, m: int, f: int) -> RepetitionReport:
     """If p^e || B_{nd-1}/B_{d-1}, then p^(e+f) | B_{p^f m n d - 1}/B_{d-1};
-    the power is exact when p does not divide D_d."""
+    the power is exact when p does not divide D_d.  Both quotients are terms of W."""
     _require_prime(p)
     if m % p == 0:
         raise ValueError("requires p coprime to m")
     if f < 0 or n < 1 or m < 1:
         raise ValueError("need n, m >= 1 and f >= 0")
-    d = system.d
-    big = p ** f * m * n
-    base = b_at(system, d - 1)
-    if base == 0:
-        raise DivisionByZero("B_{d-1} = 0")
-    q, rem = divmod(b_at(system, n * d - 1), base)
-    if rem != 0:
-        raise DivisionByZero("B_{d-1} does not divide B_{nd-1}")
-    e = _padic_valuation(p, q)
+    reduced = reduce(system)  # raises DivisionByZero when B_{d-1} = 0
+    C, D = reduced.Cd, reduced.Dd
+    e = _padic_valuation(p, lucas(C, D, n)[0])
     if e == 0:
         raise ValueError("hypothesis unmet: p does not divide B_(nd-1)/B_(d-1)")
-    big_q, rem = divmod(b_at(system, big * d - 1), base)
-    if rem != 0:
-        raise DivisionByZero("B_{d-1} does not divide the target continuant")
-    reduced = reduce(system)
-    return RepetitionReport(p, e, f, _padic_valuation(p, big_q),
-                            exact_expected=reduced.Dd % p != 0)
+    big, cap = p ** f * m * n, e + f + 1
+    # W_k = 0 at some k >= 1 only if W's root ratio has order 2, 3, 4 or 6 (so 12).
+    if lucas(C, D, math.gcd(big, 12))[0] == 0:
+        raise ValueError("valuation of 0")
+    w = lucas(C, D, big, p ** cap)[0]
+    return RepetitionReport(p, e, f, _padic_valuation(p, w) if w else cap,
+                            exact_expected=D % p != 0)

@@ -54,4 +54,4 @@ class PrimalityUndecided(ContikitError):
 
 
 class InputTooLarge(ContikitError):
-    """An input would need more memory than a documented module limit allows."""
+    """An input is beyond a documented module limit (memory, or factoring by trial division)."""

@@ -3,7 +3,8 @@
 Each one steps the recurrence term by term, the way the package did before
 contikit.core: no matrix powers, no reduction shortcuts.  The exception is
 mat_pow, the square-and-multiply power the core used before its Lucas ladder,
-kept as the oracle that core.power is tested against.
+kept as the oracle that core.power is tested against; b_mod reads B mod p from
+it at indices too large to step.
 """
 from fractions import Fraction
 
@@ -110,3 +111,61 @@ def pisano_period(system: PeriodicSystem, p: int, limit: int) -> int | None:
     if P is None:
         return None
     return next(pi for pi in range(1, P + 1) if all(seq[i + pi] == seq[i] for i in range(P + 1)))
+
+
+def b_mod(system: PeriodicSystem, nu: int, p: int) -> int:
+    """B_nu mod p, nu >= -1: square-and-multiply on the period matrix T_d ... T_1,
+    with T_k = (b_k a_k; 1 0), then the leftover steps one matrix at a time."""
+    steps = [((system.coeff_b(k), system.coeff_a(k)), (1, 0)) for k in range(1, system.d + 1)]
+    period = ((1, 0), (0, 1))
+    for t in steps:
+        period = mat_mul(t, period)
+    q, r = divmod(nu + 1, system.d)
+    x = mat_pow(period, q, p)
+    for t in steps[:r]:
+        x = mat_mul(t, x, p)
+    return x[1][0]
+
+
+def is_pisano_period(system: PeriodicSystem, p: int, k: int) -> bool:
+    """Whether B_{nu+k} = B_nu (mod p) for nu = -1 .. 2d - 2; both sides obey the
+    reduced stride-d recurrence from nu = -1, so these 2d values decide every nu."""
+    return all(b_mod(system, k + nu, p) == b_mod(system, nu, p) for nu in range(-1, 2 * system.d - 1))
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + ([n] if n > 1 else [])
+
+
+def law_of_repetition(system: PeriodicSystem, p: int, n: int, m: int, f: int) -> tuple[int, int]:
+    """(e, v_p(B_{p^f m n d - 1}/B_{d-1})) from the exact quotients over Z, with
+    e = v_p(B_{nd-1}/B_{d-1}); ValueError if a quotient is 0 or p does not divide
+    the first one.  This is the package's law_of_repetition_check before it read
+    the big quotient from the Lucas ladder mod p^(e+f+1)."""
+    d = system.d
+
+    def valuation(x):
+        if x == 0:
+            raise ValueError("valuation of 0")
+        v = 0
+        while x % p == 0:
+            x, v = x // p, v + 1
+        return v
+
+    base = continuant_pair(system, d - 1)[1]
+    q, rem = divmod(continuant_pair(system, n * d - 1)[1], base)
+    assert rem == 0
+    e = valuation(q)
+    if e == 0:
+        raise ValueError("hypothesis unmet")
+    big_q, rem = divmod(continuant_pair(system, p ** f * m * n * d - 1)[1], base)
+    assert rem == 0
+    return e, valuation(big_q)

@@ -267,25 +267,22 @@ def test_pisano_verb(capsys):
     assert json.loads(out) == {"p": "7", "pi": "6", "bound": "12"}
 
 
-def test_pisano_verb_refuses_a_huge_scan(capsys):
+def test_pisano_verb_answers_a_huge_bound(capsys):
     # Divisor bound 300 420 144: listing that many residues used to get the process killed.
     start = time.perf_counter()
     code, out, err = run(capsys, "pisano", "--d", "3", "--a", "1,2,3", "--b", "4,5,6", "--p", "10007")
     assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == "error: InputTooLarge: Pisano scan mod 10007 needs 300420150 residues > 1048576\n"
+    assert (code, err) == (0, "")
+    assert out == "pi(10007) = 300420144  (divisor bound 300420144)\n"
 
 
-def test_pisano_verb_refuses_a_large_prime_before_any_order(capsys, monkeypatch):
-    # Every divisor bound is at least (p - 1) d, so this needs no O(p) order loop to refuse.
-    def no_order(x, p):
-        raise AssertionError(f"_mult_order({x}, {p}) ran")
-
-    monkeypatch.setattr(divisibility, "_mult_order", no_order)
+def test_pisano_verb_answers_a_prime_near_10_9(capsys):
+    # The order of -D_d comes from factoring p - 1, not from an O(p) loop.
+    start = time.perf_counter()
     code, out, err = run(capsys, "pisano", "--d", "1", "--a", "3", "--b", "1", "--p", "1000000007")
-    assert (code, out) == (2, "")
-    assert err == ("error: InputTooLarge: Pisano scan mod 1000000007 needs at least "
-                   "1000000008 residues > 1048576\n")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == "pi(1000000007) = 111111112666666672  (divisor bound 1000000014000000048)\n"
 
 
 def test_pisano_verb_derives_its_bound_once(capsys):

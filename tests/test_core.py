@@ -24,6 +24,7 @@ from contikit import (
     continuant_matrix,
     expand_sqrt,
     continuant_pair,
+    law_of_repetition_check,
     lucas_pseudoprime_test,
     pell_solutions,
     pisano_bound,
@@ -35,7 +36,7 @@ from contikit import (
     verify_identity,
 )
 from contikit.cli import main
-from contikit.core import WALK_BELOW, b_at, lucas, power, walk
+from contikit.core import WALK_BELOW, b_at, lucas, power, transfer, walk
 from contikit.divisibility import PSI_12, _is_prime
 import oracles
 
@@ -97,6 +98,9 @@ def test_b_values_match_linear(system, nu, lam, m):
     assert b_sequence(system, nu, lam) == full
     assert walk(system, nu, lam, m) == [x % m for x in full]
     assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
+    assert b_at(system, nu, m) == oracles.b_values(system, nu)[-1] % m
+    exact = transfer(system, nu + 1, lam)
+    assert transfer(system, nu + 1, lam, m) == tuple(tuple(v % m for v in row) for row in exact)
 
 
 @given(systems(), st.integers(0, max(60, 3 * WALK_BELOW)))
@@ -272,6 +276,35 @@ def test_pisano_period_matches_two_stage_scan(system, p):
     if not reducible(system) or reduce(system).Dd % p == 0:
         return
     assert pisano_period(system, p) == oracles.pisano_period(system, p, pisano_bound(system, p))
+
+
+@settings(max_examples=60)
+@given(systems(), st.sampled_from([p for p in range(3, 10 ** 4) if _is_prime(p)]))
+def test_pisano_period_is_the_least_window_period(system, p):
+    # A period whose every pi/q (q prime) is not a period is the least one.
+    if not reducible(system) or reduce(system).Dd % p == 0:
+        return
+    pi = pisano_period(system, p)
+    assert pisano_bound(system, p) % pi == 0
+    assert oracles.is_pisano_period(system, p, pi)
+    assert not any(oracles.is_pisano_period(system, p, pi // q) for q in oracles.prime_factors(pi))
+
+
+@settings(max_examples=300)
+@given(systems(), st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 6), st.integers(1, 4),
+       st.integers(0, 2))
+def test_law_of_repetition_matches_exact_quotients(system, p, n, m, f):
+    if not reducible(system) or m % p == 0:
+        return
+    try:
+        e, v = oracles.law_of_repetition(system, p, n, m, f)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            law_of_repetition_check(system, p, n, m, f)
+        return
+    rep = law_of_repetition_check(system, p, n, m, f)
+    assert (rep.e, rep.observed) == (e, min(v, e + f + 1))
+    assert rep.holds == (v == e + f if rep.exact_expected else v >= e + f)
 
 
 @settings(max_examples=30)

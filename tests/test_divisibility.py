@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from contikit import (
     S8,
     ContikitError,
     HypothesisViolated,
+    IndexOutOfRange,
     InputTooLarge,
     PeriodicSystem,
     b_sequence,
@@ -25,7 +27,7 @@ from contikit import (
 )
 from contikit.core import transfer, walk
 from contikit import divisibility
-from contikit.divisibility import PISANO_SCAN_MAX, _is_prime
+from contikit.divisibility import _is_prime, _mult_order, _prime_factors
 from contikit.suite import random_strict_system
 from oracles import b_values, mat_pow
 
@@ -103,6 +105,14 @@ def test_congruence_suite_random():
             assert congruence_suite(system, p).all_pass, (system, p)
 
 
+def test_congruence_suite_refuses_r_below_minus_one():
+    # B_(-2) is undefined; reading it used to wrap to the end of the residue list.
+    for system, p, r_range in ((S8, 7, range(-3, 1)), (FIB, 11, range(-4, 0))):
+        with pytest.raises(IndexOutOfRange):
+            congruence_suite(system, p, r_range)
+    assert congruence_suite(FIB, 11, range(-1, 0)).all_pass
+
+
 def test_congruence_rejects_composite():
     with pytest.raises(ValueError):
         congruence_suite(S8, 15)
@@ -174,29 +184,55 @@ def test_pisano_divides_bound():
             assert all(seq[i + pi] == seq[i] for i in range(len(seq) - pi))
 
 
-def test_pisano_refuses_before_listing():
+def test_pisano_answers_without_listing():
     system = PeriodicSystem(d=3, a=(1, 2, 3), b=(4, 5, 6))
     assert pisano_bound(system, 10007) == 300420144
     tracemalloc.start()
     try:
-        with pytest.raises(InputTooLarge):
-            pisano_period(system, 10007)
+        pi = pisano_period(system, 10007)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert pi == 300420144
     assert peak < 10 ** 5
+
+
+def test_pisano_scan_cap_is_exact():
+    # p - 1 = 2 * 1048583 * 1048681, and both odd factors lie just above 2^20.
+    p = 2 * 1048583 * 1048681 + 1
+    assert _is_prime(p) and jacobi(32, p) == 1  # QR case: the bound is (p - 1) d
+    start = time.perf_counter()
+    with pytest.raises(InputTooLarge, match="no prime factor below 2"):
+        pisano_period(S8, p)
+    assert time.perf_counter() - start < 1
+    assert _prime_factors(1048583) == {1048583}
+    # 1048573 is the largest prime below 2^20, so trial division still splits this.
+    assert _prime_factors(2 * 1048573 * 1048583) == {2, 1048573, 1048583}
     assert issubclass(InputTooLarge, ContikitError)
 
 
-def test_pisano_scan_cap_is_exact(monkeypatch):
-    # Divisor bounds up to 10^6 at d <= 4 must stay answerable.
-    assert PISANO_SCAN_MAX >= 10 ** 6 + 8
-    needed = pisano_bound(S8, 7) + 2 * S8.d
-    monkeypatch.setattr(divisibility, "PISANO_SCAN_MAX", needed)
-    assert pisano_period(S8, 7) == 6
-    monkeypatch.setattr(divisibility, "PISANO_SCAN_MAX", needed - 1)
-    with pytest.raises(InputTooLarge):
-        pisano_period(S8, 7)
+def test_mult_order_matches_brute_force():
+    for p in range(2, 500):
+        if not _is_prime(p):
+            continue
+        for x in range(1, p):
+            k, acc = 1, x
+            while acc != 1:
+                acc, k = acc * x % p, k + 1
+            assert _mult_order(x, p) == k, (x, p)
+    with pytest.raises(ValueError):
+        _mult_order(7, 7)
+
+
+def test_rank_of_apparition_at_a_large_prime_lists_nothing():
+    tracemalloc.start()
+    try:
+        rep = rank_of_apparition(S8, 10 ** 7 + 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.case_tag, rep.omega, rep.clause_holds) == ("nonQR", 5000010, True)
+    assert peak < 10 ** 6
 
 
 def test_pisano_bound_refuses_a_non_prime_modulus(monkeypatch):
@@ -264,6 +300,11 @@ def test_law_of_repetition():
     assert r2.observed == 1 and r2.holds
     r3 = law_of_repetition_check(S8, 3, 2, 1, 1)
     assert r3.e == 1 and r3.observed == 2 and r3.exact_expected and r3.holds
+    # Index 5^17: read mod 5^17, not built over Z.
+    start = time.perf_counter()
+    r4 = law_of_repetition_check(FIB, 5, 5, 1, 15)
+    assert time.perf_counter() - start < 1
+    assert (r4.e, r4.observed, r4.holds) == (1, 16, True)
 
 
 def test_law_of_repetition_rejects():
