@@ -7,10 +7,11 @@ run), 2 on bad input or violated hypotheses.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import concurrent.futures  # loads ProcessPoolExecutor, and multiprocessing, on first use
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import divisibility, pell, recurrence, series, suite
@@ -162,16 +163,21 @@ def cmd_pseudoprime(args) -> int:
         return 0
     if args.range is None:
         raise ValueError("pseudoprime needs --candidate or --range lo:hi")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     lo, hi = (int(x) for x in args.range.split(":"))
     odd = range(max(lo, 3) | 1, hi + 1, 2)
+    # A forked pool starts all its workers at the first submit, so ask for no
+    # more than there are cores and candidates.
+    jobs = min(args.jobs, os.cpu_count() or 1, len(odd))
     # Reducing here makes a system with B_{d-1} = 0 exit 2 even when the range
     # holds no odd candidate; the pool pickles the system once per chunk.
     recurrence.reduce(system)
     scan = functools.partial(_scan_one, system)
     with contextlib.ExitStack() as stack:
         results = map(scan, odd)
-        if args.jobs > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs))
+        if jobs > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
             results = pool.map(scan, odd, chunksize=16)
         for res in results:  # in order, each printed as soon as it is ready
             print(json.dumps(res) if args.json else f"n = {res['n']}: {res['verdict']}")

@@ -8,13 +8,18 @@ Coefficients repeat with period d, so for nu = qd + r, P is the r-step product
 times M^q, where M = T_{lam+d} ... T_{lam+1} is the period matrix; its trace
 and negated determinant are C_d and D_d.
 
-Two primitives, over Z or over Z/m: a forward walk that returns the prefix of
-B values, and a Lucas doubling ladder with three big products per bit (Joye and
-Quisquater, 1996).  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I for a
-2x2 matrix x with c = tr x, d = -det x and W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}.
+Two primitives over Z: a forward walk that returns the prefix of B values, and
+a Lucas doubling ladder with three big products per bit (Joye and Quisquater,
+1996), which also runs over Z/m.  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I
+for a 2x2 matrix x with c = tr x, d = -det x and W_0 = 0, W_1 = 1,
+W_{j+1} = c W_j + d W_{j-1}.  The one reader of B mod m, `residues`, is built
+on that ladder.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+
+from .errors import IndexOutOfRange
 from .systems import PeriodicSystem
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -27,19 +32,18 @@ IDENTITY: Matrix = ((1, 0), (0, 1))
 # ladder at 8 steps and 2.2-2.7x at 32; they cross at 11-14 steps (16-20 against
 # square-and-multiply).  Batches of small queries, such as the identity sweeps
 # of `contikit paper`, read a table from `walk` instead (continuants.verify_identities).
+# Reads mod m go through `residues` at every index and never walk past 2d - 2.
 WALK_BELOW = 12
 
 
-def walk(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None) -> list[int]:
-    """[B_{-1,lam}, B_{0,lam}, ..., B_{nu_max,lam}], each reduced mod m if m is given."""
+def walk(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
+    """[B_{-1,lam}, B_{0,lam}, ..., B_{nu_max,lam}]."""
     a, b, d = system.a, system.b, system.d
-    seq = [0, 1 if m is None else 1 % m]
+    seq = [0, 1]
     prev, cur = seq
     for i in range(lam, lam + nu_max):
         k = i % d
         prev, cur = cur, b[k] * cur + a[k] * prev
-        if m is not None:
-            cur %= m
         seq.append(cur)
     return seq[: nu_max + 2]
 
@@ -56,12 +60,11 @@ def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:
     return w, w1
 
 
-def power(x: Matrix, n: int, m: int | None = None) -> Matrix:
-    """x^n for n >= 0 (an entrywise congruent matrix if m is given), read from the
-    Lucas sequence of tr x and -det x (taken mod m)."""
+def power(x: Matrix, n: int) -> Matrix:
+    """x^n for n >= 0, read from the Lucas sequence of tr x and -det x."""
     (p, q), (r, s) = x
     c = p + s
-    w, w1 = lucas(c, q * r - p * s, n, m)
+    w, w1 = lucas(c, q * r - p * s, n)
     e = w1 - c * w
     return (w * p + e, w * q), (w * r, w * s + e)
 
@@ -77,16 +80,43 @@ def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matrix
     return (p, q), (r, s)
 
 
-def transfer(system: PeriodicSystem, nu: int, lam: int = 0, m: int | None = None) -> Matrix:
-    """T_{lam+nu} ... T_{lam+1} for nu >= 0, each entry reduced mod m if m is given."""
+def transfer(system: PeriodicSystem, nu: int, lam: int = 0) -> Matrix:
+    """T_{lam+nu} ... T_{lam+1} for nu >= 0."""
     if nu < WALK_BELOW:
-        x = steps(system, lam, nu, IDENTITY)
-    else:
-        q, r = divmod(nu, system.d)
-        x = steps(system, lam, r, power(steps(system, lam, system.d, IDENTITY), q, m))
-    return x if m is None else tuple(tuple(v % m for v in row) for row in x)
+        return steps(system, lam, nu, IDENTITY)
+    q, r = divmod(nu, system.d)
+    return steps(system, lam, r, power(steps(system, lam, system.d, IDENTITY), q))
 
 
-def b_at(system: PeriodicSystem, nu: int, m: int | None = None) -> int:
-    """B_nu (mod m if given) for nu >= -1."""
-    return transfer(system, nu + 1, m=m)[1][0]
+def b_at(system: PeriodicSystem, nu: int) -> int:
+    """B_nu for nu >= -1."""
+    return transfer(system, nu + 1)[1][0]
+
+
+def residues(system: PeriodicSystem, m: int) -> Callable[[int], int]:
+    """nu -> B_nu mod m for nu >= -1, in O(d) memory.
+
+    Every shift of B obeys the reduced recurrence from nu = -1, so with
+    nu + 1 = nd + k and 0 <= k < d, B_nu = W_n B_{d+k-1} + D_d W_{n-1} B_{k-1}
+    (Cayley-Hamilton on M^n).  The reader keeps B_{-1} .. B_{2d-2} and one ladder
+    pair mod m per period count n it has read, so a new n costs O(log n) products.
+    """
+    d = system.d
+    head = [x % m for x in walk(system, 2 * d - 2)]  # B_{-1} .. B_{2d-2}
+    (p, q), (r, s) = steps(system, 0, d, IDENTITY)
+    c, dd = p + s, q * r - p * s  # C_d, D_d
+    pairs: dict[int, tuple[int, int]] = {}
+
+    def read(nu: int) -> int:
+        n, k = divmod(nu + 1, d)
+        if n < 2:
+            if n < 0:
+                raise IndexOutOfRange(f"B_nu is read for nu >= -1, got {nu}")
+            return head[nu + 1]
+        if n not in pairs:
+            w, w1 = lucas(c, dd, n - 1, m)
+            pairs[n] = w1, dd * w % m
+        x, y = pairs[n]
+        return (x * head[d + k] + y * head[k]) % m
+
+    return read

@@ -1,9 +1,11 @@
 """Divisibility, prime congruences, Pisano periods, rank of apparition,
 law of repetition and the Lucas-style pseudoprime test.
 
-Sequence values come from the integer core (contikit.core): the congruence
-suite reads its walk over Z/p, everything else single values from its ladder,
-with B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of (C_d, D_d).  Orders,
+Sequence values come from the integer core (contikit.core): every read mod p
+goes through its one reader, core.residues, which keeps O(d) values and reads
+B_{nd+r} from the Lucas sequence W of (C_d, D_d) on the ladder mod p; the
+pseudoprime test and the law of repetition use B_{kd-1} = W_k B_{d-1} directly.
+The congruence suite reads only the indices its clauses name.  Orders,
 ranks of apparition and Pisano periods are each the least divisor of a known
 bound with some property, found by one search over the bound's prime factors
 (a factor that trial division below 2^20 cannot split is refused).  Every
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import b_at, lucas, walk
+from .core import b_at, lucas, residues
 from .errors import (HypothesisViolated, IndexOutOfRange, InputTooLarge, InvariantViolated,
                      PrimalityUndecided)
 from .recurrence import ReducedRecurrence, reduce
@@ -141,9 +143,7 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     r_list = list(r_range)
     if min(r_list) < -1:
         raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {min(r_list)}")
-    n_hi = max(p + 1, 6)
-    seq = walk(system, (n_hi + 1) * d + max(r_list) + 1, m=p)
-    B = lambda nu: seq[nu + 1]
+    B = residues(system, p)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
 
     def check(label: str, lhs: int, rhs: int):
@@ -222,7 +222,8 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     tag = classify_case(reduced, p)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
     eps = -(C % 2) if p == 2 else jacobi(delta, p)
-    divides = lambda k: b_at(system, k * system.d - 1, p) == 0
+    B = residues(system, p)
+    divides = lambda k: B(k * system.d - 1) == 0
     if D % p == 0 and not divides(1):
         omega = 2 if C % p == 0 else None
     else:
@@ -305,8 +306,9 @@ def _pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
     limit = math.prod(parts)
     # Every shift of B obeys the reduced recurrence from nu = -1, so 2d equal values pin it.
     window = range(-1, 2 * system.d - 1)
-    head = [b_at(system, nu, p) for nu in window]
-    is_period = lambda k: all(b_at(system, k + nu, p) == b for nu, b in zip(window, head))
+    B = residues(system, p)
+    head = [B(nu) for nu in window]
+    is_period = lambda k: all(B(k + nu) == b for nu, b in zip(window, head))
     if not is_period(limit):
         raise InvariantViolated(f"the divisor bound {limit} is not a period of B mod {p}")
     return _least_divisor(is_period, *parts), limit

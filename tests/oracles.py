@@ -9,6 +9,8 @@ it at indices too large to step.
 from fractions import Fraction
 
 from contikit import PeriodicSystem
+from contikit.divisibility import CongruenceCase, classify_case
+from contikit.recurrence import reduce
 
 
 def mat_mul(x, y, m=None):
@@ -50,12 +52,15 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
     return a_cur, b_cur
 
 
-def b_values(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
-    """[B_{-1,lam}, ..., B_{nu_max,lam}] by the linear recurrence."""
+def b_values(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None) -> list[int]:
+    """[B_{-1,lam}, ..., B_{nu_max,lam}] by the linear recurrence, each reduced mod m
+    if m is given (step by step, so that long walks stay small)."""
     seq = [0, 1]
     for k in range(1, nu_max + 1):
-        seq.append(system.coeff_b(lam + k) * seq[-1] + system.coeff_a(lam + k) * seq[-2])
-    return seq[: nu_max + 2]
+        x = system.coeff_b(lam + k) * seq[-1] + system.coeff_a(lam + k) * seq[-2]
+        seq.append(x if m is None else x % m)
+    seq = seq[: nu_max + 2]
+    return seq if m is None else [x % m for x in seq]
 
 
 def backward_sequence(system: PeriodicSystem, down_to: int) -> dict[int, Fraction]:
@@ -169,3 +174,64 @@ def law_of_repetition(system: PeriodicSystem, p: int, n: int, m: int, f: int) ->
     big_q, rem = divmod(continuant_pair(system, p ** f * m * n * d - 1)[1], base)
     assert rem == 0
     return e, valuation(big_q)
+
+
+def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> CongruenceCase:
+    """The package's congruence_suite as it was before core.residues: the same
+    clause table, read from a walk that lists every residue mod p up to index
+    (max(p + 1, 6) + 2) d + max(r_range).  p must be prime and r_range >= -1."""
+    d = system.d
+    reduced = reduce(system)
+    tag = classify_case(reduced, p)
+    case = CongruenceCase(p, tag)
+    r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
+    n_hi = max(p + 1, 6)
+    seq = b_values(system, (n_hi + 1) * d + max(r_list) + 1, m=p)
+    B = lambda nu: seq[nu + 1]
+    C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
+
+    def check(label, lhs, rhs):
+        case.verified.append((label, (lhs - rhs) % p == 0))
+
+    if tag == "p|C,p|D":
+        for r in r_list:
+            for n in range(2, 6):
+                check(f"B_({n}d+{r}) = 0", B(n * d + r), 0)
+        return case
+    if p == 2:
+        return case
+    if tag == "p|C,p~D":
+        inv2 = pow(2, -1, p)
+        for r in r_list:
+            for n in range(2, 7):
+                if n % 2 == 0:
+                    rhs = pow(-inv2, n - 2, p) * D * pow(delta, (n - 2) // 2, p) * B(r)
+                else:
+                    rhs = pow(-inv2, n - 1, p) * pow(delta, (n - 1) // 2, p) * B(d + r)
+                check(f"B_({n}d+{r})", B(n * d + r), rhs)
+        check("B_(2d-1) = 0", B(2 * d - 1), 0)
+    elif tag == "p~C,p|D":
+        for r in r_list:
+            check(f"B_(pd+{r}) = B_(d+{r})", B(p * d + r), B(d + r))
+            for n in range(2, 6):
+                check(f"B_({n}d+{r}) = C^{n - 1}*B_(d+{r})",
+                      B(n * d + r), pow(C, n - 1, p) * B(d + r))
+            if r >= d - 1:
+                check(f"B_((p-1)d+{r}) = B_{r}", B((p - 1) * d + r), B(r))
+    elif tag == "p|Delta":
+        for r in r_list:
+            check(f"2B_(pd+{r}) = C*B_{r}", 2 * B(p * d + r), C * B(r))
+        check("B_(pd-1) = 0", B(p * d - 1), 0)
+    elif tag == "QR":
+        for r in r_list:
+            check(f"B_((p+1)d+{r})", B((p + 1) * d + r), C * B(d + r) + D * B(r))
+            check(f"B_((p-1)d+{r}) = B_{r}", B((p - 1) * d + r), B(r))
+        check("B_((p+1)d-1) = C*B_(d-1)", B((p + 1) * d - 1), C * B(d - 1))
+        check("B_((p-1)d-1) = 0", B((p - 1) * d - 1), 0)
+    else:  # nonQR
+        for r in r_list:
+            check(f"B_((p+1)d+{r}) = -D*B_{r}", B((p + 1) * d + r), -D * B(r))
+            check(f"B_(pd+{r}) = C*B_{r} - B_(d+{r})", B(p * d + r), C * B(r) - B(d + r))
+        check("B_((p+1)d-1) = 0", B((p + 1) * d - 1), 0)
+        check("B_(pd-1) = -B_(d-1)", B(p * d - 1), -B(d - 1))
+    return case

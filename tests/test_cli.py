@@ -172,6 +172,37 @@ def test_pseudoprime_range_output_is_pinned_for_every_jobs(capsys):
             assert sha256(out) == pinned, (mode, jobs)
 
 
+def test_pseudoprime_jobs_capped_at_cores_and_candidates(capsys, monkeypatch):
+    # A forked pool launches every worker at the first submit, however few the
+    # candidates.  The stand-in below records max_workers and starts no process.
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    scan = lambda rng, jobs: run(capsys, "pseudoprime", "--sqrt", "8", "--range", rng, "--jobs", jobs)
+    _, serial, _ = scan("3:40", "1")
+    code, out, err = scan("3:40", "4096")
+    assert (code, out, err) == (0, serial, "")
+    cores = os.cpu_count() or 1
+    assert requested == ([min(cores, 19)] if cores > 1 else [])  # 19 odd candidates
+    scan("3:4", "4096")  # one candidate: no pool at all
+    assert len(requested) == (cores > 1)
+    for jobs in ("0", "-3"):
+        assert scan("3:40", jobs) == (2, "", f"error: --jobs must be >= 1, got {jobs}\n")
+
+
 def test_pseudoprime_range_streams_results(capsys):
     # Results print as they are ready: an error at n = 9 leaves 3, 5 and 7 printed.
     def scan(system, n):
@@ -274,6 +305,17 @@ def test_pisano_verb_answers_a_huge_bound(capsys):
     assert time.perf_counter() - start < 1
     assert (code, err) == (0, "")
     assert out == "pi(10007) = 300420144  (divisor bound 300420144)\n"
+
+
+def test_check_congruences_at_a_prime_near_10_12(capsys):
+    # Every clause reads its own index mod p; nothing of length p is listed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--sqrt", "8", "--congruence-p", "999999999989")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "p = 999999999989  case: nonQR"
+    assert len(lines) == 15 and all(line.startswith("  [ok] ") for line in lines[1:])
 
 
 def test_pisano_verb_answers_a_prime_near_10_9(capsys):

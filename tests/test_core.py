@@ -15,6 +15,7 @@ import contikit
 from contikit import (
     IDENTITIES,
     ContikitError,
+    IndexOutOfRange,
     PeriodicSystem,
     PrimalityUndecided,
     b_sequence,
@@ -36,7 +37,7 @@ from contikit import (
     verify_identity,
 )
 from contikit.cli import main
-from contikit.core import WALK_BELOW, b_at, lucas, power, transfer, walk
+from contikit.core import WALK_BELOW, b_at, lucas, power, residues, transfer, walk
 from contikit.divisibility import PSI_12, _is_prime
 import oracles
 
@@ -92,15 +93,32 @@ def test_continuant_pair_matches_linear(system, nu, lam):
     assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
 
 
-@given(systems(), NU, st.integers(0, 10), st.integers(2, 10 ** 6))
-def test_b_values_match_linear(system, nu, lam, m):
-    full = oracles.b_values(system, nu, lam)
-    assert b_sequence(system, nu, lam) == full
-    assert walk(system, nu, lam, m) == [x % m for x in full]
+@given(systems(), NU, st.integers(0, 10))
+def test_b_values_match_linear(system, nu, lam):
+    full = oracles.b_values(system, nu + 1, lam)
+    assert b_sequence(system, nu, lam) == full[:-1]
+    assert walk(system, nu, lam) == full[:-1]
     assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
-    assert b_at(system, nu, m) == oracles.b_values(system, nu)[-1] % m
-    exact = transfer(system, nu + 1, lam)
-    assert transfer(system, nu + 1, lam, m) == tuple(tuple(v % m for v in row) for row in exact)
+    (p, _), (r, _) = transfer(system, nu + 1, lam)
+    assert (p, r) == (full[-1], full[-2])  # (B_{nu+1,lam}, B_{nu,lam})
+
+
+MODULI_FROM_1 = st.one_of(st.just(1), st.integers(2, 10 ** 6))
+
+
+@given(systems(), NU, MODULI_FROM_1)
+def test_residues_match_linear(system, nu, m):
+    read = residues(system, m)
+    # Read backwards, so that later reads hit the ladder pairs kept by earlier ones.
+    assert [read(k) for k in range(nu, -2, -1)] == [x % m for x in reversed(oracles.b_values(system, nu))]
+    with pytest.raises(IndexOutOfRange):
+        read(-2)
+
+
+@settings(max_examples=60)
+@given(systems(), st.integers(-1, 10 ** 6), MODULI_FROM_1)
+def test_residues_at_large_index(system, nu, m):
+    assert residues(system, m)(nu) == oracles.b_mod(system, nu, m)
 
 
 @given(systems(), st.integers(0, max(60, 3 * WALK_BELOW)))
@@ -288,6 +306,18 @@ def test_pisano_period_is_the_least_window_period(system, p):
     assert pisano_bound(system, p) % pi == 0
     assert oracles.is_pisano_period(system, p, pi)
     assert not any(oracles.is_pisano_period(system, p, pi // q) for q in oracles.prime_factors(pi))
+
+
+@settings(max_examples=60)
+@given(systems(), st.sampled_from([p for p in range(2, 10 ** 4) if _is_prime(p)]),
+       st.none() | st.tuples(st.integers(-1, 3), st.integers(1, 20)))
+def test_congruence_suite_matches_walk(system, p, span):
+    # The walk lists every residue up to about (p + 2) d; the suite reads only its clauses.
+    if not reducible(system):
+        return
+    r_range = None if span is None else range(span[0], span[0] + span[1])
+    got, want = congruence_suite(system, p, r_range), oracles.congruence_suite(system, p, r_range)
+    assert (got.case_tag, got.verified) == (want.case_tag, want.verified)
 
 
 @settings(max_examples=300)

@@ -25,7 +25,7 @@ from contikit import (
     reduce,
     strong_gcd_check,
 )
-from contikit.core import transfer, walk
+from contikit.core import residues, transfer
 from contikit import divisibility
 from contikit.divisibility import _is_prime, _mult_order, _prime_factors
 from contikit.suite import random_strict_system
@@ -113,6 +113,18 @@ def test_congruence_suite_refuses_r_below_minus_one():
     assert congruence_suite(FIB, 11, range(-1, 0)).all_pass
 
 
+def test_congruence_suite_lists_nothing():
+    # The walk it replaced kept (p + 2) d residues: a 97 MB peak at this p.
+    tracemalloc.start()
+    try:
+        case = congruence_suite(S8, 10 ** 6 + 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (case.case_tag, case.all_pass, len(case.verified)) == ("nonQR", True, 14)
+    assert peak < 10 ** 5
+
+
 def test_congruence_rejects_composite():
     with pytest.raises(ValueError):
         congruence_suite(S8, 15)
@@ -128,8 +140,7 @@ def test_fermat_little_theorem_reduction():
                 continue
             case = congruence_suite(system, p)
             assert case.all_pass, (a0, p)
-            seq = walk(system, p - 2, m=p)
-            assert seq[p - 1] == 0  # B_(p-2) mod p
+            assert b_values(system, p - 2)[-1] % p == 0  # B_(p-2) mod p
             assert pow(a0, p - 1, p) == 1
 
 
@@ -180,7 +191,7 @@ def test_pisano_divides_bound():
             pi = pisano_period(system, p)
             assert pisano_bound(system, p) % pi == 0
             # Independent check: the sequence really repeats with period pi.
-            seq = walk(system, 3 * pi + 2 * system.d, m=p)
+            seq = b_values(system, 3 * pi + 2 * system.d, m=p)
             assert all(seq[i + pi] == seq[i] for i in range(len(seq) - pi))
 
 
@@ -287,7 +298,8 @@ def test_modular_agrees_with_full():
         system = random_strict_system(rng)
         m = rng.randint(2, 1000)
         full = [x % m for x in b_values(system, 500)]
-        assert walk(system, 500, m=m) == full
+        read = residues(system, m)
+        assert [read(nu) for nu in range(-1, 501)] == full
         period = transfer(system, system.d)
         for k in range(500 // system.d + 1):
             assert mat_pow(period, k, m)[1][0] == full[k * system.d]  # B_{kd-1}
