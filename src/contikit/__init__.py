@@ -13,7 +13,7 @@ from .continuants import (
     continuant_matrix,
     continuant_pair,
     convergent,
-    verify_identities,
+    identity_failures,
     verify_identity,
 )
 from .divisibility import (

@@ -52,17 +52,11 @@ def _system_from_args(args) -> PeriodicSystem:
                           strict=not args.non_strict)
 
 
-def _emit(args, obj: dict, text: str):
-    if args.json:
-        print(json.dumps(obj))
-    else:
-        print(text)
-
-
 def cmd_expand(args) -> int:
     exp = pell.expand_sqrt(args.n)
-    _emit(args, {"n": str(exp.n), "a0": str(exp.a0),
-                 "period": [str(x) for x in exp.period], "d": exp.d}, str(exp))
+    print(json.dumps({"n": str(exp.n), "a0": str(exp.a0),
+                      "period": [str(x) for x in exp.period], "d": exp.d})
+          if args.json else str(exp))
     return 0
 
 
@@ -79,9 +73,8 @@ def cmd_pell(args) -> int:
 def cmd_reduce(args) -> int:
     system = _system_from_args(args)
     red = recurrence.reduce(system)
-    _emit(args,
-          {"C_d": str(red.Cd), "D_d": str(red.Dd), "Delta": str(red.delta)},
-          f"C_d = {red.Cd}, D_d = {red.Dd}, Delta = {red.delta}")
+    print(json.dumps({"C_d": str(red.Cd), "D_d": str(red.Dd), "Delta": str(red.delta)}) if args.json
+          else f"C_d = {red.Cd}, D_d = {red.Dd}, Delta = {red.delta}")
     return 0
 
 
@@ -95,7 +88,8 @@ def cmd_binet(args) -> int:
         value = recurrence.binet(system, n, r)
     else:
         value = recurrence.binet_negative(system, -n, r)
-    _emit(args, {"nu": str(nu), "B": str(value)}, f"B_{nu} = {value}")
+    # Converting a huge B to decimal dominates the run, so only the printed form is built.
+    print(json.dumps({"nu": str(nu), "B": str(value)}) if args.json else f"B_{nu} = {value}")
     return 0
 
 
@@ -128,11 +122,10 @@ def cmd_check(args) -> int:
     if args.identity is not None:
         params = tuple(int(x) for x in args.params.split(","))
         rep = verify_identity(system, args.identity, params)
-        _emit(args,
-              {"identity": rep.identity, "params": list(rep.params),
-               "lhs": [str(v) for v in rep.lhs],
-               "rhs": [str(v) for v in rep.rhs], "equal": rep.equal},
-              f"{rep.identity}{rep.params}: lhs={rep.lhs} rhs={rep.rhs} equal={rep.equal}")
+        print(json.dumps({"identity": rep.identity, "params": list(rep.params),
+                          "lhs": [str(v) for v in rep.lhs],
+                          "rhs": [str(v) for v in rep.rhs], "equal": rep.equal}) if args.json
+              else f"{rep.identity}{rep.params}: lhs={rep.lhs} rhs={rep.rhs} equal={rep.equal}")
         return 0 if rep.equal else 1
     if args.congruence_p is not None:
         case = divisibility.congruence_suite(system, args.congruence_p)
@@ -157,9 +150,9 @@ def cmd_pseudoprime(args) -> int:
     system = _system_from_args(args)
     if args.candidate is not None:
         verdict = divisibility.lucas_pseudoprime_test(system, args.candidate)
-        _emit(args, verdict.to_dict(),
-              f"n = {verdict.n}: {verdict.verdict} "
-              f"(epsilon = {verdict.epsilon}, tested B index {verdict.tested_index})")
+        print(json.dumps(verdict.to_dict()) if args.json
+              else f"n = {verdict.n}: {verdict.verdict} "
+                   f"(epsilon = {verdict.epsilon}, tested B index {verdict.tested_index})")
         return 0
     if args.range is None:
         raise ValueError("pseudoprime needs --candidate or --range lo:hi")
@@ -187,8 +180,8 @@ def cmd_pseudoprime(args) -> int:
 def cmd_pisano(args) -> int:
     system = _system_from_args(args)
     pi, bound = divisibility._pisano(system, args.p)
-    _emit(args, {"p": str(args.p), "pi": str(pi), "bound": str(bound)},
-          f"pi({args.p}) = {pi}  (divisor bound {bound})")
+    print(json.dumps({"p": str(args.p), "pi": str(pi), "bound": str(bound)}) if args.json
+          else f"pi({args.p}) = {pi}  (divisor bound {bound})")
     return 0
 
 

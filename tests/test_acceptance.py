@@ -117,13 +117,13 @@ def nested_loop_instances(d):
 
 def test_identity_sweep_checks_the_nested_loop_instances(monkeypatch):
     calls = []
-    verify = continuants.verify_identities
+    failures = continuants.identity_failures
 
     def record(system, instances):
         calls.append((system, list(instances)))
-        return verify(system, instances)
+        return failures(system, instances)
 
-    monkeypatch.setattr(continuants, "verify_identities", record)
+    monkeypatch.setattr(continuants, "identity_failures", record)
     row = suite.check_identity_sweeps(random.Random(20240801))
     rng = random.Random(20240801)
     assert [system for system, _ in calls] == [suite.random_strict_system(rng)
@@ -131,3 +131,21 @@ def test_identity_sweep_checks_the_nested_loop_instances(monkeypatch):
     for system, instances in calls:
         assert Counter(instances) == Counter(nested_loop_instances(system.d))
     assert row.detail == f"{sum(len(instances) for _, instances in calls)} identity instances, 0 failures"
+
+
+def test_identity_sweep_builds_no_report_for_a_passing_instance(monkeypatch):
+    built = []
+
+    class CountedReport(continuants.IdentityReport):
+        def __new__(cls, *fields):
+            built.append(fields[:2])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(continuants, "IdentityReport", CountedReport)
+    rng = random.Random(20240801)
+    suite.check_generating_function(rng)  # the draws run_full_suite makes before the sweep
+    row = suite.check_identity_sweeps(rng)
+    assert built == []
+    assert row.passed and row.detail == "168132 identity instances, 0 failures"
+    continuants.verify_identity(suite.S8, "catalan", (2, 1))  # the counter does count
+    assert built == [("catalan", (2, 1))]

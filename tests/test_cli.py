@@ -135,6 +135,28 @@ def test_binet_past_the_int_str_digit_limit(capsys):
         assert value == str(b_at(S8, 100000))
 
 
+def test_binet_converts_its_value_to_decimal_once(capsys, monkeypatch):
+    # Decimal text of a huge B costs more than B itself, so only the printed form is built.
+    conversions = []
+
+    class Counted(int):
+        def __str__(self):
+            conversions.append("str")
+            return int.__repr__(self)
+
+        def __format__(self, spec):
+            conversions.append("format")
+            return format(int(self), spec)
+
+    binet = contikit.recurrence.binet
+    monkeypatch.setattr(contikit.recurrence, "binet", lambda *args: Counted(binet(*args)))
+    for extra, expect in (((), "B_7 = 204\n"), (("--json",), '{"nu": "7", "B": "204"}\n')):
+        conversions.clear()
+        code, out, _ = run(capsys, "binet", "--sqrt", "8", "--nu", "7", *extra)
+        assert code == 0 and out == expect
+        assert len(conversions) == 1, conversions
+
+
 def test_pseudoprime_example_json(capsys):
     code, out, _ = run(capsys, "pseudoprime", "--sqrt", "8",
                        "--candidate", "35", "--json")

@@ -18,7 +18,7 @@ from contikit import (
     continuant_matrix,
     continuant_pair,
     convergent,
-    verify_identities,
+    identity_failures,
     verify_identity,
 )
 from contikit.suite import random_strict_system
@@ -148,9 +148,10 @@ def test_identity_report_is_a_named_tuple():
     assert IdentityReport._fields == ("identity", "params", "lhs", "rhs")
     assert rep == IdentityReport("catalan", (2, 1), rep.lhs, rep.rhs)
     assert rep == ("catalan", (2, 1), rep.lhs, rep.rhs)  # a plain tuple with the same values
+    assert rep.lhs == rep.rhs == (S8_A[3], S8_B[3])  # (A_3, B_3)
     assert rep.equal and not rep._replace(rhs=(0, 0)).equal
     assert hash(rep) == hash(tuple(rep))
-    assert verify_identities(S8, [("catalan", (2, 1))]) == [rep]
+    assert identity_failures(S8, [("catalan", (2, 1))]) == []
     with pytest.raises(AttributeError):
         rep.lhs = (0, 0)
 

@@ -1,6 +1,7 @@
 """Differential tests: the integer core and its callers against the linear oracles."""
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,8 +33,8 @@ from contikit import (
     pisano_period,
     rank_of_apparition,
     reduce,
+    identity_failures,
     to_system,
-    verify_identities,
     verify_identity,
 )
 from contikit.cli import main
@@ -233,8 +234,26 @@ def identity_instances(draw):
     return identity, tuple(draw(st.lists(st.integers(0, 12), min_size=size, max_size=size)))
 
 
+def assert_tables_match_oracle(system, top):
+    """Every A[l][n + 1], B[l][n + 1] (l <= top + 1, -1 <= n <= top) and prefix[k]
+    (k <= top) of continuants._tables against the linear oracle."""
+    A, B, prefix = contikit.continuants._tables(system, top)
+    assert len(A) == len(B) == top + 2 and len(prefix) == top + 1
+    for lam in range(top + 2):
+        pairs = [oracles.continuant_pair(system, nu, lam) for nu in range(-1, top + 1)]
+        assert A[lam] == [a for a, _ in pairs], lam
+        assert B[lam] == [b for _, b in pairs], lam
+    assert prefix == [math.prod(system.coeff_a(k) for k in range(1, j + 1)) for j in range(top + 1)]
+
+
+@settings(max_examples=60)
+@given(systems(), st.integers(0, 24))
+def test_tables_match_oracle(system, top):
+    assert_tables_match_oracle(system, top)
+
+
 @given(systems(), st.lists(identity_instances(), max_size=30))
-def test_verify_identities_matches_oracle(system, instances):
+def test_identity_failures_matches_oracle(system, instances):
     valid, expected = [], []
     for identity, params in instances:
         error = raised(lambda: oracle_report(system, identity, params))
@@ -242,27 +261,51 @@ def test_verify_identities_matches_oracle(system, instances):
             valid.append((identity, params))
             expected.append(oracle_report(system, identity, params))
         else:  # docagne/telescoping with lam < nu, and the like: same error, even mid-batch
-            assert raised(lambda: verify_identities(system, valid + [(identity, params)])) == error
-    reports = verify_identities(system, valid)
-    assert reports == expected
+            assert raised(lambda: identity_failures(system, valid + [(identity, params)])) == error
+    assert_tables_match_oracle(system, max([0] + [sum(params) for _, params in valid]))
+    assert identity_failures(system, valid) == []
     assert [verify_identity(system, *inst) for inst in valid] == expected
-    assert all(rep.equal for rep in reports)
+    assert all(rep.equal for rep in expected)
 
 
 @given(systems(), st.sampled_from(IDENTITIES + ("nope",)), st.lists(st.integers(-3, 12), max_size=4))
-def test_verify_identities_raises_like_verify_identity(system, identity, params):
+def test_identity_failures_raises_like_verify_identity(system, identity, params):
     params = tuple(params)
     expected = raised(lambda: verify_identity(system, identity, params))
-    assert raised(lambda: verify_identities(system, [(identity, params)])) == expected
+    assert raised(lambda: identity_failures(system, [(identity, params)])) == expected
 
 
-def test_verify_identities_large_indices():
+def test_identity_failures_large_indices():
     system = PeriodicSystem(d=3, a=(2, -1, 3), b=(0, 5, -2), b0=4, strict=False)
     batch = [("catalan", (3, 4)), ("cassini_A", (64, 1, 2)), ("docagne", (69, 7)),
              ("telescoping", (69, 3)), ("index_changing", (2, 64))]
-    reports = verify_identities(system, batch)
+    assert_tables_match_oracle(system, 76)  # the largest sum(params) in the batch
+    assert identity_failures(system, batch) == []
+    reports = [verify_identity(system, *inst) for inst in batch]
     assert reports == [oracle_report(system, *inst) for inst in batch]
     assert all(rep.equal for rep in reports)
+
+
+def test_identity_failures_reports_a_corrupted_table(monkeypatch):
+    system = PeriodicSystem(d=3, a=(2, -1, 3), b=(0, 5, -2), b0=4, strict=False)
+    batch = [inst for lam in range(8) for nu in range(8) for inst in
+             [("cassini_A", (lam, nu, 2)), ("cassini_B", (nu, lam, 1)), ("catalan", (lam, nu))]
+             + ([("docagne", (lam, nu))] if lam >= nu else [])]
+    random.Random(7).shuffle(batch)
+    assert identity_failures(system, batch) == []
+    tables = contikit.continuants._tables
+
+    def corrupted(system, top):
+        A, B, prefix = tables(system, top)
+        B[0][6] += 1  # B_{5,0}, and every row l = 0 mod d, which shares its list
+        return A, B, prefix
+
+    monkeypatch.setattr(contikit.continuants, "_tables", corrupted)
+    failures = identity_failures(system, batch)
+    assert failures
+    failed = [(rep.identity, rep.params) for rep in failures]
+    assert failed == [inst for inst in batch if inst in set(failed)]  # in input order
+    assert all(rep.lhs != rep.rhs and not rep.equal for rep in failures)
 
 
 @settings(max_examples=40)
