@@ -1,18 +1,19 @@
 """Generalized continuants A_{nu,lambda}, B_{nu,lambda} and their identities.
 
 Values are exact integers from the integer core (contikit.core); a single one
-costs O(d + log nu) ladder products.  Each identity has one evaluator over rows
-of A and B values, backed by continuant_pair in verify_identity, which returns
-one IdentityReport named tuple, and by one table per system in
-identity_failures, which returns reports only for the instances that fail.
+costs O(d + log nu) ladder products.  Each identity has one batch evaluator over
+rows of A, B and a-products.  verify_identity runs it on one instance with every
+value from continuant_pair; identity_failures runs it on (identity, [params, ...])
+batches over one table per system and reports only the instances that fail.
 An exact tridiagonal determinant is kept as an independent oracle.
 """
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -129,111 +130,124 @@ class IdentityReport(NamedTuple):
         return self.lhs == self.rhs
 
 
-class _Evaluators(dict):
-    """Identity name -> evaluator, which checks params and returns (lhs, rhs) from
-    rows A[l][n + 1] = A_{n,l}, B[l][n + 1] = B_{n,l} and prefix[k] = a_1 ... a_k."""
-
-    def __missing__(self, identity):
-        raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
-
-
-def _cassini(numerator: bool):
-    """Cassini's identity for X = A (numerator) or X = B."""
-    def evaluate(A, B, prefix, system, params):
+def _cassini(part: int, system, A, B, W, batch, every):
+    """Cassini's identity for X = A (part 0) or X = B (part 1); what instances with the
+    same (lam, nu) share is read once."""
+    X, lam0, nu0 = (A, B)[part][0], None, None
+    for params in batch:
         lam, nu, mu = params
-        if lam < 0 or nu < 0 or mu < 0:
-            raise IndexOutOfRange("cassini requires lam, nu, mu >= 0")
-        X, b_lam = (A[0] if numerator else B[0]), B[lam]
-        term = prefix[lam + nu] // prefix[lam] * X[lam] * B[nu + lam][mu]  # * (-1)^(nu-1)
-        return ((X[nu + lam + mu] * b_lam[nu],),
-                (X[nu + lam] * b_lam[nu + mu] + (term if nu % 2 else -term),))
-    return evaluate
+        if lam != lam0 or nu != nu0 or mu < 0:
+            if lam < 0 or nu < 0 or mu < 0:
+                raise IndexOutOfRange("cassini requires lam, nu, mu >= 0")
+            lam0, nu0, s, b_lam = lam, nu, lam + nu, B[lam]
+            b_s, x_s, b_nu = B[s], X[s], b_lam[nu]
+            term = W[lam][nu] * X[lam] * (1 if nu % 2 else -1)
+        lhs, rhs = X[s + mu] * b_nu, x_s * b_lam[nu + mu] + term * b_s[mu]
+        if lhs != rhs or every:
+            yield params, (lhs,), (rhs,)
 
 
-def _catalan(A, B, prefix, system, params):
-    lam, nu = params
-    if lam < 0 or nu < 0:
-        raise IndexOutOfRange("catalan requires lam, nu >= 0")
-    A0, B0, b_lam, b_next, a1 = A[0], B[0], B[lam], B[lam + 1], system.coeff_a(lam + 1)
-    return ((A0[nu + lam + 1], B0[nu + lam + 1]),
-            (A0[lam + 1] * b_lam[nu + 1] + a1 * A0[lam] * b_next[nu],
-             B0[lam + 1] * b_lam[nu + 1] + a1 * B0[lam] * b_next[nu]))
-
-
-def _docagne(A, B, prefix, system, params):
-    lam, nu = params
-    if nu < 0 or lam < nu:
-        raise IndexOutOfRange("docagne requires 0 <= nu <= lam")
-    A0, B0, gap = A[0], B[0], B[lam - nu]
-    prod = prefix[lam] // prefix[lam - nu] * (1 if nu % 2 else -1)
-    return ((A0[lam + 1] * gap[nu], B0[lam + 1] * gap[nu]),
-            (A0[lam] * gap[nu + 1] + prod * A0[lam - nu], B0[lam] * gap[nu + 1] + prod * B0[lam - nu]))
-
-
-def _index_changing(A, B, prefix, system, params):
-    lam, nu = params
-    if lam < 0 or nu < 1:
-        raise IndexOutOfRange("index_changing requires lam >= 0, nu >= 1")
-    return ((A[lam][nu + 1], B[lam][nu + 1]),
-            (system.coeff_b(lam) * A[lam + 1][nu] + system.coeff_a(lam + 1) * A[lam + 2][nu - 1],
-             system.coeff_b(lam + 1) * B[lam + 1][nu] + system.coeff_a(lam + 2) * B[lam + 2][nu - 1]))
-
-
-def _telescoping(A, B, prefix, system, params):
-    lam, nu = params
-    if nu < 0 or lam < nu:
-        raise IndexOutOfRange("telescoping requires 0 <= nu <= lam")
-    if (lam - nu) % system.d != 0:
-        raise IndexOutOfRange("telescoping requires d | (lam - nu)")
+def _catalan(system, A, B, W, batch, every):
     A0, B0 = A[0], B[0]
-    prod = prefix[lam] // prefix[lam - nu] * (-1 if nu % 2 else 1)
-    return ((A0[lam] * B0[nu + 1] - A0[lam + 1] * B0[nu],
-             B0[lam] * B0[nu + 1] - B0[lam + 1] * B0[nu]),
-            (prod * A0[lam - nu], prod * B0[lam - nu]))
+    for params in batch:
+        lam, nu = params
+        if lam < 0 or nu < 0:
+            raise IndexOutOfRange("catalan requires lam, nu >= 0")
+        x, y, a1 = B[lam][nu + 1], B[lam + 1][nu], W[lam][1]
+        la, lb = A0[nu + lam + 1], B0[nu + lam + 1]
+        ra, rb = A0[lam + 1] * x + a1 * A0[lam] * y, B0[lam + 1] * x + a1 * B0[lam] * y
+        if la != ra or lb != rb or every:
+            yield params, (la, lb), (ra, rb)
 
 
-_EVALUATORS = _Evaluators(cassini_A=_cassini(True), cassini_B=_cassini(False), catalan=_catalan,
-                          docagne=_docagne, index_changing=_index_changing, telescoping=_telescoping)
+def _docagne(system, A, B, W, batch, every):
+    A0, B0 = A[0], B[0]
+    for params in batch:
+        lam, nu = params
+        if nu < 0 or lam < nu:
+            raise IndexOutOfRange("docagne requires 0 <= nu <= lam")
+        g, g1, prod = B[lam - nu][nu], B[lam - nu][nu + 1], W[lam - nu][nu] * (1 if nu % 2 else -1)
+        la, lb = A0[lam + 1] * g, B0[lam + 1] * g
+        ra, rb = A0[lam] * g1 + prod * A0[lam - nu], B0[lam] * g1 + prod * B0[lam - nu]
+        if la != ra or lb != rb or every:
+            yield params, (la, lb), (ra, rb)
+
+
+def _index_changing(system, A, B, W, batch, every):
+    for params in batch:
+        lam, nu = params
+        if lam < 0 or nu < 1:
+            raise IndexOutOfRange("index_changing requires lam >= 0, nu >= 1")
+        la, lb = A[lam][nu + 1], B[lam][nu + 1]
+        ra = A[lam][1] * A[lam + 1][nu] + W[lam][1] * A[lam + 2][nu - 1]
+        rb = B[lam][2] * B[lam + 1][nu] + W[lam + 1][1] * B[lam + 2][nu - 1]
+        if la != ra or lb != rb or every:
+            yield params, (la, lb), (ra, rb)
+
+
+def _telescoping(system, A, B, W, batch, every):
+    A0, B0 = A[0], B[0]
+    for params in batch:
+        lam, nu = params
+        if nu < 0 or lam < nu:
+            raise IndexOutOfRange("telescoping requires 0 <= nu <= lam")
+        if (lam - nu) % system.d != 0:
+            raise IndexOutOfRange("telescoping requires d | (lam - nu)")
+        prod = W[lam - nu][nu] * (-1 if nu % 2 else 1)
+        la = A0[lam] * B0[nu + 1] - A0[lam + 1] * B0[nu]
+        lb = B0[lam] * B0[nu + 1] - B0[lam + 1] * B0[nu]
+        ra, rb = prod * A0[lam - nu], prod * B0[lam - nu]
+        if la != ra or lb != rb or every:
+            yield params, (la, lb), (ra, rb)
+
+
+# Identity name -> batch evaluator, which takes the system, rows A[l][n + 1] = A_{n,l},
+# B[l][n + 1] = B_{n,l} and W[l][k] = a_{l+1} ... a_{l+k}, and one identity's params list.
+# It checks the params in order and yields (params, lhs, rhs) for each instance whose sides
+# differ, or for every one if `every`.  b_l = A[l][1], b_{l+1} = B[l][2], a_{l+1} = W[l][1].
+_EVALUATORS = dict(cassini_A=partial(_cassini, 0), cassini_B=partial(_cassini, 1), catalan=_catalan,
+                   docagne=_docagne, index_changing=_index_changing, telescoping=_telescoping)
 IDENTITIES = tuple(_EVALUATORS)
 
 
-class _PairRows:
-    """rows[l][i] = continuant_pair(system, i - 1, l)[part], computed when read."""
+def _evaluate(system: PeriodicSystem, identity: str, rows, batch, every: bool = False) -> list:
+    """The evaluator's triples; an unknown identity or a params of the wrong length raises."""
+    if identity not in _EVALUATORS:
+        raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
+    try:
+        return list(_EVALUATORS[identity](system, *rows, batch, every))
+    except ValueError:  # only unpacking a params tuple of the wrong length raises it
+        takes = "(lam, nu, mu)" if identity.startswith("cassini") else "(lam, nu)"
+        bad = next(params for params in batch if len(params) != takes.count(",") + 1)
+        raise ValueError(f"{identity} takes {takes}, got {len(bad)} values") from None
 
-    def __init__(self, system: PeriodicSystem, part: int, lam: int | None = None):
-        self.system, self.part, self.lam = system, part, lam
+
+class _Rows:
+    """rows[l][i] = value(l, i), computed when read."""
+
+    def __init__(self, value, lam: int | None = None):
+        self.value, self.lam = value, lam
 
     def __getitem__(self, k: int):
-        if self.lam is None:
-            return _PairRows(self.system, self.part, k)
-        return continuant_pair(self.system, k - 1, self.lam)[self.part]
-
-
-class _APrefix:
-    """prefix[k] = a_1 ... a_k = (a_1 ... a_d)^(k // d) a_1 ... a_(k mod d), computed when read."""
-
-    def __init__(self, system: PeriodicSystem):
-        self.a = system.a
-
-    def __getitem__(self, k: int) -> int:
-        return math.prod(self.a) ** (k // len(self.a)) * math.prod(self.a[:k % len(self.a)])
+        return _Rows(self.value, k) if self.lam is None else self.value(self.lam, k)
 
 
 def _tables(system: PeriodicSystem, top: int):
-    """Rows A[l], B[l] of X_{-1,l} .. X_{top,l} for l <= top + 1, and prefix[k] for k <= top.
-    B_{n,l}, and A_{n,l} = b_l B_{n,l} + a_{l+1} B_{n-1,l+1} except at l = 0 (where b_l
-    is b_0), depend only on l mod d, so d walks give every row."""
-    d = system.d
+    """Rows A[l], B[l] of X_{-1,l} .. X_{top,l} and W[l] of a_{l+1} ... a_{l+k}, k <= top + 1,
+    for l <= top + 1.  W[l], B_{n,l}, and A_{n,l} = b_l B_{n,l} + a_{l+1} B_{n-1,l+1} except
+    at l = 0 (where b_l is b_0), depend only on l mod d, so d walks give every row."""
+    a, d = system.a, system.d
     b_rows = [walk(system, top, phi) for phi in range(d)]
 
     def a_row(b_l: int, phi: int) -> list[int]:
-        row, nxt, a_next = b_rows[phi], b_rows[(phi + 1) % d], system.a[phi]
+        row, nxt, a_next = b_rows[phi], b_rows[(phi + 1) % d], a[phi]
         return [1] + [b_l * row[i + 1] + a_next * nxt[i] for i in range(top + 1)]
 
     a_rows = [a_row(system.b[phi - 1], phi) for phi in range(d)]  # l = phi mod d, l >= 1
+    w_rows = [list(accumulate((a[(phi + j) % d] for j in range(top + 1)), operator.mul, initial=1))
+              for phi in range(d)]
     A = [a_row(system.b0, 0)] + [a_rows[l % d] for l in range(1, top + 2)]
-    B = [b_rows[l % d] for l in range(top + 2)]
-    return A, B, list(accumulate((system.coeff_a(k) for k in range(1, top + 1)), operator.mul, initial=1))
+    return A, [b_rows[l % d] for l in range(top + 2)], [w_rows[l % d] for l in range(top + 2)]
 
 
 def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ...]) -> IdentityReport:
@@ -247,21 +261,29 @@ def verify_identity(system: PeriodicSystem, identity: str, params: tuple[int, ..
       index_changing:        params = (lam, nu) with nu >= 1
       telescoping:           params = (lam, nu) with lam >= nu, d | (lam - nu)
     """
-    rows = _PairRows(system, 0), _PairRows(system, 1), _APrefix(system)
-    lhs, rhs = _EVALUATORS[identity](*rows, system, params)
+    a, d = system.a, system.d
+    rows = (_Rows(lambda l, i: continuant_pair(system, i - 1, l)[0]),
+            _Rows(lambda l, i: continuant_pair(system, i - 1, l)[1]),
+            _Rows(lambda l, k: math.prod(a) ** (k // d)
+                  * math.prod(a[(l + j) % d] for j in range(k % d))))
+    [(params, lhs, rhs)] = _evaluate(system, identity, rows, [params], every=True)
     return IdentityReport(identity, tuple(params), lhs, rhs)
 
 
 def identity_failures(system: PeriodicSystem,
-                      instances: Iterable[tuple[str, tuple[int, ...]]]) -> list[IdentityReport]:
-    """verify_identity's reports, in order, for the (identity, params) pairs whose sides
-    differ, so [] means every instance holds.  Errors are verify_identity's, in input
-    order; every value is read from one table walked to the largest sum(params)."""
-    instances = list(instances)
-    A, B, prefix = _tables(system, max([0] + [sum(params) for _, params in instances]))
-    failures = []
-    for identity, params in instances:
-        lhs, rhs = _EVALUATORS[identity](A, B, prefix, system, params)
-        if lhs != rhs:
-            failures.append(IdentityReport(identity, tuple(params), lhs, rhs))
-    return failures
+                      batches: Iterable[tuple[str, Sequence[tuple[int, ...]]]]) -> list[IdentityReport]:
+    """verify_identity's reports, in batch order, for the instances whose sides differ, so []
+    means every instance holds; a batch is an (identity, [params, ...]) pair.  Errors are
+    verify_identity's, at the first bad instance in batch order.  Every value is read from one
+    table, walked to the largest sum of a batch's last params or, if that is short, of any."""
+    batches = list(batches)
+
+    def reports(top: int) -> list[IdentityReport]:
+        rows = _tables(system, top)
+        return [IdentityReport(identity, tuple(params), lhs, rhs) for identity, batch in batches
+                for params, lhs, rhs in _evaluate(system, identity, rows, batch)]
+
+    try:  # a sorted batch ends on its largest params
+        return reports(max([0] + [sum(batch[-1]) for _, batch in batches if batch]))
+    except IndexError:
+        return reports(max([0] + [max(map(sum, batch)) for _, batch in batches if batch]))

@@ -30,8 +30,8 @@ IDENTITY: Matrix = ((1, 0), (0, 1))
 # ones jump whole periods with the ladder.  Measured on random systems with
 # coefficients 1..9 and d = 1..4 (Python 3.11), the walk costs 0.7-0.8x the
 # ladder at 8 steps and 2.2-2.7x at 32; they cross at 11-14 steps (16-20 against
-# square-and-multiply).  Batches of small queries, such as the identity sweeps
-# of `contikit paper`, read a table from `walk` instead (continuants.identity_failures).
+# square-and-multiply).  The identity sweeps of `contikit paper` read one table of d
+# walks per system instead, one loop per identity's params (continuants.identity_failures).
 # Reads mod m go through `residues` at every index and never walk past 2d - 2.
 WALK_BELOW = 12
 

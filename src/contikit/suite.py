@@ -82,20 +82,18 @@ def check_generating_function(rng: random.Random) -> SuiteRow:
 def check_identity_sweeps(rng: random.Random) -> SuiteRow:
     params = range(IDENTITY_PMAX + 1)
     pairs = list(itertools.product(params, repeat=2))  # (lam, nu)
-    # Only the telescoping instances (lam >= nu, d | lam - nu) depend on the system.
-    shared = ([("catalan", pair) for pair in pairs]
-              + [("docagne", (lam, nu)) for lam, nu in pairs if lam >= nu]
-              + [("index_changing", (lam, nu)) for lam, nu in pairs if nu >= 1]
-              + [(ident, triple) for ident in ("cassini_A", "cassini_B")
-                 for triple in itertools.product(params, repeat=3)])
+    triples = list(itertools.product(params, repeat=3))  # (lam, nu, mu)
+    # Only the telescoping batch (lam >= nu, d | lam - nu) depends on the system.
+    shared = [("catalan", pairs), ("docagne", [(lam, nu) for lam, nu in pairs if lam >= nu]),
+              ("index_changing", [(lam, nu) for lam, nu in pairs if nu >= 1]),
+              ("cassini_A", triples), ("cassini_B", triples)]
     failures = checked = 0
     for _ in range(IDENTITY_SYSTEMS):
         system = random_strict_system(rng)
-        telescoping = [("telescoping", (lam, nu)) for lam, nu in pairs
-                       if lam >= nu and (lam - nu) % system.d == 0]
-        instances = shared + telescoping
-        checked += len(instances)
-        failures += len(continuants.identity_failures(system, instances))
+        telescoping = [(lam, nu) for lam, nu in pairs if lam >= nu and (lam - nu) % system.d == 0]
+        batches = shared + [("telescoping", telescoping)]
+        checked += sum(len(batch) for _, batch in batches)
+        failures += len(continuants.identity_failures(system, batches))
     return _row("identity-sweeps", failures == 0, f"{checked} identity instances, {failures} failures")
 
 

@@ -119,9 +119,9 @@ def test_identity_sweep_checks_the_nested_loop_instances(monkeypatch):
     calls = []
     failures = continuants.identity_failures
 
-    def record(system, instances):
-        calls.append((system, list(instances)))
-        return failures(system, instances)
+    def record(system, batches):
+        calls.append((system, [(identity, params) for identity, batch in batches for params in batch]))
+        return failures(system, batches)
 
     monkeypatch.setattr(continuants, "identity_failures", record)
     row = suite.check_identity_sweeps(random.Random(20240801))

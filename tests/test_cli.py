@@ -278,6 +278,15 @@ def test_check_identity(capsys):
     assert json.loads(out)["equal"] is True
 
 
+@pytest.mark.parametrize("identity, params, message", [
+    ("telescoping", "3,1,0", "telescoping takes (lam, nu), got 3 values"),
+    ("cassini_A", "1,2", "cassini_A takes (lam, nu, mu), got 2 values"),
+])
+def test_check_identity_wrong_parameter_count_exit2(capsys, identity, params, message):
+    code, out, err = run(capsys, "check", "--sqrt", "8", "--identity", identity, f"--params={params}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_check_congruence(capsys):
     code, out, _ = run(capsys, "check", "--sqrt", "8", "--congruence-p", "7", "--json")
     assert code == 0
@@ -369,6 +378,14 @@ def test_paper_verb_deterministic(capsys):
     code, doc, _ = run(capsys, "paper", "--json")
     assert code == 0
     assert sha256(doc) == PAPER_JSON_SHA256
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_paper_passes_at_the_benchmark_seeds(capsys, seed):
+    code, out, _ = run(capsys, "paper", "--seed", seed, "--json")
+    rows = json.loads(out)["rows"]
+    assert code == 0
+    assert len(rows) == 13 and all(row["passed"] for row in rows)
 
 
 def test_python_dash_m_runs_the_cli():

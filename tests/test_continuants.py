@@ -151,7 +151,7 @@ def test_identity_report_is_a_named_tuple():
     assert rep.lhs == rep.rhs == (S8_A[3], S8_B[3])  # (A_3, B_3)
     assert rep.equal and not rep._replace(rhs=(0, 0)).equal
     assert hash(rep) == hash(tuple(rep))
-    assert identity_failures(S8, [("catalan", (2, 1))]) == []
+    assert identity_failures(S8, [("catalan", [(2, 1)])]) == []
     with pytest.raises(AttributeError):
         rep.lhs = (0, 0)
 

@@ -227,23 +227,28 @@ def raised(call):
     return None
 
 
+def takes(identity):
+    return 3 if identity.startswith("cassini") else 2
+
+
 @st.composite
-def identity_instances(draw):
+def identity_batches(draw):
     identity = draw(st.sampled_from(IDENTITIES))
-    size = 3 if identity.startswith("cassini") else 2
-    return identity, tuple(draw(st.lists(st.integers(0, 12), min_size=size, max_size=size)))
+    params = st.tuples(*[st.integers(0, 12)] * takes(identity))
+    return identity, draw(st.lists(params, max_size=8))
 
 
 def assert_tables_match_oracle(system, top):
-    """Every A[l][n + 1], B[l][n + 1] (l <= top + 1, -1 <= n <= top) and prefix[k]
-    (k <= top) of continuants._tables against the linear oracle."""
-    A, B, prefix = contikit.continuants._tables(system, top)
-    assert len(A) == len(B) == top + 2 and len(prefix) == top + 1
+    """Every A[l][n + 1], B[l][n + 1] (-1 <= n <= top) and W[l][k] (k <= top + 1) of
+    continuants._tables, for l <= top + 1, against the linear oracle and a product of a's."""
+    A, B, W = contikit.continuants._tables(system, top)
+    assert len(A) == len(B) == len(W) == top + 2
     for lam in range(top + 2):
         pairs = [oracles.continuant_pair(system, nu, lam) for nu in range(-1, top + 1)]
         assert A[lam] == [a for a, _ in pairs], lam
         assert B[lam] == [b for _, b in pairs], lam
-    assert prefix == [math.prod(system.coeff_a(k) for k in range(1, j + 1)) for j in range(top + 1)]
+        assert W[lam] == [math.prod(system.coeff_a(lam + j) for j in range(1, k + 1))
+                          for k in range(top + 2)], lam
 
 
 @settings(max_examples=60)
@@ -252,19 +257,24 @@ def test_tables_match_oracle(system, top):
     assert_tables_match_oracle(system, top)
 
 
-@given(systems(), st.lists(identity_instances(), max_size=30))
-def test_identity_failures_matches_oracle(system, instances):
+@given(systems(), st.lists(identity_batches(), max_size=5))
+def test_identity_failures_matches_oracle(system, batches):
     valid, expected = [], []
-    for identity, params in instances:
-        error = raised(lambda: oracle_report(system, identity, params))
-        if error is None:
-            valid.append((identity, params))
-            expected.append(oracle_report(system, identity, params))
-        else:  # docagne/telescoping with lam < nu, and the like: same error, even mid-batch
-            assert raised(lambda: identity_failures(system, valid + [(identity, params)])) == error
-    assert_tables_match_oracle(system, max([0] + [sum(params) for _, params in valid]))
+    for at, (identity, batch) in enumerate(batches):
+        kept = []
+        for i, params in enumerate(batch):
+            error = raised(lambda: oracle_report(system, identity, params))
+            if error is None:
+                kept.append(params)
+                expected.append(oracle_report(system, identity, params))
+            else:  # docagne/telescoping with lam < nu, and the like: the first error in batch order
+                rest = [(identity, kept + batch[i:])] + batches[at + 1:]
+                assert raised(lambda: identity_failures(system, valid + rest)) == error
+        valid.append((identity, kept))
+    assert_tables_match_oracle(system, max([0] + [sum(params) for _, batch in valid for params in batch]))
     assert identity_failures(system, valid) == []
-    assert [verify_identity(system, *inst) for inst in valid] == expected
+    reports = [verify_identity(system, identity, params) for identity, batch in valid for params in batch]
+    assert reports == expected
     assert all(rep.equal for rep in expected)
 
 
@@ -272,7 +282,12 @@ def test_identity_failures_matches_oracle(system, instances):
 def test_identity_failures_raises_like_verify_identity(system, identity, params):
     params = tuple(params)
     expected = raised(lambda: verify_identity(system, identity, params))
-    assert raised(lambda: identity_failures(system, [(identity, params)])) == expected
+    assert raised(lambda: identity_failures(system, [(identity, [params])])) == expected
+    if identity in IDENTITIES and len(params) != takes(identity):
+        names = "(lam, nu, mu)" if takes(identity) == 3 else "(lam, nu)"
+        assert expected == (ValueError, f"{identity} takes {names}, got {len(params)} values")
+    elif identity in IDENTITIES and min(params) < 0:
+        assert expected[0] is IndexOutOfRange
 
 
 def test_identity_failures_large_indices():
@@ -280,31 +295,52 @@ def test_identity_failures_large_indices():
     batch = [("catalan", (3, 4)), ("cassini_A", (64, 1, 2)), ("docagne", (69, 7)),
              ("telescoping", (69, 3)), ("index_changing", (2, 64))]
     assert_tables_match_oracle(system, 76)  # the largest sum(params) in the batch
-    assert identity_failures(system, batch) == []
+    assert identity_failures(system, [(identity, [params]) for identity, params in batch]) == []
     reports = [verify_identity(system, *inst) for inst in batch]
     assert reports == [oracle_report(system, *inst) for inst in batch]
     assert all(rep.equal for rep in reports)
 
 
 def test_identity_failures_reports_a_corrupted_table(monkeypatch):
+    # A batch evaluator reads once what instances with the same (lam, nu) share; on a
+    # corrupted table it must still report exactly what one-element batches report.
     system = PeriodicSystem(d=3, a=(2, -1, 3), b=(0, 5, -2), b0=4, strict=False)
-    batch = [inst for lam in range(8) for nu in range(8) for inst in
-             [("cassini_A", (lam, nu, 2)), ("cassini_B", (nu, lam, 1)), ("catalan", (lam, nu))]
-             + ([("docagne", (lam, nu))] if lam >= nu else [])]
-    random.Random(7).shuffle(batch)
-    assert identity_failures(system, batch) == []
+    pairs = [(lam, nu) for lam in range(8) for nu in range(8)]
+    instances = {
+        "cassini_A": [(lam, nu, mu) for lam, nu in pairs for mu in range(3)],
+        "cassini_B": [(nu, lam, mu) for lam, nu in pairs for mu in range(3)],
+        "catalan": pairs,
+        "docagne": [(lam, nu) for lam, nu in pairs if lam >= nu],
+        "index_changing": [(lam, nu) for lam, nu in pairs if nu >= 1],
+        "telescoping": [(lam, nu) for lam, nu in pairs if lam >= nu and (lam - nu) % 3 == 0],
+    }
+    assert sorted(instances) == sorted(IDENTITIES)
+    rng = random.Random(7)
+    shuffled = [(identity, rng.sample(batch, len(batch))) for identity, batch in instances.items()]
+    rng.shuffle(shuffled)
+    assert identity_failures(system, shuffled) == []
     tables = contikit.continuants._tables
 
     def corrupted(system, top):
-        A, B, prefix = tables(system, top)
-        B[0][6] += 1  # B_{5,0}, and every row l = 0 mod d, which shares its list
-        return A, B, prefix
+        A, B, W = tables(system, top)
+        for rows, lam, i in ((A, 2, 4), (B, 0, 6), (W, 1, 2)):  # A_{3,2}, B_{5,0}, a_3 a_4
+            if lam < len(rows) and i < len(rows[lam]):
+                rows[lam][i] += 1  # and every row l = lam mod d, which shares its list
+        return A, B, W
 
     monkeypatch.setattr(contikit.continuants, "_tables", corrupted)
-    failures = identity_failures(system, batch)
-    assert failures
-    failed = [(rep.identity, rep.params) for rep in failures]
-    assert failed == [inst for inst in batch if inst in set(failed)]  # in input order
+
+    def one_by_one(batches):
+        return [rep for identity, batch in batches for params in batch
+                for rep in identity_failures(system, [(identity, [params])])]
+
+    for identity, batch in shuffled:
+        for order in (batch, sorted(batch)):
+            expected = one_by_one([(identity, order)])
+            assert expected, identity  # the corruption reaches every identity
+            assert identity_failures(system, [(identity, order)]) == expected
+    failures = identity_failures(system, shuffled)
+    assert failures == one_by_one(shuffled)  # in batch order
     assert all(rep.lhs != rep.rhs and not rep.equal for rep in failures)
 
 
