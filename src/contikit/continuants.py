@@ -284,6 +284,10 @@ def identity_failures(system: PeriodicSystem,
                 for params, lhs, rhs in _evaluate(system, identity, rows, batch)]
 
     try:  # a sorted batch ends on its largest params
-        return reports(max([0] + [sum(batch[-1]) for _, batch in batches if batch]))
+        top = max([0] + [sum(batch[-1]) for _, batch in batches if batch])
+    except TypeError:  # sum() of an int: a flat (identity, params) pair
+        raise TypeError("identity_failures takes (identity, [params, ...]) pairs") from None
+    try:
+        return reports(top)
     except IndexError:
         return reports(max([0] + [max(map(sum, batch)) for _, batch in batches if batch]))

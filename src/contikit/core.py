@@ -8,16 +8,17 @@ Coefficients repeat with period d, so for nu = qd + r, P is the r-step product
 times M^q, where M = T_{lam+d} ... T_{lam+1} is the period matrix; its trace
 and negated determinant are C_d and D_d.
 
-Two primitives over Z: a forward walk that returns the prefix of B values, and
-a Lucas doubling ladder with three big products per bit (Joye and Quisquater,
-1996), which also runs over Z/m.  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I
+Three primitives over Z: a forward walk that returns the prefix of B values, a
+stride that yields a second-order recurrence one value at a time, and a Lucas
+doubling ladder with three big products per bit (Joye and Quisquater, 1996),
+which also runs over Z/m.  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I
 for a 2x2 matrix x with c = tr x, d = -det x and W_0 = 0, W_1 = 1,
 W_{j+1} = c W_j + d W_{j-1}.  The one reader of B mod m, `residues`, is built
 on that ladder.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .errors import IndexOutOfRange
 from .systems import PeriodicSystem
@@ -46,6 +47,13 @@ def walk(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
         prev, cur = cur, b[k] * cur + a[k] * prev
         seq.append(cur)
     return seq[: nu_max + 2]
+
+
+def stride(c: int, d: int, x: int, y: int) -> Iterator[int]:
+    """x, y, c y + d x, ...: the sequence X_{j+1} = c X_j + d X_{j-1} from X_0 = x, X_1 = y."""
+    while True:
+        yield x
+        x, y = y, c * y + d * x
 
 
 def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:

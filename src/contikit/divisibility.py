@@ -348,7 +348,7 @@ def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict
         return PseudoprimeVerdict(n, 0, 0, "inapplicable")
     eps = jacobi(reduced.delta, n)
     k = n - eps
-    residue = lucas(reduced.Cd, reduced.Dd, k, n)[0] * b_at(system, system.d - 1) % n  # B_{kd-1}
+    residue = lucas(reduced.Cd, reduced.Dd, k, n)[0] * reduced.Bd1 % n  # B_{kd-1}
     verdict = "probable_prime" if residue == 0 else "composite_proven"
     return PseudoprimeVerdict(n, eps, k * system.d - 1, verdict)
 

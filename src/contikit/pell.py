@@ -4,14 +4,17 @@ The expansion uses the classical (m, q) iteration; the period is closed at
 the first repetition of the (m, q) state, and the standard structural fact
 that the last partial quotient equals 2*floor(sqrt(N)) is checked.  The
 fundamental solution is one continuant from the integer core; later ones are
-its powers in Z[sqrt(N)].
+its powers in Z[sqrt(N)], read one at a time from the core's stride.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .continuants import continuant_pair
+from .core import stride
 from .errors import InvariantViolated, PerfectSquare
 from .systems import PeriodicSystem
 
@@ -72,23 +75,24 @@ def to_system(expansion: SqrtExpansion) -> PeriodicSystem:
     return PeriodicSystem(d=d, a=(1,) * d, b=expansion.period, b0=expansion.a0, strict=True)
 
 
-def pell_fundamental(n: int) -> PellSolution:
-    """Minimal (x, y) with x^2 - N y^2 = 1, from the period-boundary convergent."""
-    return pell_solutions(n, 1)[0]
-
-
-def pell_solutions(n: int, count: int) -> list[PellSolution]:
-    """The first `count` solutions: (x1, y1) is the continuant pair at the end
-    of the (doubled, when d is odd) period, and x_k + y_k sqrt(N) is its k-th
-    power, a root of t^2 - 2 x1 t + 1: X_{k+1} = 2 x1 X_k - X_{k-1} for X = x, y."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def _solutions(n: int) -> Iterator[PellSolution]:
+    """Every solution in order: (x1, y1) is the continuant pair at the end of the
+    (doubled, when d is odd) period, and x_k + y_k sqrt(N) is its k-th power, a
+    root of t^2 - 2 x1 t + 1: X_{k+1} = 2 x1 X_k - X_{k-1} for X = x, y."""
     expansion = expand_sqrt(n)
     d = expansion.d
     x1, y1 = continuant_pair(to_system(expansion), d - 1 if d % 2 == 0 else 2 * d - 1)
-    out = [PellSolution(x1, y1, n)]
-    x0, y0, x, y, t = 1, 0, x1, y1, 2 * x1
-    for _ in range(count - 1):
-        x0, y0, x, y = x, y, t * x - x0, t * y - y0
-        out.append(PellSolution(x, y, n))
-    return out
+    t = 2 * x1  # (x_2, y_2) = (t x1 - x_0, t y1 - y_0) with (x_0, y_0) = (1, 0)
+    return map(PellSolution, stride(t, -1, x1, t * x1 - 1), stride(t, -1, y1, t * y1), repeat(n))
+
+
+def pell_fundamental(n: int) -> PellSolution:
+    """Minimal (x, y) with x^2 - N y^2 = 1, from the period-boundary convergent."""
+    return next(_solutions(n))
+
+
+def pell_solutions(n: int, count: int) -> list[PellSolution]:
+    """The first `count` solutions."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return list(islice(_solutions(n), count))

@@ -24,6 +24,7 @@ from .systems import PeriodicSystem
 class ReducedRecurrence:
     Cd: int
     Dd: int
+    Bd1: int  # B_{d-1}; B_{nd-1} is stride(Cd, Dd, 0, Bd1) at n
 
     @property
     def delta(self) -> int:
@@ -31,11 +32,11 @@ class ReducedRecurrence:
 
 
 def reduce(system: PeriodicSystem) -> ReducedRecurrence:
-    """(C_d, D_d) as the trace and negated determinant of the period matrix."""
+    """C_d, D_d and B_{d-1}: the trace, negated determinant and corner of the period matrix."""
     (p, q), (r, s) = transfer(system, system.d)
     if r == 0:
         raise DivisionByZero("B_{d-1} = 0; the reduction divides by it")
-    return ReducedRecurrence(p + s, q * r - p * s)
+    return ReducedRecurrence(p + s, q * r - p * s, r)
 
 
 def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -127,7 +128,7 @@ def sqrt_step(system: PeriodicSystem, n: int) -> int:
     d = system.d
     reduced = reduce(system)
     b_nd = b_at(system, n * d - 1)
-    radicand = reduced.delta * b_nd ** 2 + 4 * (-reduced.Dd) ** n * b_at(system, d - 1) ** 2
+    radicand = reduced.delta * b_nd ** 2 + 4 * (-reduced.Dd) ** n * reduced.Bd1 ** 2
     if radicand < 0:
         raise NotAPerfectSquare(f"negative radicand {radicand}")
     root = math.isqrt(radicand)
@@ -147,8 +148,7 @@ def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     if reduced.Cd == 0:
         raise DegenerateDiscriminant("|alpha| = |beta| when C_d = 0")
     _, beta = roots(reduced)
-    seq = b_sequence(system, system.d + max(r, 0))
-    B = lambda nu: QuadraticNumber.rational(seq[nu + 1], reduced.delta)
+    B = lambda nu: QuadraticNumber.rational(b_at(system, nu), reduced.delta)
     if mode == "consecutive_terms":
         if r < 0:
             raise IndexOutOfRange("consecutive_terms requires r >= 0")
@@ -191,18 +191,18 @@ def remark_identities(system: PeriodicSystem, n: int) -> RemarkReport:
     if n < 1:
         raise IndexOutOfRange("requires n >= 1")
     d = system.d
-    reduced = reduce(system)
-    B = lambda nu: b_at(system, nu)
-    for idx in (d - 1, n * d - 1, 2 * n * d - 1):
-        if B(idx) == 0:
+    reduced = reduce(system)  # raises DivisionByZero when B_{d-1} = 0
+    bn, b2n, b4n = (b_at(system, k * n * d - 1) for k in (1, 2, 4))
+    for idx, value in ((n * d - 1, bn), (2 * n * d - 1, b2n)):
+        if value == 0:
             raise DivisionByZero(f"B_{idx} = 0")
     sq = lambda x: Fraction(x) * x
-    t1 = sq(B(2 * n * d - 1)) / sq(B(n * d - 1))
-    t2 = reduced.delta * sq(B(n * d - 1)) / sq(B(d - 1))
+    t1 = sq(b2n) / sq(bn)
+    t2 = reduced.delta * sq(bn) / sq(reduced.Bd1)
     return RemarkReport(
         identity1_lhs=t1 - t2,
         identity1_rhs=Fraction(4 * (-reduced.Dd) ** n),
         identity2_lhs=t1 + t2,
-        identity2_rhs_printed=2 * sq(B(4 * n * d - 1)) / sq(B(2 * n * d - 1)),
-        identity2_rhs_corrected=2 * Fraction(B(4 * n * d - 1)) / B(2 * n * d - 1),
+        identity2_rhs_printed=2 * sq(b4n) / sq(b2n),
+        identity2_rhs_corrected=2 * Fraction(b4n) / b2n,
     )

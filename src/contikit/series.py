@@ -2,27 +2,28 @@
 
 Partial sums are accumulated exactly in rationals whenever the terms are
 rational (the reciprocal/telescoping families) and in guarded high-precision
-arithmetic for the arctan/artanh and zeta-style families.  Closed forms are
-evaluated from exact quadratic-field data; only the final comparison is
-approximate, at an explicit tolerance 10^-(digits-5).
+arithmetic for the arctan/artanh and zeta-style families.  Each sum reads only
+the terms it names, one at a time from a stride of the integer core.  Closed
+forms are evaluated from exact quadratic-field data; only the final comparison
+is approximate, at an explicit tolerance 10^-(digits-5).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice, pairwise
 
 import mpmath
 
-from .continuants import b_sequence
-from .core import b_at
+from .core import b_at, stride
 from .errors import (
     HypothesisViolated,
     NoAdmissibleRoot,
     PoleAtRoot,
     PrecisionExhausted,
 )
-from .pell import expand_sqrt, pell_solutions, to_system
+from .pell import _solutions, expand_sqrt
 from .quadratic import QuadraticNumber
 from .recurrence import ReducedRecurrence, reduce, roots
 from .systems import PeriodicSystem
@@ -137,10 +138,9 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
     if reduced.delta <= 0:
         raise HypothesisViolated("telescoping sums require Delta > 0")
     alpha, beta = roots(reduced)
-    d = system.d
 
     if family == "millin":
-        if d != 2:
+        if system.d != 2:
             raise HypothesisViolated("millin analogue requires d = 2")
         a1a2 = system.a[0] * system.a[1]
         # The B index doubles per term; cap the term count rather than
@@ -153,31 +153,27 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         return _report(family, total, closed.mpf(ctx.digits + 10),
                        f"1/(b1*beta) = {closed}", count, ctx, total)
 
+    B = lambda: stride(reduced.Cd, reduced.Dd, 0, reduced.Bd1)  # B_{nd-1} at n = 0, 1, ...
     if family == "period_reciprocal":
-        seq = b_sequence(system, (ctx.max_terms + 2) * d)
-        B = lambda nu: seq[nu + 1]
-        terms = (Fraction((-reduced.Dd) ** (n - 1), B(n * d - 1) * B((n + 1) * d - 1))
-                 for n in range(1, ctx.max_terms + 1))
+        terms = (Fraction((-reduced.Dd) ** n, lo * hi)
+                 for n, (lo, hi) in zip(range(ctx.max_terms), pairwise(islice(B(), 1, None))))
         total, count = _sum_terms(terms, ctx)
-        closed = alpha / QuadraticNumber.rational(B(d - 1) ** 2, reduced.delta)
+        closed = alpha / QuadraticNumber.rational(reduced.Bd1 ** 2, reduced.delta)
         return _report(family, total, closed.mpf(ctx.digits + 10),
                        f"alpha/B_(d-1)^2 = {closed}", count, ctx, total)
 
     if reduced.Dd != 1:
         raise HypothesisViolated(f"{family} requires D_d = 1")
-    seq = b_sequence(system, (2 * ctx.max_terms + 4) * d)
-    B = lambda nu: seq[nu + 1]
+    _, b1, b2, b3 = islice(B(), 4)
     with mpmath.workdps(ctx.digits + 10):
         if family == "arctan":
-            closed = mpmath.atan(mpmath.mpf(B(d - 1)) / B(2 * d - 1))
-            symbolic = f"arctan({B(d - 1)}/{B(2 * d - 1)})"
-            terms = (mpmath.atan(mpmath.mpf(B(2 * d - 1)) / B((2 * n + 1) * d - 1))
-                     for n in range(1, ctx.max_terms + 1))
+            closed = mpmath.atan(mpmath.mpf(b1) / b2)
+            symbolic = f"arctan({b1}/{b2})"
+            terms = (mpmath.atan(mpmath.mpf(b2) / b) for b in islice(B(), 3, 2 * ctx.max_terms + 2, 2))
         else:
-            closed = mpmath.log(mpmath.mpf(B(3 * d - 1) + B(d - 1)) / (B(3 * d - 1) - B(d - 1))) / 2
-            symbolic = f"ln(({B(3 * d - 1)}+{B(d - 1)})/({B(3 * d - 1)}-{B(d - 1)}))/2"
-            terms = (mpmath.atanh(mpmath.mpf(B(2 * d - 1)) / B(2 * n * d - 1))
-                     for n in range(2, ctx.max_terms + 2))
+            closed = mpmath.log(mpmath.mpf(b3 + b1) / (b3 - b1)) / 2
+            symbolic = f"ln(({b3}+{b1})/({b3}-{b1}))/2"
+            terms = (mpmath.atanh(mpmath.mpf(b2) / b) for b in islice(B(), 4, 2 * ctx.max_terms + 3, 2))
     total, count = _sum_terms(terms, ctx)
     return _report(family, total, closed, symbolic, count, ctx)
 
@@ -186,25 +182,22 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
     expansion = expand_sqrt(n)
     if expansion.d % 2 != 0:
         raise HypothesisViolated(f"{family} requires an even period; sqrt({n}) has d={expansion.d}")
-    # Solutions must reach beyond the last term used: y_{2n+1} for pell_y2.
-    sols = pell_solutions(n, 2 * ctx.max_terms + 1)
-    x = [None] + [s.x for s in sols]
-    y = [None] + [s.y for s in sols]
-    x1, y1 = x[1], y[1]
+    first = next(sols := _solutions(n))
+    x1, y1 = first.x, first.y
+    pairs = islice(pairwise(chain([first], sols)), ctx.max_terms)  # (s_k, s_{k+1}), k >= 1
     delta = x1 * x1 - 1  # = N * y1^2
 
     if family == "pell_y":
-        terms = (Fraction(1, y[k] * y[k + 1]) for k in range(1, ctx.max_terms + 1))
+        terms = (Fraction(1, s.y * t.y) for s, t in pairs)
         closed = QuadraticNumber(Fraction(x1, y1 * y1), Fraction(-1, y1 * y1), delta)
         symbolic = f"(x1 - sqrt(x1^2-1))/y1^2 = {closed}"
     elif family == "pell_x":
-        terms = (Fraction(1, x[k] * x[k + 1]) for k in range(1, ctx.max_terms + 1))
+        terms = (Fraction(1, s.x * t.x) for s, t in pairs)
         closed = (QuadraticNumber(Fraction(x1), Fraction(-1), delta)
                   / QuadraticNumber(Fraction(0), Fraction(x1), delta))
         symbolic = f"(x1 - sqrt(x1^2-1))/(x1*sqrt(x1^2-1)) = {closed}"
-    else:  # pell_y2
-        terms = (Fraction(y[2 * k + 1], y[k] ** 2 * y[k + 1] ** 2)
-                 for k in range(1, ctx.max_terms + 1))
+    else:  # pell_y2: y_{2k+1} = x_k y_{k+1} + y_k x_{k+1}, from s_k s_{k+1} in Z[sqrt(N)]
+        terms = (Fraction(s.x * t.y + s.y * t.x, s.y ** 2 * t.y ** 2) for s, t in pairs)
         closed = QuadraticNumber.rational(Fraction(1, y1 ** 3), delta)
         symbolic = f"1/y1^3 = {closed}"
     total, count = _sum_terms(terms, ctx)
@@ -231,28 +224,26 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     if reduced.delta <= 0:
         raise HypothesisViolated("requires Delta > 0")
     alpha, _ = roots(reduced)
-    d = system.d
-    seq = b_sequence(system, (2 * ctx.max_terms + 1) * d)
-    B = lambda nu: seq[nu + 1]
+    b1 = reduced.Bd1
 
     with mpmath.workdps(ctx.digits + 10):
         sd = mpmath.sqrt(reduced.delta)
         if kind == "pi_over_6":
             lin, const = -mpmath.sqrt(3) * sd, -1
-            target = mpmath.pi * B(d - 1) / (6 * sd)
-            symbolic = f"pi*{B(d - 1)}/(6*sqrt({reduced.delta}))"
+            target = mpmath.pi * b1 / (6 * sd)
+            symbolic = f"pi*{b1}/(6*sqrt({reduced.delta}))"
         elif kind == "pi_over_8":
             lin, const = -(mpmath.sqrt(2) + 1) * sd, -1
-            target = mpmath.pi * B(d - 1) / (8 * sd)
-            symbolic = f"pi*{B(d - 1)}/(8*sqrt({reduced.delta}))"
+            target = mpmath.pi * b1 / (8 * sd)
+            symbolic = f"pi*{b1}/(8*sqrt({reduced.delta}))"
         elif kind == "ln3":
             lin, const = 2 * sd, 1
-            target = B(d - 1) * mpmath.log(3) / (2 * sd)
-            symbolic = f"{B(d - 1)}*ln(3)/(2*sqrt({reduced.delta}))"
+            target = b1 * mpmath.log(3) / (2 * sd)
+            symbolic = f"{b1}*ln(3)/(2*sqrt({reduced.delta}))"
         else:
             lin, const = 3 * sd, 1
-            target = B(d - 1) * mpmath.log(2) / (2 * sd)
-            symbolic = f"{B(d - 1)}*ln(2)/(2*sqrt({reduced.delta}))"
+            target = b1 * mpmath.log(2) / (2 * sd)
+            symbolic = f"{b1}*ln(2)/(2*sqrt({reduced.delta}))"
 
         # Roots of D z^2 + lin z + const = 0.
         disc = lin * lin - 4 * reduced.Dd * const
@@ -272,8 +263,9 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
             last = mpmath.mpf(0)
             tol = ctx.tolerance / 10
             count = 0
-            for k in range(ctx.max_terms):
-                term = mpmath.mpf(B((2 * k + 1) * d - 1)) / (2 * k + 1) * z ** (2 * k + 1)
+            odd = islice(stride(reduced.Cd, reduced.Dd, 0, b1), 1, None, 2)  # B_{(2k+1)d-1}
+            for k, b in zip(range(ctx.max_terms), odd):
+                term = mpmath.mpf(b) / (2 * k + 1) * z ** (2 * k + 1)
                 if kind in ("pi_over_6", "pi_over_8"):
                     term = term if k % 2 else -term  # (-1)^(k+1)
                 else:
@@ -334,19 +326,16 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         denom = xf * xf + Fraction(C, D) * xf - Fraction(1, D)
         if denom == 0:
             raise PoleAtRoot(f"x = {xf} is a root of D x^2 - C x - 1")
-        seq = b_sequence(system, (big_n + 1) * d + r)
-        B = lambda nu: seq[nu + 1]
-        lhs = sum((xf ** n) * B(n * d + r) for n in range(1, big_n + 1))
-        numer = xf ** (big_n + 1) * (Fraction(B((big_n + 1) * d + r), D) + xf * B(big_n * d + r)) \
-            - xf * (Fraction(B(d + r), D) + xf * B(r))
+        B = list(islice(stride(C, D, b_at(system, r), b_at(system, d + r)), big_n + 2))  # B_{nd+r}
+        lhs = sum((xf ** n) * B[n] for n in range(1, big_n + 1))
+        numer = xf ** (big_n + 1) * (Fraction(B[big_n + 1], D) + xf * B[big_n]) \
+            - xf * (Fraction(B[1], D) + xf * B[0])
         return ExactSumReport(kind, Fraction(lhs), numer / denom)
 
-    if kind == "binomial":
-        seq = b_sequence(system, 2 * big_n * d)
-        B = lambda nu: seq[nu + 1]
-        s = Fraction(-C, D)  # alpha + beta
-        lhs = sum(math.comb(big_n, n) * (-1) ** n * s ** n * B(n * d - 1)
-                  for n in range(1, big_n + 1))
-        return ExactSumReport(kind, Fraction(lhs), Fraction(B(2 * big_n * d - 1), D ** big_n))
+    if kind == "binomial":  # alpha + beta = -C/D; b = B_{nd-1}
+        lhs = sum(math.comb(big_n, n) * (-1) ** n * Fraction(-C, D) ** n * b
+                  for n, b in zip(range(1, big_n + 1), islice(stride(C, D, 0, reduced.Bd1), 1, None)))
+        rhs = Fraction(b_at(system, 2 * big_n * d - 1), D ** big_n)
+        return ExactSumReport(kind, Fraction(lhs), rhs)
 
     raise ValueError(f"unknown kind {kind!r}")

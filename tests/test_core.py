@@ -5,11 +5,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import contikit
@@ -19,6 +20,7 @@ from contikit import (
     IndexOutOfRange,
     PeriodicSystem,
     PrimalityUndecided,
+    ReducedRecurrence,
     b_sequence,
     binet,
     binet_negative,
@@ -28,6 +30,7 @@ from contikit import (
     continuant_pair,
     law_of_repetition_check,
     lucas_pseudoprime_test,
+    pell_fundamental,
     pell_solutions,
     pisano_bound,
     pisano_period,
@@ -38,7 +41,7 @@ from contikit import (
     verify_identity,
 )
 from contikit.cli import main
-from contikit.core import WALK_BELOW, b_at, lucas, power, residues, transfer, walk
+from contikit.core import WALK_BELOW, b_at, lucas, power, residues, stride, transfer, walk
 from contikit.divisibility import PSI_12, _is_prime
 import oracles
 
@@ -47,10 +50,10 @@ NU = st.integers(-1, max(60, 3 * WALK_BELOW))
 
 
 @st.composite
-def systems(draw, strict=None):
+def systems(draw, strict=None, max_d=4):
     """Strict systems, or signed non-strict ones (any nonzero a, any b)."""
     strict = draw(st.booleans()) if strict is None else strict
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max_d))
     if strict:
         coeff = st.integers(1, 9)
         a = draw(st.tuples(*[coeff] * d))
@@ -87,6 +90,42 @@ def test_power_matches_square_and_multiply(system, n):
 def test_lucas_matches_linear_walk(c, d, k, m):
     w = oracles.lucas_w(c, d, k + 1)
     assert lucas(c, d, k, m) == ((w[k], w[k + 1]) if m is None else (w[k] % m, w[k + 1] % m))
+
+
+@settings(max_examples=60)
+@given(systems(max_d=5))
+def test_stride_matches_linear(system):
+    # Every residue class obeys B_{nu+2d} = C_d B_{nu+d} + D_d B_nu from nu = -1, so two
+    # seeds give B_{nd+r} for all n; the B_{nd-1} class starts from 0 and the reduction's B_{d-1}.
+    d = system.d
+    full = oracles.b_values(system, 42 * d)  # index nu + 1 holds B_nu
+    (p, q), (t, s) = period_matrix(system)
+    c, dd = p + s, q * t - p * s
+    for r in range(-1, 2 * d + 1):
+        got = list(islice(stride(c, dd, b_at(system, r), b_at(system, d + r)), 41))
+        assert got == [full[n * d + r + 1] for n in range(41)], r
+    if reducible(system):
+        red = reduce(system)
+        assert red == ReducedRecurrence(c, dd, full[d])
+        assert list(islice(stride(red.Cd, red.Dd, 0, red.Bd1), 41)) == full[: 41 * d: d]
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 2000))
+@example(13)  # odd period: the fundamental solution ends the doubled period
+@example(61)
+def test_pell_stream_matches_composition(n):
+    assume(math.isqrt(n) ** 2 != n)
+    sols = pell_solutions(n, 24)
+    x1, y1 = sols[0].x, sols[0].y
+    assert sols[0] == pell_fundamental(n)
+    x, y = x1, y1
+    for sol in sols[1:]:  # x_{k+1} + y_{k+1} sqrt(N) = (x_1 + y_1 sqrt(N)) (x_k + y_k sqrt(N))
+        x, y = x1 * x + n * y1 * y, x1 * y + y1 * x
+        assert (sol.x, sol.y) == (x, y)
+    for k in range(1, 12):  # the pell_y2 terms read y_{2k+1} = x_k y_{k+1} + y_k x_{k+1}
+        s, t = sols[k - 1], sols[k]
+        assert sols[2 * k].y == s.x * t.y + s.y * t.x
 
 
 @given(systems(), NU, st.integers(0, 10))
@@ -288,6 +327,16 @@ def test_identity_failures_raises_like_verify_identity(system, identity, params)
         assert expected == (ValueError, f"{identity} takes {names}, got {len(params)} values")
     elif identity in IDENTITIES and min(params) < 0:
         assert expected[0] is IndexOutOfRange
+
+
+def test_identity_failures_rejects_flat_pairs():
+    # The flat (identity, params) form names the expected shape, not sum()'s int.
+    system = PeriodicSystem(d=2, a=(1, 1), b=(1, 4), b0=2)
+    for batches in ([("catalan", (2, 1))], [("catalan", []), ("cassini_A", (2, 1, 0))]):
+        with pytest.raises(TypeError) as exc:
+            identity_failures(system, batches)
+        assert str(exc.value) == "identity_failures takes (identity, [params, ...]) pairs"
+    assert identity_failures(system, [("catalan", [(2, 1)])]) == []
 
 
 def test_identity_failures_large_indices():

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +25,7 @@ from contikit.series import TELESCOPING_FAMILIES, ZETA_KINDS
 from contikit.suite import random_strict_system
 
 SQRT2 = to_system(expand_sqrt(2))
+SQRT_1000009 = to_system(expand_sqrt(1000009))  # period d = 743, D_d = 1
 
 
 def test_millin_s8_exact_partial():
@@ -88,6 +90,32 @@ def test_telescoping_sums_exhaust_precision(source, family, ctx, message):
     with pytest.raises(PrecisionExhausted) as exc:
         telescoping_sum(source, family, ctx)
     assert str(exc.value) == message
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: telescoping_sum(SQRT_1000009, "arctan", ctx),
+    lambda ctx: telescoping_sum(SQRT_1000009, "artanh", ctx),
+    lambda ctx: telescoping_sum(SQRT2, "period_reciprocal", ctx),
+    lambda ctx: telescoping_sum(SQRT2, "arctan", ctx),
+    lambda ctx: telescoping_sum(8, "pell_y", ctx),
+    lambda ctx: telescoping_sum(8, "pell_y2", ctx),
+    lambda ctx: zeta_series(S8, "pi_over_6", ctx),
+], ids=["arctan-d743", "artanh-d743", "period_reciprocal", "arctan", "pell_y", "pell_y2",
+        "pi_over_6"])
+def test_sums_read_only_the_terms_they_name(call):
+    # A term cap of 10^5 must not list 10^5 values ahead of a sum that needs a few dozen.
+    ctx = PrecisionContext(50, 100000)
+    assert call(ctx).terms < 100
+    assert peak_bytes(lambda: call(ctx)) < 2 ** 20
 
 
 def test_arctan_requires_unit_d():
