@@ -110,13 +110,10 @@ def continuant_determinant(system: PeriodicSystem, nu: int) -> tuple[int, int]:
 
 
 def convergent(system: PeriodicSystem, nu: int, lam: int = 0) -> Fraction:
-    """Depth-nu truncation of the continued fraction, bottom-up in rationals."""
+    """Depth-nu convergent A_{nu,lam}/B_{nu,lam}; ZeroDivisionError where B_{nu,lam} = 0."""
     if nu < 0:
         raise IndexOutOfRange(f"nu must be >= 0, got {nu}")
-    value = Fraction(system.coeff_b(lam + nu))
-    for k in range(nu - 1, -1, -1):
-        value = system.coeff_b(lam + k) + Fraction(system.coeff_a(lam + k + 1)) / value
-    return value
+    return Fraction(*continuant_pair(system, nu, lam))
 
 
 class IdentityReport(NamedTuple):

@@ -1,11 +1,11 @@
 """Divisibility, prime congruences, Pisano periods, rank of apparition,
 law of repetition and the Lucas-style pseudoprime test.
 
-Sequence values come from the integer core (contikit.core): every read mod p
-goes through its one reader, core.residues, which keeps O(d) values and reads
-B_{nd+r} from the Lucas sequence W of (C_d, D_d) on the ladder mod p; the
-pseudoprime test and the law of repetition use B_{kd-1} = W_k B_{d-1} directly.
-The congruence suite reads only the indices its clauses name.  Orders,
+Sequence values come from the integer core (contikit.core).  Reads mod p at
+period boundaries go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1}
+for the Lucas sequence W of (C_d, D_d), and reads at other indices through
+core.residues, which keeps O(d) values; the congruence suite reads only the
+indices its clauses name and the law of repetition reads W itself.  Orders,
 ranks of apparition and Pisano periods are each the least divisor of a known
 bound with some property, found by one search over the bound's prime factors
 (a factor that trial division below 2^20 cannot split is refused).  Every
@@ -202,7 +202,7 @@ class ApparitionReport:
     p: int
     case_tag: str
     omega: int | None
-    bound: int
+    bound: int  # L = p - (Delta|p), whose divisors the search runs over
     clause: str
     clause_holds: bool
 
@@ -210,20 +210,19 @@ class ApparitionReport:
 def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     """Least k >= 1 with p | B_{kd-1}, or None if there is none.
 
-    Unless p divides D_d but not B_{d-1}, omega is the least divisor of
-    L = p - (Delta|p) that works ((Delta|2) = -(C_d mod 2)), or None, failing
-    the clause, if p does not divide B_{Ld-1}.  Asserts the matching clause of
-    the apparition theorem.  When p | C_d the identity B_{2d-1} = C_d B_{d-1}
-    forces omega <= 2 whenever it exists; that (rather than the bare
-    "omega = 1") is what is checked for the p|C,p|D case.
+    Unless p divides D_d but not B_{d-1}, omega is the least divisor of the
+    bound L = p - (Delta|p) that works ((Delta|2) = -(C_d mod 2)), or None,
+    failing the clause, if p does not divide B_{Ld-1}.  Asserts the matching
+    clause of the apparition theorem.  When p | C_d the identity
+    B_{2d-1} = C_d B_{d-1} forces omega <= 2 whenever it exists; that (rather
+    than the bare "omega = 1") is what is checked for the p|C,p|D case.
     """
     _require_prime(p)
     reduced = reduce(system)
     tag = classify_case(reduced, p)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
     eps = -(C % 2) if p == 2 else jacobi(delta, p)
-    B = residues(system, p)
-    divides = lambda k: B(k * system.d - 1) == 0
+    divides = lambda k: reduced.boundary(k, p) == 0
     if D % p == 0 and not divides(1):
         omega = 2 if C % p == 0 else None
     else:
@@ -246,7 +245,7 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     else:
         clause = f"omega(p) | p - ({eps})"
         holds = omega is not None and (p - eps) % omega == 0
-    return ApparitionReport(p, tag, omega, p + 1, clause, holds)
+    return ApparitionReport(p, tag, omega, p - eps, clause, holds)
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -348,8 +347,7 @@ def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict
         return PseudoprimeVerdict(n, 0, 0, "inapplicable")
     eps = jacobi(reduced.delta, n)
     k = n - eps
-    residue = lucas(reduced.Cd, reduced.Dd, k, n)[0] * reduced.Bd1 % n  # B_{kd-1}
-    verdict = "probable_prime" if residue == 0 else "composite_proven"
+    verdict = "probable_prime" if reduced.boundary(k, n) == 0 else "composite_proven"
     return PseudoprimeVerdict(n, eps, k * system.d - 1, verdict)
 
 

@@ -2,10 +2,10 @@
 
 B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = tr M = B_{2d-1}/B_{d-1} and
 D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
-(Cayley-Hamilton), plus everything downstream of that reduction: closed forms
-at positive and negative indices through powers of M and of its adjugate,
-roots in Q(sqrt(Delta)), the generating-function check, ratio limits and the
-square-root stepping identity.
+(Cayley-Hamilton), so B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of
+(C_d, D_d) (ReducedRecurrence.boundary); plus closed forms at positive and
+negative indices through powers of M and its adjugate, roots in Q(sqrt(Delta)),
+the generating-function check, ratio limits and square-root stepping.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import b_sequence
-from .core import b_at, power, steps, transfer
+from .core import b_at, lucas, power, steps, transfer
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -29,6 +29,11 @@ class ReducedRecurrence:
     @property
     def delta(self) -> int:
         return self.Cd * self.Cd + 4 * self.Dd
+
+    def boundary(self, k: int, m: int | None = None) -> int:
+        """B_{kd-1} (mod m) for k >= 0: W_k B_{d-1} on the Lucas ladder of (C_d, D_d)."""
+        b = lucas(self.Cd, self.Dd, k, m)[0] * self.Bd1
+        return b if m is None else b % m
 
 
 def reduce(system: PeriodicSystem) -> ReducedRecurrence:
@@ -125,9 +130,8 @@ def sqrt_step(system: PeriodicSystem, n: int) -> int:
         raise IndexOutOfRange("requires n >= 1")
     if not system.strict:
         raise IndexOutOfRange("square-root stepping assumes a strict system")
-    d = system.d
     reduced = reduce(system)
-    b_nd = b_at(system, n * d - 1)
+    b_nd = reduced.boundary(n)
     radicand = reduced.delta * b_nd ** 2 + 4 * (-reduced.Dd) ** n * reduced.Bd1 ** 2
     if radicand < 0:
         raise NotAPerfectSquare(f"negative radicand {radicand}")
@@ -192,7 +196,7 @@ def remark_identities(system: PeriodicSystem, n: int) -> RemarkReport:
         raise IndexOutOfRange("requires n >= 1")
     d = system.d
     reduced = reduce(system)  # raises DivisionByZero when B_{d-1} = 0
-    bn, b2n, b4n = (b_at(system, k * n * d - 1) for k in (1, 2, 4))
+    bn, b2n, b4n = (reduced.boundary(k * n) for k in (1, 2, 4))
     for idx, value in ((n * d - 1, bn), (2 * n * d - 1, b2n)):
         if value == 0:
             raise DivisionByZero(f"B_{idx} = 0")

@@ -80,7 +80,7 @@ ZETA_KINDS = ("pi_over_6", "pi_over_8", "ln3", "ln2")
 
 def _report(family: str, partial, closed, symbolic: str, terms: int,
             ctx: PrecisionContext, partial_exact: Fraction | None = None,
-            extras: dict | None = None) -> SeriesReport:
+            extras: dict | None = None, tail=0) -> SeriesReport:
     with mpmath.workdps(ctx.digits + 10):
         partial = _to_mpf(partial)
         err = abs(partial - closed)
@@ -91,7 +91,7 @@ def _report(family: str, partial, closed, symbolic: str, terms: int,
             closed_symbolic=symbolic,
             abs_error=mpmath.nstr(err, 10),
             terms=terms,
-            converged=bool(err <= ctx.tolerance),
+            converged=bool(err <= ctx.tolerance or err <= tail),
             partial_exact=partial_exact,
             extras=extras or {},
         )
@@ -146,7 +146,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         # The B index doubles per term; cap the term count rather than
         # relying on max_terms alone.
         n_cap = min(ctx.max_terms, 14)
-        terms = (Fraction(a1a2) ** (2 ** (n - 1)) / b_at(system, 2 ** (n + 1) - 1)
+        terms = (Fraction(a1a2) ** (2 ** (n - 1)) / reduced.boundary(2 ** n)  # B_{2^(n+1)-1}
                  for n in range(1, n_cap + 1))
         total, count = _sum_terms(terms, ctx)
         closed = 1 / (system.b[0] * beta)
@@ -171,7 +171,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
             symbolic = f"arctan({b1}/{b2})"
             terms = (mpmath.atan(mpmath.mpf(b2) / b) for b in islice(B(), 3, 2 * ctx.max_terms + 2, 2))
         else:
-            closed = mpmath.log(mpmath.mpf(b3 + b1) / (b3 - b1)) / 2
+            closed = mpmath.atanh(mpmath.mpf(b1) / b3)  # = ln((b3+b1)/(b3-b1))/2, without cancelling
             symbolic = f"ln(({b3}+{b1})/({b3}-{b1}))/2"
             terms = (mpmath.atanh(mpmath.mpf(b2) / b) for b in islice(B(), 4, 2 * ctx.max_terms + 3, 2))
     total, count = _sum_terms(terms, ctx)
@@ -284,14 +284,11 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
             alt_total, _, _ = summation(cz)
             extras["compare_zeta"] = mpmath.nstr(cz, ctx.digits)
             extras["compare_residual"] = mpmath.nstr(abs(alt_total - target), 10)
-        report = _report(f"zeta_{kind}", total, target, symbolic, count, ctx, extras=extras)
         # Term count is driven by the geometric decay of |zeta*beta|; the
         # series counts as converged once the residual is inside the tail
         # bound implied by the last summed term (or the hard tolerance).
-        with mpmath.workdps(ctx.digits + 10):
-            err = abs(total - target)
-            report.converged = bool(err <= ctx.tolerance or err <= 4 * last)
-        return report
+        return _report(f"zeta_{kind}", total, target, symbolic, count, ctx, extras=extras,
+                       tail=4 * last)
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,6 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     if big_n < 1:
         raise ValueError("N must be >= 1")
     reduced = reduce(system)
-    d = system.d
     C, D = reduced.Cd, reduced.Dd
 
     if kind == "geometric":
@@ -326,7 +322,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         denom = xf * xf + Fraction(C, D) * xf - Fraction(1, D)
         if denom == 0:
             raise PoleAtRoot(f"x = {xf} is a root of D x^2 - C x - 1")
-        B = list(islice(stride(C, D, b_at(system, r), b_at(system, d + r)), big_n + 2))  # B_{nd+r}
+        B = list(islice(stride(C, D, b_at(system, r), b_at(system, system.d + r)), big_n + 2))  # B_{nd+r}
         lhs = sum((xf ** n) * B[n] for n in range(1, big_n + 1))
         numer = xf ** (big_n + 1) * (Fraction(B[big_n + 1], D) + xf * B[big_n]) \
             - xf * (Fraction(B[1], D) + xf * B[0])
@@ -335,7 +331,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     if kind == "binomial":  # alpha + beta = -C/D; b = B_{nd-1}
         lhs = sum(math.comb(big_n, n) * (-1) ** n * Fraction(-C, D) ** n * b
                   for n, b in zip(range(1, big_n + 1), islice(stride(C, D, 0, reduced.Bd1), 1, None)))
-        rhs = Fraction(b_at(system, 2 * big_n * d - 1), D ** big_n)
+        rhs = Fraction(reduced.boundary(2 * big_n), D ** big_n)
         return ExactSumReport(kind, Fraction(lhs), rhs)
 
     raise ValueError(f"unknown kind {kind!r}")

@@ -52,6 +52,16 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
     return a_cur, b_cur
 
 
+def convergent(system: PeriodicSystem, nu: int, lam: int = 0) -> Fraction:
+    """Depth-nu truncation of the continued fraction, bottom-up in rationals:
+    b_{lam+nu}, then b_{lam+k} + a_{lam+k+1}/value down to k = 0.  Raises
+    ZeroDivisionError wherever an inner tail is 0."""
+    value = Fraction(system.coeff_b(lam + nu))
+    for k in range(nu - 1, -1, -1):
+        value = system.coeff_b(lam + k) + Fraction(system.coeff_a(lam + k + 1)) / value
+    return value
+
+
 def b_values(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None) -> list[int]:
     """[B_{-1,lam}, ..., B_{nu_max,lam}] by the linear recurrence, each reduced mod m
     if m is given (step by step, so that long walks stay small)."""

@@ -18,6 +18,7 @@ from contikit import (
     IDENTITIES,
     ContikitError,
     IndexOutOfRange,
+    S8,
     PeriodicSystem,
     PrimalityUndecided,
     ReducedRecurrence,
@@ -28,6 +29,7 @@ from contikit import (
     continuant_matrix,
     expand_sqrt,
     continuant_pair,
+    convergent,
     law_of_repetition_check,
     lucas_pseudoprime_test,
     pell_fundamental,
@@ -36,10 +38,15 @@ from contikit import (
     pisano_period,
     rank_of_apparition,
     reduce,
+    remark_identities,
     identity_failures,
+    sqrt_step,
+    telescoping_sum,
     to_system,
     verify_identity,
+    weighted_sum_exact,
 )
+from contikit import core
 from contikit.cli import main
 from contikit.core import WALK_BELOW, b_at, lucas, power, residues, stride, transfer, walk
 from contikit.divisibility import PSI_12, _is_prime
@@ -110,6 +117,44 @@ def test_stride_matches_linear(system):
         assert list(islice(stride(red.Cd, red.Dd, 0, red.Bd1), 41)) == full[: 41 * d: d]
 
 
+PRIMES_BELOW_50 = [p for p in range(2, 50) if _is_prime(p)]
+
+
+@settings(max_examples=60)
+@given(systems(max_d=5), st.one_of(st.none(), st.sampled_from(PRIMES_BELOW_50)))
+def test_boundary_matches_linear(system, m):
+    # B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of (C_d, D_d), over Z or mod m.
+    assume(reducible(system))
+    d = system.d
+    full = oracles.b_values(system, 40 * d - 1, m=m)  # index kd holds B_{kd-1}
+    red = reduce(system)
+    assert [red.boundary(k, m) for k in range(41)] == full[:: d]
+
+
+def test_boundary_reads_take_one_period_product(monkeypatch):
+    # Each of these reads B only at period boundaries, so the period product of
+    # its one reduce is the only transfer step it takes.
+    taken = []
+    steps, walk_ = core.steps, core.walk
+    monkeypatch.setattr(core, "steps", lambda s, lam, n, x: taken.append(n) or steps(s, lam, n, x))
+    monkeypatch.setattr(core, "walk", lambda s, n, lam=0: taken.append(n) or walk_(s, n, lam))
+    system = to_system(expand_sqrt(1000003))
+    assert system.d == 458
+    calls = {
+        "sqrt_step": lambda: sqrt_step(system, 3),
+        "remark_identities": lambda: remark_identities(system, 2),
+        "rank_of_apparition": lambda: rank_of_apparition(system, 7),
+        "lucas_pseudoprime_test": lambda: lucas_pseudoprime_test(system, 1000033),
+        "binomial": lambda: weighted_sum_exact(system, "binomial", big_n=3),
+        "millin": lambda: telescoping_sum(S8, "millin"),
+    }
+    for name, call in calls.items():
+        taken.clear()
+        result = call()
+        assert getattr(result, "verdict", None) != "inapplicable"
+        assert sum(taken) <= (S8 if name == "millin" else system).d, name
+
+
 @settings(max_examples=40)
 @given(st.integers(2, 2000))
 @example(13)  # odd period: the fundamental solution ends the doubled period
@@ -131,6 +176,17 @@ def test_pell_stream_matches_composition(n):
 @given(systems(), NU, st.integers(0, 10))
 def test_continuant_pair_matches_linear(system, nu, lam):
     assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
+
+
+@given(systems(), st.integers(0, 40), st.integers(0, 10))
+def test_convergent_matches_bottom_up_walk(system, nu, lam):
+    # A_{nu,lam}/B_{nu,lam} is the walk's value wherever the walk is defined; where an
+    # inner tail of a non-strict system is 0 the walk divides by zero and A/B need not.
+    try:
+        expected = oracles.convergent(system, nu, lam)
+    except ZeroDivisionError:
+        return
+    assert convergent(system, nu, lam) == expected
 
 
 @given(systems(), NU, st.integers(0, 10))

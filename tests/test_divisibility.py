@@ -15,6 +15,7 @@ from contikit import (
     PeriodicSystem,
     b_sequence,
     congruence_suite,
+    expand_sqrt,
     divisibility_check,
     jacobi,
     law_of_repetition_check,
@@ -24,6 +25,7 @@ from contikit import (
     rank_of_apparition,
     reduce,
     strong_gcd_check,
+    to_system,
 )
 from contikit.core import residues, transfer
 from contikit import divisibility
@@ -153,6 +155,21 @@ def test_rank_of_apparition_examples():
     assert absent.omega is None and absent.clause_holds
 
 
+@pytest.mark.parametrize("system, p, tag, bound", [
+    (S8, 3, "p|C,p~D", 4),
+    (S8, 7, "QR", 6),
+    (S8, 5, "nonQR", 6),
+    (FIB, 5, "p|Delta", 5),
+    (FIB, 2, "p=2,odd", 3),  # (Delta|2) = -(C_d mod 2)
+    (PeriodicSystem(d=1, a=(3,), b=(1,)), 3, "p~C,p|D", 2),
+    (PeriodicSystem(d=1, a=(3,), b=(3,)), 3, "p|C,p|D", 3),
+])
+def test_rank_of_apparition_reports_its_search_bound(system, p, tag, bound):
+    # The search runs over the divisors of L = p - (Delta|p); the report names L.
+    rep = rank_of_apparition(system, p)
+    assert (rep.case_tag, rep.bound) == (tag, bound)
+
+
 def test_rank_of_apparition_random():
     rng = random.Random(89)
     primes = [p for p in range(2, 101) if _is_prime(p)]
@@ -244,6 +261,21 @@ def test_rank_of_apparition_at_a_large_prime_lists_nothing():
         tracemalloc.stop()
     assert (rep.case_tag, rep.omega, rep.clause_holds) == ("nonQR", 5000010, True)
     assert peak < 10 ** 6
+
+
+def test_rank_of_apparition_on_a_long_period_lists_nothing():
+    system = to_system(expand_sqrt(1000000007))
+    d = system.d  # 12 352
+    tracemalloc.start()
+    try:
+        rep = rank_of_apparition(system, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    residues_7 = b_values(system, rep.bound * d - 1, m=7)  # index kd holds B_{kd-1}
+    least = next((k for k in range(1, rep.bound + 1) if residues_7[k * d] == 0), None)
+    assert (rep.omega, rep.clause_holds) == (least, True)
 
 
 def test_pisano_bound_refuses_a_non_prime_modulus(monkeypatch):

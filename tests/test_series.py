@@ -73,6 +73,13 @@ def test_arctan_artanh_sqrt2():
         assert abs(mpmath.mpf(ah.closed_form) - mpmath.log(mpmath.mpf(3) / 2) / 2) < 1e-35
 
 
+def test_artanh_closed_form_does_not_cancel_on_a_long_period():
+    # B_{3d-1} dwarfs B_{d-1} at d = 743, so (B_{3d-1} + B_{d-1})/(B_{3d-1} - B_{d-1}) rounds to 1.
+    rep = telescoping_sum(SQRT_1000009, "artanh")
+    assert rep.closed_form == rep.partial_sum == "1.4406346767329472564728624662679743490190995464448e-743"
+    assert rep.converged
+
+
 @pytest.mark.parametrize("source, family, ctx, message", [
     (S8, "millin", PrecisionContext(20, 2), "2 terms did not reach the tolerance 10^-15"),
     # The millin B index doubles per term, so its stream stops after 14 terms.
