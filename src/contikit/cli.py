@@ -29,7 +29,7 @@ def _add_system_args(p: argparse.ArgumentParser):
                                "with a minus sign as --a=-1,2")
     p.add_argument("--b", help="comma-separated b_1..b_d; write a list that starts "
                                "with a minus sign as --b=-1,2")
-    p.add_argument("--b0", type=int, default=None, help="leading b_0 (default 1)")
+    p.add_argument("--b0", type=int, default=1, help="leading b_0 (default 1)")
     p.add_argument("--non-strict", action="store_true",
                    help="allow non-positive coefficients")
 
@@ -47,9 +47,7 @@ def _system_from_args(args) -> PeriodicSystem:
         raise ValueError("--d requires --a and --b")
     a = tuple(int(x) for x in args.a.split(","))
     b = tuple(int(x) for x in args.b.split(","))
-    return PeriodicSystem(d=args.d, a=a, b=b,
-                          b0=args.b0 if args.b0 is not None else 1,
-                          strict=not args.non_strict)
+    return PeriodicSystem(d=args.d, a=a, b=b, b0=args.b0, strict=not args.non_strict)
 
 
 def cmd_expand(args) -> int:

@@ -4,9 +4,9 @@ One step of X_k = b_k X_{k-1} + a_k X_{k-2} is the transfer matrix
 T_k = (b_k a_k; 1 0), which maps the column (X_{k-1}, X_{k-2}) to
 (X_k, X_{k-1}).  At shift lam, P = T_{lam+nu} ... T_{lam+1} has first column
 (B_{nu,lam}, B_{nu-1,lam}) and sends (b_lam, 1) to (A_{nu,lam}, A_{nu-1,lam}).
-Coefficients repeat with period d, so for nu = qd + r, P is the r-step product
-times M^q, where M = T_{lam+d} ... T_{lam+1} is the period matrix; its trace
-and negated determinant are C_d and D_d.
+Coefficients repeat with period d, so for nu = qd + r, P = P_r M^q for the period
+matrix M = T_{lam+d} ... T_{lam+1} (trace C_d, negated determinant D_d) and the
+r-step prefix P_r, which one walk of d steps passes on its way to M (`period`).
 
 Three primitives over Z: a forward walk that returns the prefix of B values, a
 stride that yields a second-order recurrence one value at a time, and a Lucas
@@ -27,13 +27,13 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Matrix = ((1, 0), (0, 1))
 
-# Single-index queries shorter than this many steps walk the whole way; longer
-# ones jump whole periods with the ladder.  Measured on random systems with
-# coefficients 1..9 and d = 1..4 (Python 3.11), the walk costs 0.7-0.8x the
-# ladder at 8 steps and 2.2-2.7x at 32; they cross at 11-14 steps (16-20 against
-# square-and-multiply).  The identity sweeps of `contikit paper` read one table of d
-# walks per system instead, one loop per identity's params (continuants.identity_failures).
-# Reads mod m go through `residues` at every index and never walk past 2d - 2.
+# Single-index queries below this many steps, or below d, are walked; longer ones walk
+# one period and jump whole periods with the ladder.  Measured on random systems with
+# coefficients 1..9 and d = 1..4 (Python 3.11), the walk costs 0.7-0.8x the ladder at 8
+# steps and 2.2-2.7x at 32; they cross at 11-14 steps (16-20 against square-and-multiply).
+# The identity sweeps of `contikit paper` read one table of d walks per system instead,
+# one loop per identity's params (continuants.identity_failures).  Reads mod m go
+# through `residues` at every index and never walk past 2d - 2.
 WALK_BELOW = 12
 
 
@@ -88,12 +88,26 @@ def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matrix
     return (p, q), (r, s)
 
 
+def mul(x: Matrix, y: Matrix) -> Matrix:
+    """The 2x2 product x y."""
+    (p, q), (r, s) = x
+    (e, f), (g, h) = y
+    return (p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h)
+
+
+def period(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[Matrix, Matrix]:
+    """(T_{lam+nu} ... T_{lam+1}, M) for nu = qd + r >= 0: P_r M^q, one walk of d steps."""
+    q, r = divmod(nu, system.d)
+    prefix = steps(system, lam, r, IDENTITY)
+    m = steps(system, lam + r, system.d - r, prefix)
+    return (mul(prefix, power(m, q)) if q else prefix), m
+
+
 def transfer(system: PeriodicSystem, nu: int, lam: int = 0) -> Matrix:
     """T_{lam+nu} ... T_{lam+1} for nu >= 0."""
-    if nu < WALK_BELOW:
+    if nu < WALK_BELOW or nu < system.d:
         return steps(system, lam, nu, IDENTITY)
-    q, r = divmod(nu, system.d)
-    return steps(system, lam, r, power(steps(system, lam, system.d, IDENTITY), q))
+    return period(system, nu, lam)[0]
 
 
 def b_at(system: PeriodicSystem, nu: int) -> int:

@@ -1,11 +1,11 @@
 """Divisibility, prime congruences, Pisano periods, rank of apparition,
 law of repetition and the Lucas-style pseudoprime test.
 
-Sequence values come from the integer core (contikit.core).  Reads mod p at
-period boundaries go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1}
-for the Lucas sequence W of (C_d, D_d), and reads at other indices through
-core.residues, which keeps O(d) values; the congruence suite reads only the
-indices its clauses name and the law of repetition reads W itself.  Orders,
+Sequence values come from the integer core (contikit.core).  Reads at period
+boundaries, over Z or mod p, go through ReducedRecurrence.boundary, B_{kd-1} =
+W_k B_{d-1} for the Lucas sequence W of (C_d, D_d), and reads at other indices
+through core.residues, which keeps O(d) values; the congruence suite reads only
+the indices its clauses name and the law of repetition reads W itself.  Orders,
 ranks of apparition and Pisano periods are each the least divisor of a known
 bound with some property, found by one search over the bound's prime factors
 (a factor that trial division below 2^20 cannot split is refused).  Every
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import b_at, lucas, residues
+from .core import lucas, period, residues
 from .errors import (HypothesisViolated, IndexOutOfRange, InputTooLarge, InvariantViolated,
                      PrimalityUndecided)
 from .recurrence import ReducedRecurrence, reduce
@@ -85,7 +85,8 @@ def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """B_{md-1} | B_{nd-1} whenever m | n."""
     if m < 1 or n < 1 or n % m != 0:
         raise ValueError(f"need positive m | n, got m={m}, n={n}")
-    lo, hi = b_at(system, m * system.d - 1), b_at(system, n * system.d - 1)
+    B = ReducedRecurrence.of(period(system, 0)[1]).boundary  # B_{d-1} = 0 is allowed here
+    lo, hi = B(m), B(n)
     if lo == 0:
         return hi == 0
     return hi % lo == 0
@@ -95,7 +96,7 @@ def strong_gcd_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """gcd(B_{md-1}, B_{nd-1}) == B_{gcd(m,n)d-1}."""
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    B = lambda k: b_at(system, k * system.d - 1)
+    B = ReducedRecurrence.of(period(system, 0)[1]).boundary  # k -> B_{kd-1}, even if B_{d-1} = 0
     return math.gcd(B(m), B(n)) == abs(B(math.gcd(m, n)))
 
 

@@ -53,9 +53,7 @@ def expand_sqrt(n: int) -> SqrtExpansion:
     if a0 * a0 == n:
         raise PerfectSquare(f"{n} is a perfect square")
     period = []
-    m, q = 0, 1
-    m = a0 * q - m  # state after emitting a0
-    q = (n - m * m) // q
+    m, q = a0, n - a0 * a0  # state after emitting a0
     first = (m, q)
     while True:
         ak = (a0 + m) // q

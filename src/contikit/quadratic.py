@@ -7,11 +7,19 @@ expressions exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 
 from .errors import DivisionByZero
+
+
+def text(x: int | Fraction) -> str:
+    """str(x) at any size: unlike str() of an int, Decimal has no limit on its digits."""
+    if isinstance(x, Fraction):
+        return text(x.numerator) + ("" if x.denominator == 1 else "/" + text(x.denominator))
+    return str(Decimal(x))
 
 
 def _as_fraction(x) -> Fraction:
@@ -33,22 +41,16 @@ class QuadraticNumber:
         object.__setattr__(self, "q", _as_fraction(self.q))
         object.__setattr__(self, "delta", int(self.delta))
 
-    def _check(self, other: "QuadraticNumber"):
-        if self.delta != other.delta:
-            raise ValueError(f"mixed radicands: sqrt({self.delta}) vs sqrt({other.delta})")
-
     @classmethod
     def rational(cls, x, delta: int) -> "QuadraticNumber":
         return cls(_as_fraction(x), Fraction(0), delta)
 
     def __add__(self, other):
         other = self._coerce(other)
-        self._check(other)
         return QuadraticNumber(self.p + other.p, self.q + other.q, self.delta)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        self._check(other)
         return QuadraticNumber(self.p - other.p, self.q - other.q, self.delta)
 
     def __neg__(self):
@@ -56,7 +58,6 @@ class QuadraticNumber:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        self._check(other)
         return QuadraticNumber(
             self.p * other.p + self.q * other.q * self.delta,
             self.p * other.q + self.q * other.p,
@@ -65,7 +66,6 @@ class QuadraticNumber:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        self._check(other)
         n = other.norm()
         if n == 0:
             raise DivisionByZero("division by a zero-norm quadratic number")
@@ -83,9 +83,12 @@ class QuadraticNumber:
         return self._coerce(other) / self
 
     def _coerce(self, other) -> "QuadraticNumber":
-        if isinstance(other, QuadraticNumber):
-            return other
-        return QuadraticNumber.rational(other, self.delta)
+        """other as a number of this field; mixed radicands raise ValueError."""
+        if not isinstance(other, QuadraticNumber):
+            return QuadraticNumber.rational(other, self.delta)
+        if self.delta != other.delta:
+            raise ValueError(f"mixed radicands: sqrt({self.delta}) vs sqrt({other.delta})")
+        return other
 
     def conjugate(self) -> "QuadraticNumber":
         return QuadraticNumber(self.p, -self.q, self.delta)
@@ -105,8 +108,8 @@ class QuadraticNumber:
 
     def __str__(self) -> str:
         if self.q == 0:
-            return str(self.p)
+            return text(self.p)
+        root = f"*sqrt({text(self.delta)})"
         if self.p == 0:
-            return f"{self.q}*sqrt({self.delta})"
-        sign = "+" if self.q > 0 else "-"
-        return f"{self.p} {sign} {abs(self.q)}*sqrt({self.delta})"
+            return text(self.q) + root
+        return f"{text(self.p)} {'+' if self.q > 0 else '-'} {text(abs(self.q))}{root}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import b_sequence
-from .core import b_at, lucas, power, steps, transfer
+from .core import IDENTITY, Matrix, lucas, mul, period, power, steps
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -30,6 +30,12 @@ class ReducedRecurrence:
     def delta(self) -> int:
         return self.Cd * self.Cd + 4 * self.Dd
 
+    @classmethod
+    def of(cls, mat: Matrix) -> ReducedRecurrence:
+        """C_d, D_d and B_{d-1}: the trace, negated determinant and corner of the period matrix."""
+        (p, q), (r, s) = mat
+        return cls(p + s, q * r - p * s, r)
+
     def boundary(self, k: int, m: int | None = None) -> int:
         """B_{kd-1} (mod m) for k >= 0: W_k B_{d-1} on the Lucas ladder of (C_d, D_d)."""
         b = lucas(self.Cd, self.Dd, k, m)[0] * self.Bd1
@@ -37,11 +43,20 @@ class ReducedRecurrence:
 
 
 def reduce(system: PeriodicSystem) -> ReducedRecurrence:
-    """C_d, D_d and B_{d-1}: the trace, negated determinant and corner of the period matrix."""
-    (p, q), (r, s) = transfer(system, system.d)
-    if r == 0:
+    """The reduction of the period matrix."""
+    return _nonzero(ReducedRecurrence.of(steps(system, 0, system.d, IDENTITY)))
+
+
+def reduce_at(system: PeriodicSystem, nu: int) -> tuple[ReducedRecurrence, Matrix, Matrix]:
+    """(reduce(system), T_nu ... T_1, M) for nu >= 0 from the one period walk of core.period."""
+    x, m = period(system, nu)
+    return _nonzero(ReducedRecurrence.of(m)), x, m
+
+
+def _nonzero(reduced: ReducedRecurrence) -> ReducedRecurrence:
+    if reduced.Bd1 == 0:
         raise DivisionByZero("B_{d-1} = 0; the reduction divides by it")
-    return ReducedRecurrence(p + s, q * r - p * s, r)
+    return reduced
 
 
 def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -57,17 +72,19 @@ def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]
     return alpha, beta
 
 
-def _require_closed_form(system: PeriodicSystem, n: int, r: int) -> None:
+def _closed_form(system: PeriodicSystem, n: int, r: int, nu: int) -> tuple[Matrix, Matrix]:
+    """T_nu ... T_1 and M from the period walk behind the Delta check."""
     if n < 0 or r < -1:
         raise IndexOutOfRange("requires n >= 0, r >= -1")
-    if reduce(system).delta == 0:
+    reduced, x, m = reduce_at(system, nu)
+    if reduced.delta == 0:
         raise DegenerateDiscriminant("Delta = 0")
+    return x, m
 
 
 def binet(system: PeriodicSystem, n: int, r: int) -> int:
     """B_{nd+r} read from the core's power of M, exact in integers."""
-    _require_closed_form(system, n, r)
-    return b_at(system, n * system.d + r)
+    return _closed_form(system, n, r, n * system.d + r + 1)[0][1][0]
 
 
 def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
@@ -78,10 +95,8 @@ def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
     Rationals appear when |a_nu| != 1, matching the backward recurrence
     B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu.
     """
-    _require_closed_form(system, n, r)
-    (p, q), (t, s) = transfer(system, system.d)
-    back = steps(system, 0, r + 1, power(((s, -q), (-t, p)), n))
-    return Fraction(back[1][0], (p * s - q * t) ** n)
+    x, ((p, q), (t, s)) = _closed_form(system, n, r, r + 1)
+    return Fraction(mul(x, power(((s, -q), (-t, p)), n))[1][0], (p * s - q * t) ** n)
 
 
 @dataclass(frozen=True)
@@ -104,16 +119,13 @@ def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
         raise IndexOutOfRange(f"need N >= 2d = {2 * d}, got {n_terms}")
     reduced = reduce(system)
     seq = b_sequence(system, n_terms)[1:]  # B_0 .. B_N
-    prod = [0] * (n_terms + 1)
+    prod = list(seq)
     for i, bn in enumerate(seq):
-        prod[i] += bn
         if i + d <= n_terms:
             prod[i + d] -= reduced.Cd * bn
         if i + 2 * d <= n_terms:
             prod[i + 2 * d] -= reduced.Dd * bn
-    numer = [0] * (2 * d)
-    for i in range(2 * d):
-        numer[i] += seq[i]
+    numer = seq[: 2 * d]
     for i in range(d):
         numer[i + d] -= reduced.Cd * seq[i]
     deg = n_terms - 2 * d
@@ -146,17 +158,19 @@ def sqrt_step(system: PeriodicSystem, n: int) -> int:
 
 def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}."""
-    reduced = reduce(system)
+    reduced, x, m = reduce_at(system, r % system.d)
     if reduced.delta <= 0:
         raise DegenerateDiscriminant("limits require Delta > 0")
     if reduced.Cd == 0:
         raise DegenerateDiscriminant("|alpha| = |beta| when C_d = 0")
     _, beta = roots(reduced)
-    B = lambda nu: QuadraticNumber.rational(b_at(system, nu), reduced.delta)
     if mode == "consecutive_terms":
         if r < 0:
             raise IndexOutOfRange("consecutive_terms requires r >= 0")
-        return (beta * B(system.d + r) - B(r)) / (beta * B(system.d + r - 1) - B(r - 1))
+        x = mul(x, power(m, r // system.d))  # T_r ... T_1, first column (B_r, B_{r-1})
+        y = mul(x, m)  # T_{d+r} ... T_1, first column (B_{d+r}, B_{d+r-1})
+        B = lambda t, i: QuadraticNumber.rational(t[i][0], reduced.delta)
+        return (beta * B(y, 0) - B(x, 0)) / (beta * B(y, 1) - B(x, 1))
     if mode == "consecutive_periods":
         if r < -1:
             raise IndexOutOfRange("consecutive_periods requires r >= -1")

@@ -16,7 +16,7 @@ from itertools import chain, islice, pairwise
 
 import mpmath
 
-from .core import b_at, stride
+from .core import mul, power, stride
 from .errors import (
     HypothesisViolated,
     NoAdmissibleRoot,
@@ -24,8 +24,8 @@ from .errors import (
     PrecisionExhausted,
 )
 from .pell import _solutions, expand_sqrt
-from .quadratic import QuadraticNumber
-from .recurrence import ReducedRecurrence, reduce, roots
+from .quadratic import QuadraticNumber, text
+from .recurrence import reduce, reduce_at, roots
 from .systems import PeriodicSystem
 
 
@@ -168,11 +168,11 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
     with mpmath.workdps(ctx.digits + 10):
         if family == "arctan":
             closed = mpmath.atan(mpmath.mpf(b1) / b2)
-            symbolic = f"arctan({b1}/{b2})"
+            symbolic = f"arctan({text(b1)}/{text(b2)})"
             terms = (mpmath.atan(mpmath.mpf(b2) / b) for b in islice(B(), 3, 2 * ctx.max_terms + 2, 2))
         else:
             closed = mpmath.atanh(mpmath.mpf(b1) / b3)  # = ln((b3+b1)/(b3-b1))/2, without cancelling
-            symbolic = f"ln(({b3}+{b1})/({b3}-{b1}))/2"
+            symbolic = "ln(({0}+{1})/({0}-{1}))/2".format(text(b3), text(b1))
             terms = (mpmath.atanh(mpmath.mpf(b2) / b) for b in islice(B(), 4, 2 * ctx.max_terms + 3, 2))
     total, count = _sum_terms(terms, ctx)
     return _report(family, total, closed, symbolic, count, ctx)
@@ -224,26 +224,26 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     if reduced.delta <= 0:
         raise HypothesisViolated("requires Delta > 0")
     alpha, _ = roots(reduced)
-    b1 = reduced.Bd1
+    b1, root = reduced.Bd1, f"sqrt({text(reduced.delta)})"
 
     with mpmath.workdps(ctx.digits + 10):
         sd = mpmath.sqrt(reduced.delta)
         if kind == "pi_over_6":
             lin, const = -mpmath.sqrt(3) * sd, -1
             target = mpmath.pi * b1 / (6 * sd)
-            symbolic = f"pi*{b1}/(6*sqrt({reduced.delta}))"
+            symbolic = f"pi*{text(b1)}/(6*{root})"
         elif kind == "pi_over_8":
             lin, const = -(mpmath.sqrt(2) + 1) * sd, -1
             target = mpmath.pi * b1 / (8 * sd)
-            symbolic = f"pi*{b1}/(8*sqrt({reduced.delta}))"
+            symbolic = f"pi*{text(b1)}/(8*{root})"
         elif kind == "ln3":
             lin, const = 2 * sd, 1
             target = b1 * mpmath.log(3) / (2 * sd)
-            symbolic = f"{b1}*ln(3)/(2*sqrt({reduced.delta}))"
+            symbolic = f"{text(b1)}*ln(3)/(2*{root})"
         else:
             lin, const = 3 * sd, 1
             target = b1 * mpmath.log(2) / (2 * sd)
-            symbolic = f"{b1}*ln(2)/(2*sqrt({reduced.delta}))"
+            symbolic = f"{text(b1)}*ln(2)/(2*{root})"
 
         # Roots of D z^2 + lin z + const = 0.
         disc = lin * lin - 4 * reduced.Dd * const
@@ -312,7 +312,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    reduced = reduce(system)
+    reduced, head, m = reduce_at(system, (r + 1) % system.d)
     C, D = reduced.Cd, reduced.Dd
 
     if kind == "geometric":
@@ -322,7 +322,8 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         denom = xf * xf + Fraction(C, D) * xf - Fraction(1, D)
         if denom == 0:
             raise PoleAtRoot(f"x = {xf} is a root of D x^2 - C x - 1")
-        B = list(islice(stride(C, D, b_at(system, r), b_at(system, system.d + r)), big_n + 2))  # B_{nd+r}
+        head = mul(head, power(m, (r + 1) // system.d))  # T_{r+1} ... T_1, corner B_r
+        B = list(islice(stride(C, D, head[1][0], mul(head, m)[1][0]), big_n + 2))  # B_{nd+r}
         lhs = sum((xf ** n) * B[n] for n in range(1, big_n + 1))
         numer = xf ** (big_n + 1) * (Fraction(B[big_n + 1], D) + xf * B[big_n]) \
             - xf * (Fraction(B[1], D) + xf * B[0])

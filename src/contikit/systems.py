@@ -25,17 +25,16 @@ class PeriodicSystem:
     strict: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        a, b = tuple(map(int, self.a)), tuple(map(int, self.b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if self.d < 1:
             raise InvalidSystem(f"period d must be >= 1, got {self.d}")
-        if len(self.a) != self.d or len(self.b) != self.d:
-            raise InvalidSystem(
-                f"need {self.d} coefficients, got {len(self.a)} a's and {len(self.b)} b's"
-            )
-        if any(x == 0 for x in self.a):
+        if len(a) != self.d or len(b) != self.d:
+            raise InvalidSystem(f"need {self.d} coefficients, got {len(a)} a's and {len(b)} b's")
+        if 0 in a:
             raise InvalidSystem("partial numerators a_i must be nonzero")
-        if self.strict and (any(x < 1 for x in self.a) or any(x < 1 for x in self.b)):
+        if self.strict and (min(a) < 1 or min(b) < 1):
             raise InvalidSystem("strict mode requires a_i >= 1 and b_i >= 1")
 
     def coeff_a(self, nu: int) -> int:

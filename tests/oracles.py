@@ -38,6 +38,14 @@ def lucas_w(c, d, k):
     return w[: k + 1]
 
 
+def transfer(system: PeriodicSystem, nu: int, lam: int = 0):
+    """T_{lam+nu} ... T_{lam+1}, T_k = (b_k a_k; 1 0), multiplied out one matrix at a time."""
+    product = ((1, 0), (0, 1))
+    for k in range(lam + 1, lam + nu + 1):
+        product = mat_mul(((system.coeff_b(k), system.coeff_a(k)), (1, 0)), product)
+    return product
+
+
 def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int, int]:
     """(A_{nu,lam}, B_{nu,lam}) by the linear forward recurrence, nu >= -1."""
     a_prev, a_cur = 1, system.coeff_b(lam)  # A_{-1}, A_0

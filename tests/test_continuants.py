@@ -172,15 +172,20 @@ def test_verify_identity_reads_continuant_pair():
 
 
 def test_system_validation():
-    with pytest.raises(InvalidSystem):
-        PeriodicSystem(d=0, a=(), b=())
-    with pytest.raises(InvalidSystem):
-        PeriodicSystem(d=2, a=(1,), b=(1, 2))
-    with pytest.raises(InvalidSystem):
-        PeriodicSystem(d=1, a=(0,), b=(1,))
-    with pytest.raises(InvalidSystem):
-        PeriodicSystem(d=1, a=(-1,), b=(1,))  # strict mode
+    # The checks run in this order, so each case reports the first rule it breaks.
+    for kwargs, message in [
+        (dict(d=0, a=(0,), b=(-1, 2)), "period d must be >= 1, got 0"),
+        (dict(d=2, a=(0,), b=(1, 2)), "need 2 coefficients, got 1 a's and 2 b's"),
+        (dict(d=2, a=(-1, 0), b=(1, 2)), "partial numerators a_i must be nonzero"),
+        (dict(d=1, a=(-1,), b=(1,)), "strict mode requires a_i >= 1 and b_i >= 1"),
+        (dict(d=2, a=(1, 1), b=(1, 0)), "strict mode requires a_i >= 1 and b_i >= 1"),
+    ]:
+        with pytest.raises(InvalidSystem) as exc:
+            PeriodicSystem(**kwargs)
+        assert str(exc.value) == message
     PeriodicSystem(d=1, a=(-1,), b=(1,), strict=False)
+    system = PeriodicSystem(d=2, a=[1, 2], b=iter(("3", 4)))
+    assert (system.a, system.b) == ((1, 2), (3, 4))
 
 
 def test_system_json_roundtrip_big_ints():

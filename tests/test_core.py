@@ -30,7 +30,9 @@ from contikit import (
     expand_sqrt,
     continuant_pair,
     convergent,
+    divisibility_check,
     law_of_repetition_check,
+    limit_ratio,
     lucas_pseudoprime_test,
     pell_fundamental,
     pell_solutions,
@@ -41,6 +43,7 @@ from contikit import (
     remark_identities,
     identity_failures,
     sqrt_step,
+    strong_gcd_check,
     telescoping_sum,
     to_system,
     verify_identity,
@@ -77,10 +80,7 @@ def reducible(system):
 
 def period_matrix(system):
     """M = T_d ... T_1 with T_k = (b_k a_k; 1 0), multiplied out by the oracle."""
-    product = ((1, 0), (0, 1))
-    for k in range(1, system.d + 1):
-        product = oracles.mat_mul(((system.coeff_b(k), system.coeff_a(k)), (1, 0)), product)
-    return product
+    return oracles.transfer(system, system.d)
 
 
 MODULI = st.one_of(st.none(), st.just(1), st.integers(2, 10 ** 6))
@@ -132,14 +132,17 @@ def test_boundary_matches_linear(system, m):
 
 
 def test_boundary_reads_take_one_period_product(monkeypatch):
-    # Each of these reads B only at period boundaries, so the period product of
-    # its one reduce is the only transfer step it takes.
+    # Each of these walks at most one period, once: the reads at period boundaries
+    # take the period product of their one reduce, and a read at any other index
+    # takes its r-step prefix on the way to the period matrix M, as does the Delta
+    # check of a closed form.
     taken = []
     steps, walk_ = core.steps, core.walk
     monkeypatch.setattr(core, "steps", lambda s, lam, n, x: taken.append(n) or steps(s, lam, n, x))
     monkeypatch.setattr(core, "walk", lambda s, n, lam=0: taken.append(n) or walk_(s, n, lam))
-    system = to_system(expand_sqrt(1000003))
-    assert system.d == 458
+    system, odd = to_system(expand_sqrt(1000003)), to_system(expand_sqrt(1000009))
+    d = system.d
+    assert (d, odd.d) == (458, 743)
     calls = {
         "sqrt_step": lambda: sqrt_step(system, 3),
         "remark_identities": lambda: remark_identities(system, 2),
@@ -147,12 +150,50 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
         "lucas_pseudoprime_test": lambda: lucas_pseudoprime_test(system, 1000033),
         "binomial": lambda: weighted_sum_exact(system, "binomial", big_n=3),
         "millin": lambda: telescoping_sum(S8, "millin"),
+        "binet": lambda: binet(system, 7, 5),
+        "binet_negative": lambda: binet_negative(system, 3, 2),
+        "limit_ratio": lambda: limit_ratio(system, "consecutive_terms", d + 5),
+        "geometric": lambda: weighted_sum_exact(system, "geometric", x=Fraction(1, 7), big_n=3, r=4),
+        "divisibility_check": lambda: divisibility_check(system, 2, 6),
+        "strong_gcd_check": lambda: strong_gcd_check(system, 4, 6),
+        "pell_solutions even d": lambda: pell_solutions(1000003, 2),
+        "pell_solutions odd d": lambda: pell_solutions(1000009, 2),
+        # q = 0 inside and at the end of the first period, then q >= 1.
+        **{f"continuant_pair {nu}": lambda nu=nu: continuant_pair(system, nu)
+           for nu in (WALK_BELOW + 3, d - 1, d, d + 7, 10 * d + 3, 10 ** 5)},
     }
     for name, call in calls.items():
         taken.clear()
         result = call()
         assert getattr(result, "verdict", None) != "inapplicable"
-        assert sum(taken) <= (S8 if name == "millin" else system).d, name
+        budget = {"millin": S8.d, "pell_solutions odd d": odd.d}.get(name, d)
+        assert sum(taken) <= budget, (name, sum(taken))
+    taken.clear()
+    pell_solutions(1000003, 2)
+    assert sum(taken) == d - 1  # the even-period solution ends the first period
+
+
+# A period long enough that reads inside it reach past WALK_BELOW.
+LONG = PeriodicSystem(d=30, a=tuple(range(1, 31)), b=tuple(k % 9 + 1 for k in range(30)), b0=3)
+
+
+@st.composite
+def long_period_reads(draw):
+    """(system, nu, lam) with d up to 40, nu in [0, 3d + 2] and lam in [0, 2d]: every case
+    of nu = qd + r, from q = 0 with nu >= WALK_BELOW to q = 3."""
+    system = draw(systems(max_d=40))
+    return system, draw(st.integers(0, 3 * system.d + 2)), draw(st.integers(0, 2 * system.d))
+
+
+@settings(max_examples=150)
+@given(long_period_reads())
+@example((LONG, 20, 7))  # q = 0, nu >= WALK_BELOW: the walk stops after nu steps
+@example((LONG, 30, 0))
+@example((LONG, 2 * 30 + 5, 31))
+def test_transfer_matches_stepwise_product(read):
+    system, nu, lam = read
+    assert transfer(system, nu, lam) == oracles.transfer(system, nu, lam)
+    assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
 
 
 @settings(max_examples=40)

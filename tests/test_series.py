@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,12 +11,16 @@ from contikit import (
     FIB,
     S8,
     HypothesisViolated,
+    NoAdmissibleRoot,
     PoleAtRoot,
     PeriodicSystem,
     PrecisionContext,
     PrecisionExhausted,
+    QuadraticNumber,
     b_sequence,
     expand_sqrt,
+    reduce,
+    roots,
     telescoping_sum,
     to_system,
     weighted_sum_exact,
@@ -123,6 +128,30 @@ def test_sums_read_only_the_terms_they_name(call):
     ctx = PrecisionContext(50, 100000)
     assert call(ctx).terms < 100
     assert peak_bytes(lambda: call(ctx)) < 2 ** 20
+
+
+def test_huge_closed_forms_build_under_the_default_digit_limit():
+    # Python refuses str() of an int above 4300 digits by default.  The CLI lifts that
+    # limit for its whole process (so an earlier CLI test may have), and a library call
+    # must not need it: B_{d-1}^2 of sqrt(100000007), d = 6524, has 6658 digits.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        pytest.skip("this Python has no int -> str digit limit")
+    system, old = to_system(expand_sqrt(100000007)), sys.get_int_max_str_digits()
+    set_digits(4300)
+    try:
+        rep = telescoping_sum(system, "period_reciprocal")
+        with pytest.raises(NoAdmissibleRoot):  # its own refusal, not the digit limit's ValueError
+            zeta_series(system, "pi_over_6")
+        set_digits(0)
+        reduced = reduce(system)
+        closed = roots(reduced)[0] / QuadraticNumber.rational(reduced.Bd1 ** 2, reduced.delta)
+        sign = "+" if closed.q > 0 else "-"
+        expected = f"alpha/B_(d-1)^2 = {closed.p} {sign} {abs(closed.q)}*sqrt({closed.delta})"
+    finally:
+        set_digits(old)
+    assert len(expected) > 4300
+    assert rep.closed_symbolic == expected
 
 
 def test_arctan_requires_unit_d():
