@@ -28,6 +28,7 @@ from .divisibility import (
     lucas_pseudoprime_test,
     pisano_bound,
     pisano_period,
+    pseudoprime_scan,
     rank_of_apparition,
     strong_gcd_check,
 )

@@ -7,11 +7,7 @@ run), 2 on bad input or violated hypotheses.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures  # loads ProcessPoolExecutor, and multiprocessing, on first use
-import contextlib
-import functools
 import json
-import os
 import sys
 
 from . import divisibility, pell, recurrence, series, suite
@@ -140,38 +136,23 @@ def cmd_check(args) -> int:
     raise ValueError("check needs --identity or --congruence-p")
 
 
-def _scan_one(system: PeriodicSystem, n: int) -> dict:
-    return divisibility.lucas_pseudoprime_test(system, n).to_dict()
-
-
 def cmd_pseudoprime(args) -> int:
     system = _system_from_args(args)
     if args.candidate is not None:
-        verdict = divisibility.lucas_pseudoprime_test(system, args.candidate)
-        print(json.dumps(verdict.to_dict()) if args.json
-              else f"n = {verdict.n}: {verdict.verdict} "
-                   f"(epsilon = {verdict.epsilon}, tested B index {verdict.tested_index})")
-        return 0
-    if args.range is None:
+        candidates = [args.candidate]
+    elif args.range is None:
         raise ValueError("pseudoprime needs --candidate or --range lo:hi")
+    else:
+        try:
+            lo, hi = map(int, args.range.split(":"))
+        except ValueError:
+            raise ValueError(f"--range takes LO:HI, got {args.range!r}") from None
+        candidates = range(max(lo, 3) | 1, hi + 1, 2)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    lo, hi = (int(x) for x in args.range.split(":"))
-    odd = range(max(lo, 3) | 1, hi + 1, 2)
-    # A forked pool starts all its workers at the first submit, so ask for no
-    # more than there are cores and candidates.
-    jobs = min(args.jobs, os.cpu_count() or 1, len(odd))
-    # Reducing here makes a system with B_{d-1} = 0 exit 2 even when the range
-    # holds no odd candidate; the pool pickles the system once per chunk.
-    recurrence.reduce(system)
-    scan = functools.partial(_scan_one, system)
-    with contextlib.ExitStack() as stack:
-        results = map(scan, odd)
-        if jobs > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(scan, odd, chunksize=16)
-        for res in results:  # in order, each printed as soon as it is ready
-            print(json.dumps(res) if args.json else f"n = {res['n']}: {res['verdict']}")
+    tail = " (epsilon = {0.epsilon}, tested B index {0.tested_index})" if args.range is None else ""
+    for v in divisibility.pseudoprime_scan(system, candidates):  # each printed once ready
+        print(json.dumps(v.to_dict()) if args.json else f"n = {v.n}: {v.verdict}" + tail.format(v))
     return 0
 
 
@@ -248,9 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudoprime", help="Lucas-style compositeness test")
     _add_system_args(p)
-    p.add_argument("--candidate", type=int, default=None)
-    p.add_argument("--range", default=None, metavar="LO:HI")
-    p.add_argument("--jobs", type=int, default=1)
+    one_or_many = p.add_mutually_exclusive_group()
+    one_or_many.add_argument("--candidate", type=int, default=None)
+    one_or_many.add_argument("--range", default=None, metavar="LO:HI")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and has no effect: the scan reduces the system once "
+                        "and runs in one process")
     common(p)
     p.set_defaults(func=cmd_pseudoprime)
 

@@ -58,6 +58,8 @@ def stride(c: int, d: int, x: int, y: int) -> Iterator[int]:
 
 def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:
     """(W_k, W_{k+1}) (mod m) for W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}, k >= 0."""
+    if m is not None:
+        c, d = c % m, d % m
     w, w1 = 0, 1
     for bit in bin(k)[2:]:
         w, w1 = w * (2 * w1 - c * w), w1 * w1 + d * (w * w)

@@ -14,6 +14,7 @@ function here that takes a prime modulus p refuses one that is not.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .core import lucas, period, residues
@@ -124,7 +125,7 @@ def classify_case(reduced: ReducedRecurrence, p: int) -> str:
     if p == 2:
         # C and D both odd; the quadratic-residue split does not apply.
         return "p=2,odd"
-    return "QR" if jacobi(reduced.delta, p) == 1 else "nonQR"
+    return "QR" if jacobi(delta, p) == 1 else "nonQR"
 
 
 def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> CongruenceCase:
@@ -145,7 +146,7 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     if min(r_list) < -1:
         raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {min(r_list)}")
     B = residues(system, p)
-    C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
+    C, D, delta = reduced.Cd % p, reduced.Dd % p, reduced.delta % p
 
     def check(label: str, lhs: int, rhs: int):
         case.verified.append((label, (lhs - rhs) % p == 0))
@@ -335,21 +336,31 @@ class PseudoprimeVerdict:
         }
 
 
-def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict:
-    """Lucas-style compositeness test: B_{(n - eps(n))d - 1} mod n.
-
-    eps(n) is the Jacobi symbol (Delta | n).  Applicable only to odd n >= 3
-    coprime to C_d * D_d * Delta; a nonzero residue proves n composite.
-    """
-    if n < 3:
-        raise ValueError("n must be >= 3")
+def pseudoprime_scan(system: PeriodicSystem, candidates: Iterable[int]) -> Iterator[PseudoprimeVerdict]:
+    """Lazily, the Lucas-style test B_{(n - eps(n))d - 1} mod n of each candidate n,
+    eps(n) = (Delta | n), applicable to odd n >= 3 coprime to C_d D_d Delta; a nonzero
+    residue proves n composite.  It reads only C_d, D_d and B_{d-1}, so the system is
+    reduced once, before the first verdict (DivisionByZero if B_{d-1} = 0)."""
     reduced = reduce(system)
-    if n % 2 == 0 or math.gcd(n, reduced.Cd * reduced.Dd * reduced.delta) > 1:
-        return PseudoprimeVerdict(n, 0, 0, "inapplicable")
-    eps = jacobi(reduced.delta, n)
-    k = n - eps
-    verdict = "probable_prime" if reduced.boundary(k, n) == 0 else "composite_proven"
-    return PseudoprimeVerdict(n, eps, k * system.d - 1, verdict)
+    delta = reduced.delta
+    excluded = reduced.Cd * reduced.Dd * delta
+    for n in candidates:
+        if n < 3:
+            raise ValueError("n must be >= 3")
+        if n % 2 == 0 or math.gcd(n, excluded) > 1:
+            yield PseudoprimeVerdict(n, 0, 0, "inapplicable")
+            continue
+        eps = jacobi(delta, n)
+        k = n - eps
+        verdict = "probable_prime" if reduced.boundary(k, n) == 0 else "composite_proven"
+        yield PseudoprimeVerdict(n, eps, k * system.d - 1, verdict)
+
+
+def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict:
+    """The verdict of pseudoprime_scan on the one candidate n."""
+    if n < 3:  # refused before the reduction, whose errors come second
+        raise ValueError("n must be >= 3")
+    return next(pseudoprime_scan(system, (n,)))
 
 
 @dataclass(frozen=True)

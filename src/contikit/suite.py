@@ -208,13 +208,14 @@ def check_congruences(rng: random.Random) -> SuiteRow:
 
 
 def check_pseudoprime(rng: random.Random) -> SuiteRow:
-    v35 = divisibility.lucas_pseudoprime_test(S8, 35)
-    ok = v35.verdict == "probable_prime" and v35.epsilon == -1 and v35.tested_index == 71
     primes = [p for p in range(3, 201) if divisibility._is_prime(p)]
-    systems = [S8] + [random_strict_system(rng) for _ in range(20)]
-    # The test is inapplicable at primes dividing C_d D_d Delta and must pass at the others.
-    bad = sum(divisibility.lucas_pseudoprime_test(system, p).verdict == "composite_proven"
-              for system in systems for p in primes)
+    others = [random_strict_system(rng) for _ in range(20)]
+    # One scan per system, S8's led by the pseudoprime 35.  The test is
+    # inapplicable at primes dividing C_d D_d Delta and must pass at the others.
+    v35, *verdicts = divisibility.pseudoprime_scan(S8, [35] + primes)
+    verdicts += (v for system in others for v in divisibility.pseudoprime_scan(system, primes))
+    ok = v35.verdict == "probable_prime" and v35.epsilon == -1 and v35.tested_index == 71
+    bad = sum(v.verdict == "composite_proven" for v in verdicts)
     return _row("lucas-pseudoprime", ok and bad == 0,
                 f"35 -> {v35.verdict} at index {v35.tested_index}; {bad} false composites")
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 
 import contikit
 from contikit import HypothesisViolated, PeriodicSystem, S8
-from contikit import cli, divisibility
+from contikit import divisibility, recurrence, suite
 from contikit.cli import main
 from contikit.core import b_at
 
@@ -103,6 +104,9 @@ USAGE_ERRORS = (
      "pell_y needs --sqrt N"),
     (("check", "--sqrt", "8"), "check needs --identity or --congruence-p"),
     (("pseudoprime", "--sqrt", "8"), "pseudoprime needs --candidate or --range lo:hi"),
+    (("pseudoprime", "--sqrt", "8", "--range", "3:4:5"), "--range takes LO:HI, got '3:4:5'"),
+    (("pseudoprime", "--sqrt", "8", "--range", "5"), "--range takes LO:HI, got '5'"),
+    (("pseudoprime", "--sqrt", "8", "--range", "3:x"), "--range takes LO:HI, got '3:x'"),
 )
 
 
@@ -194,49 +198,49 @@ def test_pseudoprime_range_output_is_pinned_for_every_jobs(capsys):
             assert sha256(out) == pinned, (mode, jobs)
 
 
-def test_pseudoprime_jobs_capped_at_cores_and_candidates(capsys, monkeypatch):
-    # A forked pool launches every worker at the first submit, however few the
-    # candidates.  The stand-in below records max_workers and starts no process.
-    requested = []
+def test_pseudoprime_candidate_and_range_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["pseudoprime", "--sqrt", "8", "--candidate", "35", "--range", "3:40"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --range: not allowed with argument --candidate\n")
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    scan = lambda rng, jobs: run(capsys, "pseudoprime", "--sqrt", "8", "--range", rng, "--jobs", jobs)
-    _, serial, _ = scan("3:40", "1")
-    code, out, err = scan("3:40", "4096")
-    assert (code, out, err) == (0, serial, "")
-    cores = os.cpu_count() or 1
-    assert requested == ([min(cores, 19)] if cores > 1 else [])  # 19 odd candidates
-    scan("3:4", "4096")  # one candidate: no pool at all
-    assert len(requested) == (cores > 1)
+def test_pseudoprime_jobs_below_one_exit2(capsys):
     for jobs in ("0", "-3"):
-        assert scan("3:40", jobs) == (2, "", f"error: --jobs must be >= 1, got {jobs}\n")
+        code, out, err = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:40", "--jobs", jobs)
+        assert (code, out, err) == (2, "", f"error: --jobs must be >= 1, got {jobs}\n")
 
 
-def test_pseudoprime_range_streams_results(capsys):
-    # Results print as they are ready: an error at n = 9 leaves 3, 5 and 7 printed.
-    def scan(system, n):
-        if n == 9:
-            raise HypothesisViolated("stop at 9")
-        return {"n": str(n), "verdict": "probable_prime"}
+def test_pseudoprime_range_streams_results(capsys, monkeypatch):
+    # Results print as they are ready: an error at n = 11 leaves 3 to 9 printed.
+    jacobi = divisibility.jacobi
 
-    with mock.patch.object(cli, "_scan_one", scan):
-        code, out, err = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:20")
+    def stop_at_11(a, n):
+        if n == 11:
+            raise HypothesisViolated("stop at 11")
+        return jacobi(a, n)
+
+    monkeypatch.setattr(divisibility, "jacobi", stop_at_11)
+    code, out, err = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:20")
     assert code == 2
-    assert out == "n = 3: probable_prime\nn = 5: probable_prime\nn = 7: probable_prime\n"
-    assert err == "error: HypothesisViolated: stop at 9\n"
+    assert out == ("n = 3: inapplicable\nn = 5: probable_prime\n"
+                   "n = 7: probable_prime\nn = 9: inapplicable\n")
+    assert err == "error: HypothesisViolated: stop at 11\n"
+
+
+def test_pseudoprime_scan_reduces_each_system_once(capsys, monkeypatch):
+    reduced = []
+    reduce = recurrence.reduce
+    counted = lambda system: reduced.append(system) or reduce(system)
+    monkeypatch.setattr(recurrence, "reduce", counted)
+    monkeypatch.setattr(divisibility, "reduce", counted)
+    code, out, _ = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:401")
+    assert code == 0 and len(out.splitlines()) == 200
+    assert reduced == [S8]
+    reduced.clear()
+    assert suite.check_pseudoprime(random.Random(20240801)).passed
+    assert len(reduced) == 21 and reduced[0] == S8  # S8 and 20 random systems
 
 
 def test_pseudoprime_range_unreducible_system_exit2(capsys):

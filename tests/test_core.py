@@ -38,6 +38,7 @@ from contikit import (
     pell_solutions,
     pisano_bound,
     pisano_period,
+    pseudoprime_scan,
     rank_of_apparition,
     reduce,
     remark_identities,
@@ -336,6 +337,17 @@ def test_lucas_verdicts_on_signed_systems_match_stride_list(system, half):
         residue = oracles.lucas_residue(system, k, n, red.Cd, red.Dd)
         assert verdict.tested_index == k * system.d - 1
         assert verdict.verdict == ("probable_prime" if residue == 0 else "composite_proven")
+
+
+@settings(max_examples=60)
+@given(systems(), st.integers(3, 3000), st.integers(0, 60))
+def test_pseudoprime_scan_matches_one_candidate_at_a_time(system, lo, width):
+    # Every n in the range, even ones and ones sharing a factor with C_d D_d Delta
+    # included: the scan's shared reduction must give each candidate's own verdict.
+    assume(reducible(system))
+    candidates = range(lo, lo + width)
+    assert list(pseudoprime_scan(system, candidates)) == [
+        lucas_pseudoprime_test(system, n) for n in candidates]
 
 
 @settings(max_examples=60)
