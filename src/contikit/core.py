@@ -8,13 +8,12 @@ Coefficients repeat with period d, so for nu = qd + r, P = P_r M^q for the perio
 matrix M = T_{lam+d} ... T_{lam+1} (trace C_d, negated determinant D_d) and the
 r-step prefix P_r, which one walk of d steps passes on its way to M (`period`).
 
-Three primitives over Z: a forward walk that returns the prefix of B values, a
-stride that yields a second-order recurrence one value at a time, and a Lucas
-doubling ladder with three big products per bit (Joye and Quisquater, 1996),
-which also runs over Z/m.  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I
-for a 2x2 matrix x with c = tr x, d = -det x and W_0 = 0, W_1 = 1,
-W_{j+1} = c W_j + d W_{j-1}.  The one reader of B mod m, `residues`, is built
-on that ladder.
+Three primitives: a forward walk that returns the prefix of B values over Z or mod m,
+a stride that yields a second-order recurrence one value at a time, and a Lucas
+doubling ladder with three big products per bit (Joye and Quisquater, 1996), over Z
+or Z/m.  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I for a 2x2 matrix x
+with c = tr x, d = -det x and W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}.
+`residues`, the one source of values mod m, walks mod m and reads B on that ladder.
 """
 from __future__ import annotations
 
@@ -33,18 +32,20 @@ IDENTITY: Matrix = ((1, 0), (0, 1))
 # steps and 2.2-2.7x at 32; they cross at 11-14 steps (16-20 against square-and-multiply).
 # The identity sweeps of `contikit paper` read one table of d walks per system instead,
 # one loop per identity's params (continuants.identity_failures).  Reads mod m go
-# through `residues` at every index and never walk past 2d - 2.
+# through `residues` at every index, whose walks mod m never pass B_{2d-1}.
 WALK_BELOW = 12
 
 
-def walk(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
-    """[B_{-1,lam}, B_{0,lam}, ..., B_{nu_max,lam}]."""
+def walk(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None) -> list[int]:
+    """[B_{-1,lam}, B_{0,lam}, ..., B_{nu_max,lam}], reduced mod m at every step if m is given."""
     a, b, d = system.a, system.b, system.d
-    seq = [0, 1]
+    seq = [0, 1 if m is None else 1 % m]
     prev, cur = seq
     for i in range(lam, lam + nu_max):
         k = i % d
         prev, cur = cur, b[k] * cur + a[k] * prev
+        if m is not None:
+            cur %= m
         seq.append(cur)
     return seq[: nu_max + 2]
 
@@ -117,18 +118,19 @@ def b_at(system: PeriodicSystem, nu: int) -> int:
     return transfer(system, nu + 1)[1][0]
 
 
-def residues(system: PeriodicSystem, m: int) -> Callable[[int], int]:
-    """nu -> B_nu mod m for nu >= -1, in O(d) memory.
+def residues(system: PeriodicSystem, m: int) -> tuple[tuple[int, int, int], Callable[[int], int]]:
+    """((C_d, D_d, B_{d-1}) mod m, nu -> B_nu mod m for nu >= -1) from walks mod m.
 
-    Every shift of B obeys the reduced recurrence from nu = -1, so with
-    nu + 1 = nd + k and 0 <= k < d, B_nu = W_n B_{d+k-1} + D_d W_{n-1} B_{k-1}
-    (Cayley-Hamilton on M^n).  The reader keeps B_{-1} .. B_{2d-2} and one ladder
-    pair mod m per period count n it has read, so a new n costs O(log n) products.
+    M = T_d ... T_1 has columns (B_d, B_{d-1}) and a_1 (B_{d-1,1}, B_{d-2,1}), which
+    give C_d = tr M and D_d = -det M.  Every shift of B obeys the reduced recurrence
+    from nu = -1, so with nu + 1 = nd + k, 0 <= k < d, B_nu = W_n B_{d+k-1} +
+    D_d W_{n-1} B_{k-1} (Cayley-Hamilton on M^n).  The reader keeps B_{-1} .. B_{2d-1}
+    and one ladder pair mod m per period count n it has read: O(d) memory, O(log n) products.
     """
-    d = system.d
-    head = [x % m for x in walk(system, 2 * d - 2)]  # B_{-1} .. B_{2d-2}
-    (p, q), (r, s) = steps(system, 0, d, IDENTITY)
-    c, dd = p + s, q * r - p * s  # C_d, D_d
+    d, a1 = system.d, system.a[0]
+    head = walk(system, 2 * d - 1, 0, m)  # B_{-1} .. B_{2d-1}
+    *_, u, v = walk(system, d - 1, 1, m)  # B_{d-2,1}, B_{d-1,1}
+    c, dd = (head[d + 1] + a1 * u) % m, a1 * (v * head[d] - u * head[d + 1]) % m
     pairs: dict[int, tuple[int, int]] = {}
 
     def read(nu: int) -> int:
@@ -143,4 +145,4 @@ def residues(system: PeriodicSystem, m: int) -> Callable[[int], int]:
         x, y = pairs[n]
         return (x * head[d + k] + y * head[k]) % m
 
-    return read
+    return (c, dd, head[d]), read

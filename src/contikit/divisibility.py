@@ -2,10 +2,10 @@
 law of repetition and the Lucas-style pseudoprime test.
 
 Sequence values come from the integer core (contikit.core).  Reads at period
-boundaries, over Z or mod p, go through ReducedRecurrence.boundary, B_{kd-1} =
-W_k B_{d-1} for the Lucas sequence W of (C_d, D_d), and reads at other indices
-through core.residues, which keeps O(d) values; the congruence suite reads only
-the indices its clauses name and the law of repetition reads W itself.  Orders,
+boundaries go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1} for the
+Lucas sequence W of (C_d, D_d).  Congruences, apparition and Pisano periods read
+all they need mod p, C_d, D_d and B_{d-1} too, from core.residues' walks mod p, so
+B_{d-1} = 0 is allowed; the suite reads only the indices its clauses name.  Orders,
 ranks of apparition and Pisano periods are each the least divisor of a known
 bound with some property, found by one search over the bound's prime factors
 (a factor that trial division below 2^20 cannot split is refused).  Every
@@ -14,7 +14,7 @@ function here that takes a prime modulus p refuses one that is not.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .core import lucas, period, residues
@@ -82,6 +82,13 @@ def _require_prime(p: int):
         raise ValueError(f"{p} is not prime")
 
 
+def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callable[[int], int]]:
+    """(C_d, D_d, B_{d-1}) mod a prime p as a ReducedRecurrence, and the reader of B mod p."""
+    _require_prime(p)
+    values, read = residues(system, p)
+    return ReducedRecurrence(*values), read
+
+
 def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """B_{md-1} | B_{nd-1} whenever m | n."""
     if m < 1 or n < 1 or n % m != 0:
@@ -135,18 +142,14 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     holds for p = 2 as well); for p = 2 outside that clause the suite returns
     the classified case with no congruences to check.
     """
-    _require_prime(p)
     d = system.d
-    reduced = reduce(system)
+    reduced, B = _modular(system, p)
     tag = classify_case(reduced, p)
     case = CongruenceCase(p, tag)
-    if r_range is None:
-        r_range = range(-1, 2 * d + 1)
-    r_list = list(r_range)
-    if min(r_list) < -1:
+    r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
+    if min(r_list, default=-1) < -1:
         raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {min(r_list)}")
-    B = residues(system, p)
-    C, D, delta = reduced.Cd % p, reduced.Dd % p, reduced.delta % p
+    C, D, delta = reduced.Cd, reduced.Dd, reduced.delta % p
 
     def check(label: str, lhs: int, rhs: int):
         case.verified.append((label, (lhs - rhs) % p == 0))
@@ -219,8 +222,7 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     B_{2d-1} = C_d B_{d-1} forces omega <= 2 whenever it exists; that (rather
     than the bare "omega = 1") is what is checked for the p|C,p|D case.
     """
-    _require_prime(p)
-    reduced = reduce(system)
+    reduced = _modular(system, p)[0]
     tag = classify_case(reduced, p)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
     eps = -(C % 2) if p == 2 else jacobi(delta, p)
@@ -281,14 +283,11 @@ def _mult_order(x: int, p: int) -> int:
     return _least_divisor(lambda k: pow(x, k, p) == 1, p - 1)
 
 
-def _bound_parts(system: PeriodicSystem, p: int) -> tuple[int, ...]:
-    """Factors whose product is the Pisano divisor bound mod a prime p coprime to 2 D_d."""
-    _require_prime(p)
-    reduced = reduce(system)
+def _bound_parts(reduced: ReducedRecurrence, p: int, d: int) -> tuple[int, ...]:
+    """Factors of the Pisano divisor bound of a period-d reduction mod a prime p coprime to 2 D_d."""
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
     if p == 2 or D % p == 0:
         raise HypothesisViolated("bound requires odd p coprime to D_d")
-    d = system.d
     if delta % p == 0:
         return p, d, _mult_order(C * pow(2, -1, p), p)
     if jacobi(delta, p) == 1:
@@ -298,16 +297,16 @@ def _bound_parts(system: PeriodicSystem, p: int) -> tuple[int, ...]:
 
 def pisano_bound(system: PeriodicSystem, p: int) -> int:
     """The divisor bound on the Pisano period modulo a prime p coprime to 2 D_d."""
-    return math.prod(_bound_parts(system, p))
+    return math.prod(_bound_parts(_modular(system, p)[0], p, system.d))
 
 
 def _pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
     """(pisano_period, pisano_bound) of system mod p, with the bound derived once."""
-    parts = _bound_parts(system, p)
+    reduced, B = _modular(system, p)
+    parts = _bound_parts(reduced, p, system.d)
     limit = math.prod(parts)
     # Every shift of B obeys the reduced recurrence from nu = -1, so 2d equal values pin it.
     window = range(-1, 2 * system.d - 1)
-    B = residues(system, p)
     head = [B(nu) for nu in window]
     is_period = lambda k: all(B(k + nu) == b for nu, b in zip(window, head))
     if not is_period(limit):

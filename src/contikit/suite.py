@@ -230,9 +230,8 @@ def check_pisano(rng: random.Random) -> SuiteRow:
     primes = [p for p in range(3, 31) if divisibility._is_prime(p)]
     for _ in range(10):
         system = random_strict_system(rng, d_max=3, coeff_max=6)
-        red = recurrence.reduce(system)
         for p in primes:
-            if red.Dd % p == 0:
+            if math.prod(system.a) % p == 0:  # p | D_d
                 continue
             pi, _ = divisibility._pisano(system, p)
             # pi is a period: the 2d values that pin B mod p repeat, read over Z.

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from contikit import PeriodicSystem
 from contikit.divisibility import CongruenceCase, classify_case
-from contikit.recurrence import reduce
+from contikit.recurrence import ReducedRecurrence
 
 
 def mat_mul(x, y, m=None):
@@ -197,14 +197,15 @@ def law_of_repetition(system: PeriodicSystem, p: int, n: int, m: int, f: int) ->
 def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> CongruenceCase:
     """The package's congruence_suite as it was before core.residues: the same
     clause table, read from a walk that lists every residue mod p up to index
-    (max(p + 1, 6) + 2) d + max(r_range).  p must be prime and r_range >= -1."""
+    (max(p + 1, 6) + 2) d + max(r_range), with C_d and D_d from the period matrix
+    over Z (B_{d-1} = 0 allowed).  p must be prime and r_range >= -1."""
     d = system.d
-    reduced = reduce(system)
+    reduced = ReducedRecurrence.of(transfer(system, d))
     tag = classify_case(reduced, p)
     case = CongruenceCase(p, tag)
     r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
     n_hi = max(p + 1, 6)
-    seq = b_values(system, (n_hi + 1) * d + max(r_list) + 1, m=p)
+    seq = b_values(system, (n_hi + 1) * d + max(r_list, default=-1) + 1, m=p)
     B = lambda nu: seq[nu + 1]
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
 

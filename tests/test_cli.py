@@ -363,11 +363,23 @@ def test_pisano_verb_answers_a_prime_near_10_9(capsys):
 
 
 def test_pisano_verb_derives_its_bound_once(capsys):
-    with mock.patch.object(divisibility, "reduce", wraps=divisibility.reduce) as reduce, \
+    # One walk mod p gives the bound and the reader; nothing is reduced over Z.
+    with mock.patch.object(divisibility, "residues", wraps=divisibility.residues) as walks, \
+            mock.patch.object(divisibility, "reduce", wraps=divisibility.reduce) as reduce, \
+            mock.patch.object(recurrence, "reduce", wraps=recurrence.reduce) as z_reduce, \
             mock.patch.object(divisibility, "_mult_order", wraps=divisibility._mult_order) as order:
         code, out, _ = run(capsys, "pisano", "--d", "1", "--a", "3", "--b", "1", "--p", "109")
     assert (code, out) == (0, "pi(109) = 5940  (divisor bound 5940)\n")
-    assert (reduce.call_count, order.call_count) == (1, 1)
+    assert (walks.call_count, reduce.call_count + z_reduce.call_count, order.call_count) == (1, 0, 1)
+
+
+def test_check_congruences_accepts_a_zero_corner(capsys):
+    # B_{d-1} = 0 (b_1 = 0): the suite reads C_d and D_d mod p and never divides by B_{d-1}.
+    code, out, err = run(capsys, "check", "--d", "2", "--a", "1,1", "--b", "0,1", "--non-strict",
+                         "--congruence-p", "7")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "p = 7  case: p|Delta"
+    assert len(out.splitlines()) == 8 and "FAIL" not in out
 
 
 def test_paper_verb_deterministic(capsys):

@@ -84,6 +84,15 @@ def period_matrix(system):
     return oracles.transfer(system, system.d)
 
 
+def z_reduction(system):
+    """C_d, D_d and B_{d-1} over Z from the oracle's period matrix, even if B_{d-1} = 0."""
+    return ReducedRecurrence.of(period_matrix(system))
+
+
+# b_1 = 0 gives B = 0, 1, 0, 1, ...: B_{d-1} = 0, which `reduce` refuses.
+ZERO_CORNER = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
+
+
 MODULI = st.one_of(st.none(), st.just(1), st.integers(2, 10 ** 6))
 
 
@@ -133,14 +142,15 @@ def test_boundary_matches_linear(system, m):
 
 
 def test_boundary_reads_take_one_period_product(monkeypatch):
-    # Each of these walks at most one period, once: the reads at period boundaries
-    # take the period product of their one reduce, and a read at any other index
-    # takes its r-step prefix on the way to the period matrix M, as does the Delta
-    # check of a closed form.
-    taken = []
+    # Each of these walks at most one period over Z, once: the reads at period
+    # boundaries take the period product of their one reduce, and a read at any
+    # other index takes its r-step prefix on the way to the period matrix M, as does
+    # the Delta check of a closed form.  The rank of apparition walks only mod p.
+    taken, modular = [], []
     steps, walk_ = core.steps, core.walk
     monkeypatch.setattr(core, "steps", lambda s, lam, n, x: taken.append(n) or steps(s, lam, n, x))
-    monkeypatch.setattr(core, "walk", lambda s, n, lam=0: taken.append(n) or walk_(s, n, lam))
+    monkeypatch.setattr(core, "walk", lambda s, n, lam=0, m=None:
+                        (taken if m is None else modular).append(n) or walk_(s, n, lam, m))
     system, odd = to_system(expand_sqrt(1000003)), to_system(expand_sqrt(1000009))
     d = system.d
     assert (d, odd.d) == (458, 743)
@@ -165,10 +175,13 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
     }
     for name, call in calls.items():
         taken.clear()
+        modular.clear()
         result = call()
         assert getattr(result, "verdict", None) != "inapplicable"
-        budget = {"millin": S8.d, "pell_solutions odd d": odd.d}.get(name, d)
+        budget = {"millin": S8.d, "pell_solutions odd d": odd.d, "rank_of_apparition": 0}.get(name, d)
         assert sum(taken) <= budget, (name, sum(taken))
+        # B_{-1} .. B_{2d-1} and B_{-1,1} .. B_{d-1,1}, both mod p.
+        assert sum(modular) == (3 * d - 2 if name == "rank_of_apparition" else 0), name
     taken.clear()
     pell_solutions(1000003, 2)
     assert sum(taken) == d - 1  # the even-period solution ends the first period
@@ -246,7 +259,7 @@ MODULI_FROM_1 = st.one_of(st.just(1), st.integers(2, 10 ** 6))
 
 @given(systems(), NU, MODULI_FROM_1)
 def test_residues_match_linear(system, nu, m):
-    read = residues(system, m)
+    _, read = residues(system, m)
     # Read backwards, so that later reads hit the ladder pairs kept by earlier ones.
     assert [read(k) for k in range(nu, -2, -1)] == [x % m for x in reversed(oracles.b_values(system, nu))]
     with pytest.raises(IndexOutOfRange):
@@ -256,7 +269,18 @@ def test_residues_match_linear(system, nu, m):
 @settings(max_examples=60)
 @given(systems(), st.integers(-1, 10 ** 6), MODULI_FROM_1)
 def test_residues_at_large_index(system, nu, m):
-    assert residues(system, m)(nu) == oracles.b_mod(system, nu, m)
+    assert residues(system, m)[1](nu) == oracles.b_mod(system, nu, m)
+
+
+@settings(max_examples=150)
+@given(systems(max_d=12), MODULI_FROM_1)
+@example(ZERO_CORNER, 7)
+@example(PeriodicSystem(d=1, a=(-3,), b=(0,), strict=False), 10 ** 6)
+def test_residues_reduction_matches_period_matrix(system, m):
+    # (C_d, D_d, B_{d-1}) mod m from walks mod m alone: the Z period matrix's trace,
+    # negated determinant and corner, reduced mod m.
+    red = z_reduction(system)
+    assert residues(system, m)[0] == (red.Cd % m, red.Dd % m, red.Bd1 % m)
 
 
 @given(systems(), st.integers(0, max(60, 3 * WALK_BELOW)))
@@ -518,26 +542,27 @@ def test_lucas_verdict_matches_stride_list(system, half):
 
 
 @given(systems(), st.sampled_from([p for p in range(2, 100) if _is_prime(p)]))
+@example(ZERO_CORNER, 7)
 def test_rank_of_apparition_matches_linear(system, p):
-    if not reducible(system):
-        return
     seq = oracles.b_values(system, (p + 1) * system.d - 1)
     omega = next((k for k in range(1, p + 2) if seq[k * system.d] % p == 0), None)
     assert rank_of_apparition(system, p).omega == omega
 
 
 @given(systems(), st.sampled_from([p for p in range(3, 200) if _is_prime(p)]))
+@example(ZERO_CORNER, 7)
 def test_pisano_period_matches_two_stage_scan(system, p):
-    if not reducible(system) or reduce(system).Dd % p == 0:
+    if z_reduction(system).Dd % p == 0:
         return
     assert pisano_period(system, p) == oracles.pisano_period(system, p, pisano_bound(system, p))
 
 
 @settings(max_examples=60)
 @given(systems(), st.sampled_from([p for p in range(3, 10 ** 4) if _is_prime(p)]))
+@example(ZERO_CORNER, 7)
 def test_pisano_period_is_the_least_window_period(system, p):
     # A period whose every pi/q (q prime) is not a period is the least one.
-    if not reducible(system) or reduce(system).Dd % p == 0:
+    if z_reduction(system).Dd % p == 0:
         return
     pi = pisano_period(system, p)
     assert pisano_bound(system, p) % pi == 0
@@ -547,11 +572,11 @@ def test_pisano_period_is_the_least_window_period(system, p):
 
 @settings(max_examples=60)
 @given(systems(), st.sampled_from([p for p in range(2, 10 ** 4) if _is_prime(p)]),
-       st.none() | st.tuples(st.integers(-1, 3), st.integers(1, 20)))
+       st.none() | st.tuples(st.integers(-1, 3), st.integers(0, 20)))
+@example(ZERO_CORNER, 7, None)
+@example(S8, 7, (0, 0))  # an empty r_range leaves only the r-free clauses
 def test_congruence_suite_matches_walk(system, p, span):
     # The walk lists every residue up to about (p + 2) d; the suite reads only its clauses.
-    if not reducible(system):
-        return
     r_range = None if span is None else range(span[0], span[0] + span[1])
     got, want = congruence_suite(system, p, r_range), oracles.congruence_suite(system, p, r_range)
     assert (got.case_tag, got.verified) == (want.case_tag, want.verified)

@@ -28,9 +28,9 @@ from contikit import (
     to_system,
 )
 from contikit.core import residues, transfer
-from contikit import divisibility
+from contikit import core, divisibility, recurrence, series
 from contikit.divisibility import _is_prime, _mult_order, _prime_factors
-from contikit.suite import random_strict_system
+from contikit.suite import random_strict_system, run_full_suite
 from oracles import b_values, mat_pow
 
 PRIMES_50 = [p for p in range(2, 51) if _is_prime(p)]
@@ -113,6 +113,47 @@ def test_congruence_suite_refuses_r_below_minus_one():
         with pytest.raises(IndexOutOfRange):
             congruence_suite(system, p, r_range)
     assert congruence_suite(FIB, 11, range(-1, 0)).all_pass
+
+
+def test_congruence_suite_with_no_r_checks_the_r_free_clauses():
+    # An empty r_range used to leak min()'s "arg is an empty sequence".
+    for r_range in (range(0), []):
+        case = congruence_suite(S8, 7, r_range)
+        assert (case.case_tag, case.all_pass) == ("QR", True)
+        assert [label for label, _ in case.verified] == ["B_((p+1)d-1) = C*B_(d-1)", "B_((p-1)d-1) = 0"]
+    assert congruence_suite(S8, 3, []).verified == [("B_(2d-1) = 0", True)]  # p | C_d = 6
+
+
+def test_prime_modulus_entry_points_take_no_period_product_over_z(monkeypatch):
+    # b_1 = 0: B = 0, 1, 0, 1, ... has B_{d-1} = 0, which only `reduce` divides by.
+    zero_corner = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
+    systems = [S8, to_system(expand_sqrt(1000003)), zero_corner]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        return call
+
+    for module, name in ((core, "steps"), (core, "period"), (recurrence, "reduce"), (recurrence, "steps"),
+                         (recurrence, "period"), (divisibility, "reduce"), (divisibility, "period")):
+        monkeypatch.setattr(module, name, refuse(f"{module.__name__}.{name}"))
+    for system in systems:
+        assert congruence_suite(system, 7).all_pass
+        assert rank_of_apparition(system, 7).clause_holds
+        assert pisano_bound(system, 11) % pisano_period(system, 11) == 0
+    assert (rank_of_apparition(zero_corner, 7).omega, pisano_bound(zero_corner, 7),
+            pisano_period(zero_corner, 7)) == (1, 14, 2)
+
+
+def test_paper_suite_reduces_over_z_at_most_40_times(monkeypatch):
+    # One reduction per pseudoprime scan and per closed-form check; none per prime modulus.
+    calls = []
+    reduce_ = recurrence.reduce
+    counted = lambda system: calls.append(system) or reduce_(system)
+    for module in (recurrence, divisibility, series):
+        monkeypatch.setattr(module, "reduce", counted)
+    assert all(row.passed for row in run_full_suite())
+    assert 0 < len(calls) <= 40
 
 
 def test_congruence_suite_lists_nothing():
@@ -263,19 +304,36 @@ def test_rank_of_apparition_at_a_large_prime_lists_nothing():
     assert peak < 10 ** 6
 
 
+def peak_bytes(call):
+    """(call(), the tracemalloc peak while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_rank_of_apparition_on_a_long_period_lists_nothing():
     system = to_system(expand_sqrt(1000000007))
     d = system.d  # 12 352
-    tracemalloc.start()
-    try:
-        rep = rank_of_apparition(system, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = peak_bytes(lambda: rank_of_apparition(system, 7))
     assert peak < 10 ** 6
     residues_7 = b_values(system, rep.bound * d - 1, m=7)  # index kd holds B_{kd-1}
     least = next((k for k in range(1, rep.bound + 1) if residues_7[k * d] == 0), None)
     assert (rep.omega, rep.clause_holds) == (least, True)
+    # d = 124 134: a period product over Z here peaked at gigabytes; walks mod p keep O(d) residues.
+    system = to_system(expand_sqrt(10000000019))
+    d = system.d
+    assert d == 124134
+    rep, peak = peak_bytes(lambda: rank_of_apparition(system, 7))
+    assert peak < 10 ** 7
+    residues_7 = b_values(system, 3 * d - 1, m=7)
+    assert [residues_7[k * d] == 0 for k in (1, 2, 3)] == [False, False, True]
+    assert (rep.case_tag, rep.omega, rep.bound, rep.clause_holds) == ("QR", 3, 6, True)
+    bound, peak = peak_bytes(lambda: pisano_bound(system, 11))
+    assert (bound, peak < 10 ** 7) == (22 * d, True)
+    case, peak = peak_bytes(lambda: congruence_suite(system, 7, range(-1, 6)))
+    assert (case.case_tag, case.all_pass, len(case.verified), peak < 10 ** 7) == ("QR", True, 16, True)
 
 
 def test_pisano_bound_refuses_a_non_prime_modulus(monkeypatch):
@@ -330,9 +388,11 @@ def test_modular_agrees_with_full():
         system = random_strict_system(rng)
         m = rng.randint(2, 1000)
         full = [x % m for x in b_values(system, 500)]
-        read = residues(system, m)
+        (c, dd, bd1), read = residues(system, m)
         assert [read(nu) for nu in range(-1, 501)] == full
         period = transfer(system, system.d)
+        (p, q), (r, s) = period
+        assert (c, dd, bd1) == ((p + s) % m, (q * r - p * s) % m, full[system.d])
         for k in range(500 // system.d + 1):
             assert mat_pow(period, k, m)[1][0] == full[k * system.d]  # B_{kd-1}
 
