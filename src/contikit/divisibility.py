@@ -4,12 +4,13 @@ law of repetition and the Lucas-style pseudoprime test.
 Sequence values come from the integer core (contikit.core).  Reads at period
 boundaries go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1} for the
 Lucas sequence W of (C_d, D_d).  Congruences, apparition and Pisano periods read
-all they need mod p, C_d, D_d and B_{d-1} too, from core.residues' walks mod p, so
-B_{d-1} = 0 is allowed; the suite reads only the indices its clauses name.  Orders,
-ranks of apparition and Pisano periods are each the least divisor of a known
-bound with some property, found by one search over the bound's prime factors
-(a factor that trial division below 2^20 cannot split is refused).  Every
-function here that takes a prime modulus p refuses one that is not.
+all they need mod p, C_d, D_d and B_{d-1} too, from core.residues' walks mod p;
+the suite reads only the indices its clauses name.  Only the pseudoprime scan
+refuses B_{d-1} = 0, which makes every tested value 0.  Orders, ranks of
+apparition and Pisano periods are each the least divisor of a known bound with
+some property, found by one search over the bound's prime factors (a factor that
+trial division below 2^20 cannot split is refused).  Every function here that
+takes a prime modulus p refuses one that is not.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .core import lucas, period, residues
-from .errors import (HypothesisViolated, IndexOutOfRange, InputTooLarge, InvariantViolated,
-                     PrimalityUndecided)
+from .core import lucas, residues
+from .errors import (DivisionByZero, HypothesisViolated, IndexOutOfRange, InputTooLarge,
+                     InvariantViolated, PrimalityUndecided)
 from .recurrence import ReducedRecurrence, reduce
 from .systems import PeriodicSystem
 
@@ -90,22 +91,22 @@ def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callabl
 
 
 def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
-    """B_{md-1} | B_{nd-1} whenever m | n."""
+    """B_{md-1} | B_{nd-1} whenever m | n; B_{nd-1} is read mod B_{md-1} unless that is 0."""
     if m < 1 or n < 1 or n % m != 0:
         raise ValueError(f"need positive m | n, got m={m}, n={n}")
-    B = ReducedRecurrence.of(period(system, 0)[1]).boundary  # B_{d-1} = 0 is allowed here
-    lo, hi = B(m), B(n)
-    if lo == 0:
-        return hi == 0
-    return hi % lo == 0
+    B = reduce(system).boundary
+    lo = B(m)
+    return (B(n, abs(lo)) if lo else B(n)) == 0
 
 
 def strong_gcd_check(system: PeriodicSystem, m: int, n: int) -> bool:
-    """gcd(B_{md-1}, B_{nd-1}) == B_{gcd(m,n)d-1}."""
+    """gcd(B_{md-1}, B_{nd-1}) == |B_{gcd(m,n)d-1}|, the larger index read mod the smaller's B."""
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    B = ReducedRecurrence.of(period(system, 0)[1]).boundary  # k -> B_{kd-1}, even if B_{d-1} = 0
-    return math.gcd(B(m), B(n)) == abs(B(math.gcd(m, n)))
+    B = reduce(system).boundary
+    lo = B(min(m, n))
+    hi = B(max(m, n), abs(lo)) if lo else B(max(m, n))
+    return math.gcd(lo, hi) == abs(B(math.gcd(m, n)))
 
 
 @dataclass
@@ -339,8 +340,10 @@ def pseudoprime_scan(system: PeriodicSystem, candidates: Iterable[int]) -> Itera
     """Lazily, the Lucas-style test B_{(n - eps(n))d - 1} mod n of each candidate n,
     eps(n) = (Delta | n), applicable to odd n >= 3 coprime to C_d D_d Delta; a nonzero
     residue proves n composite.  It reads only C_d, D_d and B_{d-1}, so the system is
-    reduced once, before the first verdict (DivisionByZero if B_{d-1} = 0)."""
+    reduced once, before the first verdict."""
     reduced = reduce(system)
+    if reduced.Bd1 == 0:
+        raise DivisionByZero("B_{d-1} = 0 makes every B_{kd-1} 0, so no candidate could fail")
     delta = reduced.delta
     excluded = reduced.Cd * reduced.Dd * delta
     for n in candidates:
@@ -397,7 +400,7 @@ def law_of_repetition_check(system: PeriodicSystem, p: int, n: int, m: int, f: i
         raise ValueError("requires p coprime to m")
     if f < 0 or n < 1 or m < 1:
         raise ValueError("need n, m >= 1 and f >= 0")
-    reduced = reduce(system)  # raises DivisionByZero when B_{d-1} = 0
+    reduced = reduce(system)
     C, D = reduced.Cd, reduced.Dd
     e = _padic_valuation(p, lucas(C, D, n)[0])
     if e == 0:

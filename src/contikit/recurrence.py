@@ -1,11 +1,13 @@
 """Reduction of a d-periodic system to a single second-order recurrence.
 
-B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = tr M = B_{2d-1}/B_{d-1} and
+B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = tr M and
 D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
 (Cayley-Hamilton), so B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of
 (C_d, D_d) (ReducedRecurrence.boundary); plus closed forms at positive and
 negative indices through powers of M and its adjugate, roots in Q(sqrt(Delta)),
 the generating-function check, ratio limits and square-root stepping.
+The reduction divides by nothing, so B_{d-1} = 0 is allowed; only readers whose answer
+divides by it or is 0 = 0 because of it refuse it (DivisionByZero).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import b_sequence
-from .core import IDENTITY, Matrix, lucas, mul, period, power, steps
+from .core import Matrix, lucas, mul, period, power
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -43,20 +45,8 @@ class ReducedRecurrence:
 
 
 def reduce(system: PeriodicSystem) -> ReducedRecurrence:
-    """The reduction of the period matrix."""
-    return _nonzero(ReducedRecurrence.of(steps(system, 0, system.d, IDENTITY)))
-
-
-def reduce_at(system: PeriodicSystem, nu: int) -> tuple[ReducedRecurrence, Matrix, Matrix]:
-    """(reduce(system), T_nu ... T_1, M) for nu >= 0 from the one period walk of core.period."""
-    x, m = period(system, nu)
-    return _nonzero(ReducedRecurrence.of(m)), x, m
-
-
-def _nonzero(reduced: ReducedRecurrence) -> ReducedRecurrence:
-    if reduced.Bd1 == 0:
-        raise DivisionByZero("B_{d-1} = 0; the reduction divides by it")
-    return reduced
+    """The reduction of the period matrix; it divides by nothing, so B_{d-1} = 0 is allowed."""
+    return ReducedRecurrence.of(period(system, 0)[1])
 
 
 def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -76,8 +66,8 @@ def _closed_form(system: PeriodicSystem, n: int, r: int, nu: int) -> tuple[Matri
     """T_nu ... T_1 and M from the period walk behind the Delta check."""
     if n < 0 or r < -1:
         raise IndexOutOfRange("requires n >= 0, r >= -1")
-    reduced, x, m = reduce_at(system, nu)
-    if reduced.delta == 0:
+    x, m = period(system, nu)
+    if ReducedRecurrence.of(m).delta == 0:
         raise DegenerateDiscriminant("Delta = 0")
     return x, m
 
@@ -158,7 +148,8 @@ def sqrt_step(system: PeriodicSystem, n: int) -> int:
 
 def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}."""
-    reduced, x, m = reduce_at(system, r % system.d)
+    x, m = period(system, r % system.d)
+    reduced = ReducedRecurrence.of(m)
     if reduced.delta <= 0:
         raise DegenerateDiscriminant("limits require Delta > 0")
     if reduced.Cd == 0:
@@ -209,11 +200,11 @@ def remark_identities(system: PeriodicSystem, n: int) -> RemarkReport:
     if n < 1:
         raise IndexOutOfRange("requires n >= 1")
     d = system.d
-    reduced = reduce(system)  # raises DivisionByZero when B_{d-1} = 0
+    reduced = reduce(system)
     bn, b2n, b4n = (reduced.boundary(k * n) for k in (1, 2, 4))
     for idx, value in ((n * d - 1, bn), (2 * n * d - 1, b2n)):
         if value == 0:
-            raise DivisionByZero(f"B_{idx} = 0")
+            raise DivisionByZero(f"B_{idx} = 0; the identities divide by it")
     sq = lambda x: Fraction(x) * x
     t1 = sq(b2n) / sq(bn)
     t2 = reduced.delta * sq(bn) / sq(reduced.Bd1)

@@ -16,8 +16,9 @@ from itertools import chain, islice, pairwise
 
 import mpmath
 
-from .core import mul, power, stride
+from .core import mul, period, power, stride
 from .errors import (
+    DivisionByZero,
     HypothesisViolated,
     NoAdmissibleRoot,
     PoleAtRoot,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .pell import _solutions, expand_sqrt
 from .quadratic import QuadraticNumber, text
-from .recurrence import reduce, reduce_at, roots
+from .recurrence import ReducedRecurrence, reduce, roots
 from .systems import PeriodicSystem
 
 
@@ -135,6 +136,8 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
 
     system: PeriodicSystem = system_or_n
     reduced = reduce(system)
+    if reduced.Bd1 == 0:
+        raise DivisionByZero("B_{d-1} = 0, so every B_{kd-1} the terms divide by is 0")
     if reduced.delta <= 0:
         raise HypothesisViolated("telescoping sums require Delta > 0")
     alpha, beta = roots(reduced)
@@ -221,6 +224,8 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     if kind not in ZETA_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     reduced = reduce(system)
+    if reduced.Bd1 == 0:
+        raise DivisionByZero("B_{d-1} = 0 makes every term and the target 0 (0 = 0)")
     if reduced.delta <= 0:
         raise HypothesisViolated("requires Delta > 0")
     alpha, _ = roots(reduced)
@@ -312,7 +317,8 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    reduced, head, m = reduce_at(system, (r + 1) % system.d)
+    head, m = period(system, (r + 1) % system.d)
+    reduced = ReducedRecurrence.of(m)
     C, D = reduced.Cd, reduced.Dd
 
     if kind == "geometric":

@@ -382,6 +382,17 @@ def test_check_congruences_accepts_a_zero_corner(capsys):
     assert len(out.splitlines()) == 8 and "FAIL" not in out
 
 
+def test_zero_corner_reduces_and_the_series_refuses(capsys):
+    # B_{d-1} = 0: reduce and binet divide by nothing; a series divides by every B_{kd-1} = 0.
+    zero = ("--d", "2", "--b", "0,1", "--non-strict")
+    assert run(capsys, "reduce", *zero, "--a", "1,1") == (0, "C_d = 2, D_d = -1, Delta = 0\n", "")
+    split = ("--d", "2", "--a", "2,1", "--b", "0,3", "--non-strict")
+    assert run(capsys, "binet", *split, "--nu", "6", "--json") == (0, '{"nu": "6", "B": "1"}\n', "")
+    code, out, err = run(capsys, "series", *split, "--family", "millin")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DivisionByZero: ") and err.count("\n") == 1
+
+
 def test_paper_verb_deterministic(capsys):
     code1, out1, _ = run(capsys, "paper")
     code2, out2, _ = run(capsys, "paper")

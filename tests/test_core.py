@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -89,8 +90,14 @@ def z_reduction(system):
     return ReducedRecurrence.of(period_matrix(system))
 
 
-# b_1 = 0 gives B = 0, 1, 0, 1, ...: B_{d-1} = 0, which `reduce` refuses.
+# b_1 = 0 gives B = 0, 1, 0, 1, ...: B_{d-1} = 0.  `reduce` gives (C_d, D_d) = (2, -1) and
+# Delta = 0; only readers that divide by B_{d-1} (the series sums, the pseudoprime test,
+# remark_identities) refuse it.
 ZERO_CORNER = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
+# The same B = 0, 1, 0, 1, ... with (C_d, D_d) = (3, -2) and Delta = 1, so the closed forms apply.
+SPLIT_ZERO_CORNER = PeriodicSystem(d=2, a=(2, 1), b=(0, 3), strict=False)
+# C_d = 0 and D_d = 3: W = 0, 1, 0, 3, 0, 9, ..., so B_{md-1} = 0 at every even m, with B_{d-1} = 1.
+ZERO_TRACE = PeriodicSystem(d=1, a=(3,), b=(0,), strict=False)
 
 
 MODULI = st.one_of(st.none(), st.just(1), st.integers(2, 10 ** 6))
@@ -111,6 +118,8 @@ def test_lucas_matches_linear_walk(c, d, k, m):
 
 @settings(max_examples=60)
 @given(systems(max_d=5))
+@example(ZERO_CORNER)
+@example(SPLIT_ZERO_CORNER)
 def test_stride_matches_linear(system):
     # Every residue class obeys B_{nu+2d} = C_d B_{nu+d} + D_d B_nu from nu = -1, so two
     # seeds give B_{nd+r} for all n; the B_{nd-1} class starts from 0 and the reduction's B_{d-1}.
@@ -121,10 +130,9 @@ def test_stride_matches_linear(system):
     for r in range(-1, 2 * d + 1):
         got = list(islice(stride(c, dd, b_at(system, r), b_at(system, d + r)), 41))
         assert got == [full[n * d + r + 1] for n in range(41)], r
-    if reducible(system):
-        red = reduce(system)
-        assert red == ReducedRecurrence(c, dd, full[d])
-        assert list(islice(stride(red.Cd, red.Dd, 0, red.Bd1), 41)) == full[: 41 * d: d]
+    red = reduce(system)
+    assert red == ReducedRecurrence(c, dd, full[d])
+    assert list(islice(stride(red.Cd, red.Dd, 0, red.Bd1), 41)) == full[: 41 * d: d]
 
 
 PRIMES_BELOW_50 = [p for p in range(2, 50) if _is_prime(p)]
@@ -132,13 +140,37 @@ PRIMES_BELOW_50 = [p for p in range(2, 50) if _is_prime(p)]
 
 @settings(max_examples=60)
 @given(systems(max_d=5), st.one_of(st.none(), st.sampled_from(PRIMES_BELOW_50)))
+@example(ZERO_CORNER, None)
+@example(ZERO_TRACE, 7)
 def test_boundary_matches_linear(system, m):
     # B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of (C_d, D_d), over Z or mod m.
-    assume(reducible(system))
     d = system.d
     full = oracles.b_values(system, 40 * d - 1, m=m)  # index kd holds B_{kd-1}
     red = reduce(system)
     assert [red.boundary(k, m) for k in range(41)] == full[:: d]
+
+
+@settings(max_examples=150)
+@given(systems(strict=False), st.integers(1, 12), st.integers(1, 12))
+@example(ZERO_CORNER, 2, 6)
+@example(SPLIT_ZERO_CORNER, 3, 5)
+@example(ZERO_TRACE, 2, 6)  # B_{md-1} = 0 with m | n: B_{nd-1} is read over Z
+@example(ZERO_TRACE, 2, 3)  # gcd(0, B_{3d-1}) = 3 against |B_{d-1}| = 1
+def test_divisibility_checks_match_z_values(system, m, n):
+    # Each check reads B at the larger index mod B at the smaller one; the Z values decide here.
+    d = system.d
+    full = oracles.b_values(system, m * n * d - 1)  # index kd holds B_{kd-1}
+    B = lambda k: full[k * d]
+    assert divisibility_check(system, m, m * n) == (B(m * n) == 0 if B(m) == 0 else B(m * n) % B(m) == 0)
+    assert strong_gcd_check(system, m, n) == (math.gcd(B(m), B(n)) == abs(B(math.gcd(m, n))))
+
+
+def test_divisibility_checks_at_a_huge_index_answer_at_once():
+    # B_{nd-1} has millions of digits at these n; over Z the two calls took 14 s and 6 s.
+    for call in (lambda: divisibility_check(S8, 7, 7 * 10 ** 6), lambda: strong_gcd_check(S8, 6, 4 * 10 ** 6)):
+        start = time.perf_counter()
+        assert call()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_boundary_reads_take_one_period_product(monkeypatch):
@@ -299,15 +331,17 @@ def test_reduce_matches_recurrence_check(system):
 
 
 @given(systems(), st.integers(0, 40), st.integers(-1, 6))
+@example(SPLIT_ZERO_CORNER, 3, 0)
 def test_binet_matches_linear(system, n, r):
-    if not reducible(system) or reduce(system).delta == 0:
+    if z_reduction(system).delta == 0:
         return
     assert binet(system, n, r) == oracles.b_values(system, n * system.d + r)[-1]
 
 
 @given(systems(), st.integers(0, 6), st.integers(-1, 6))
+@example(SPLIT_ZERO_CORNER, 3, 0)
 def test_binet_negative_matches_backward(system, n, r):
-    if not reducible(system) or reduce(system).delta == 0:
+    if z_reduction(system).delta == 0:
         return
     nu = -n * system.d + r
     if nu >= 0:
@@ -327,16 +361,18 @@ def test_continuant_pair_and_b_at_at_large_index(system, nu, lam):
 
 @settings(max_examples=60)
 @given(systems(), st.integers(0, 1000), st.integers(-1, 6))
+@example(SPLIT_ZERO_CORNER, 1000, 1)
 def test_binet_at_large_index(system, n, r):
-    if not reducible(system) or reduce(system).delta == 0:
+    if z_reduction(system).delta == 0:
         return
     assert binet(system, n, r) == oracles.b_values(system, n * system.d + r)[-1]
 
 
 @settings(max_examples=40)
 @given(systems(), st.integers(0, 200), st.integers(-1, 6))
+@example(SPLIT_ZERO_CORNER, 200, -1)
 def test_binet_negative_at_large_index(system, n, r):
-    if not reducible(system) or reduce(system).delta == 0:
+    if z_reduction(system).delta == 0:
         return
     nu = -n * system.d + r
     if nu >= 0:

@@ -7,20 +7,27 @@ import pytest
 from contikit import (
     FIB,
     S8,
+    ZETA_KINDS,
     DegenerateDiscriminant,
     DivisionByZero,
     IndexOutOfRange,
     NotAPerfectSquare,
     PeriodicSystem,
+    ReducedRecurrence,
     b_sequence,
     binet,
     binet_negative,
     gf_verify,
+    law_of_repetition_check,
     limit_ratio,
+    lucas_pseudoprime_test,
+    pseudoprime_scan,
     reduce,
     remark_identities,
     roots,
     sqrt_step,
+    telescoping_sum,
+    zeta_series,
 )
 from contikit.suite import random_strict_system
 from oracles import b_values, backward_sequence
@@ -197,8 +204,23 @@ def test_remark_identities_random():
         assert rep.identity2_corrected_holds
 
 
-def test_reduce_zero_bd_rejected():
+def test_reduce_accepts_zero_bd_and_only_readers_dividing_by_it_refuse():
+    # The reduction divides by nothing, so B_(d-1) = 0 has one.
     degenerate = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
     assert b_sequence(degenerate, 1)[2] == 0  # B_(d-1) = b_1 = 0
-    with pytest.raises(DivisionByZero):
-        reduce(degenerate)
+    assert reduce(degenerate) == ReducedRecurrence(2, -1, 0)
+    rep = law_of_repetition_check(degenerate, 3, 3, 1, 1)  # reads W_k = k, not B
+    assert (rep.e, rep.observed, rep.holds) == (1, 2, True)
+    # The same B = 0, 1, 0, 1, ... with Delta = 1, so the closed forms apply.  On both, every
+    # sum divides by B_(kd-1) = 0 or is 0 = 0, and no pseudoprime candidate could fail.
+    split = PeriodicSystem(d=2, a=(2, 1), b=(0, 3), strict=False)
+    assert (reduce(split), reduce(split).delta) == (ReducedRecurrence(3, -2, 0), 1)
+    assert binet(split, 3, 0) == 1  # B_6
+    for system in (degenerate, split):
+        refusals = [lambda f=f: telescoping_sum(system, f) for f in ("millin", "period_reciprocal", "arctan", "artanh")]
+        refusals += [lambda k=k: zeta_series(system, k) for k in ZETA_KINDS]
+        refusals += [lambda: next(pseudoprime_scan(system, []), None), lambda: lucas_pseudoprime_test(system, 7),
+                     lambda: remark_identities(system, 1)]
+        for call in refusals:
+            with pytest.raises(DivisionByZero):
+                call()
