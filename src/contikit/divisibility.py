@@ -95,8 +95,7 @@ def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
     if m < 1 or n < 1 or n % m != 0:
         raise ValueError(f"need positive m | n, got m={m}, n={n}")
     B = reduce(system).boundary
-    lo = B(m)
-    return (B(n, abs(lo)) if lo else B(n)) == 0
+    return B(n, abs(B(m)) or None) == 0
 
 
 def strong_gcd_check(system: PeriodicSystem, m: int, n: int) -> bool:
@@ -105,8 +104,7 @@ def strong_gcd_check(system: PeriodicSystem, m: int, n: int) -> bool:
         raise ValueError("m, n must be >= 1")
     B = reduce(system).boundary
     lo = B(min(m, n))
-    hi = B(max(m, n), abs(lo)) if lo else B(max(m, n))
-    return math.gcd(lo, hi) == abs(B(math.gcd(m, n)))
+    return math.gcd(lo, B(max(m, n), abs(lo) or None)) == abs(B(math.gcd(m, n)))
 
 
 @dataclass

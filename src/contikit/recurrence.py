@@ -6,8 +6,8 @@ D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
 (C_d, D_d) (ReducedRecurrence.boundary); plus closed forms at positive and
 negative indices through powers of M and its adjugate, roots in Q(sqrt(Delta)),
 the generating-function check, ratio limits and square-root stepping.
-The reduction divides by nothing, so B_{d-1} = 0 is allowed; only readers whose answer
-divides by it or is 0 = 0 because of it refuse it (DivisionByZero).
+The reduction divides by nothing, so B_{d-1} = 0 is allowed; readers whose answer divides
+by it, or is 0 = 0 or (limit_ratio) no root's ratio because of it, refuse it (DivisionByZero).
 """
 from __future__ import annotations
 
@@ -51,14 +51,13 @@ def reduce(system: PeriodicSystem) -> ReducedRecurrence:
 
 def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]:
     """alpha = (-C + sqrt(Delta))/(2D), beta = (-C - sqrt(Delta))/(2D)."""
-    delta = reduced.delta
-    if delta == 0:
+    if reduced.delta == 0:
         raise DegenerateDiscriminant("Delta = 0")
     if reduced.Dd == 0:
         raise DegenerateDiscriminant("D_d = 0")
     two_d = 2 * reduced.Dd
-    alpha = QuadraticNumber(Fraction(-reduced.Cd, two_d), Fraction(1, two_d), delta)
-    beta = QuadraticNumber(Fraction(-reduced.Cd, two_d), Fraction(-1, two_d), delta)
+    alpha = QuadraticNumber(Fraction(-reduced.Cd, two_d), Fraction(1, two_d), reduced.delta)
+    beta = QuadraticNumber(Fraction(-reduced.Cd, two_d), Fraction(-1, two_d), reduced.delta)
     return alpha, beta
 
 
@@ -150,6 +149,8 @@ def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}."""
     x, m = period(system, r % system.d)
     reduced = ReducedRecurrence.of(m)
+    if reduced.Bd1 == 0:
+        raise DivisionByZero("B_{d-1} = 0 makes B_{nd-1} = 0 and B_{nd+r} = B_d^n B_r, not a root's ratio")
     if reduced.delta <= 0:
         raise DegenerateDiscriminant("limits require Delta > 0")
     if reduced.Cd == 0:

@@ -146,8 +146,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         if system.d != 2:
             raise HypothesisViolated("millin analogue requires d = 2")
         a1a2 = system.a[0] * system.a[1]
-        # The B index doubles per term; cap the term count rather than
-        # relying on max_terms alone.
+        # The B index doubles per term, so cap the term count below max_terms.
         n_cap = min(ctx.max_terms, 14)
         terms = (Fraction(a1a2) ** (2 ** (n - 1)) / reduced.boundary(2 ** n)  # B_{2^(n+1)-1}
                  for n in range(1, n_cap + 1))
@@ -320,6 +319,8 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     head, m = period(system, (r + 1) % system.d)
     reduced = ReducedRecurrence.of(m)
     C, D = reduced.Cd, reduced.Dd
+    if reduced.Bd1 == 0 and (kind == "binomial" or (r + 1) % system.d == 0):
+        raise DivisionByZero("B_{d-1} = 0 makes every B_{nd-1} and the closed form 0 (0 = 0)")
 
     if kind == "geometric":
         if r < -1:

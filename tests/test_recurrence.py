@@ -27,6 +27,7 @@ from contikit import (
     roots,
     sqrt_step,
     telescoping_sum,
+    weighted_sum_exact,
     zeta_series,
 )
 from contikit.suite import random_strict_system
@@ -216,9 +217,15 @@ def test_reduce_accepts_zero_bd_and_only_readers_dividing_by_it_refuse():
     split = PeriodicSystem(d=2, a=(2, 1), b=(0, 3), strict=False)
     assert (reduce(split), reduce(split).delta) == (ReducedRecurrence(3, -2, 0), 1)
     assert binet(split, 3, 0) == 1  # B_6
+    assert weighted_sum_exact(split, "geometric", x=Fraction(1, 7), big_n=3, r=0).equal  # B_{2n} = 1
     for system in (degenerate, split):
         refusals = [lambda f=f: telescoping_sum(system, f) for f in ("millin", "period_reciprocal", "arctan", "artanh")]
         refusals += [lambda k=k: zeta_series(system, k) for k in ZETA_KINDS]
+        # B_{2n} = 1 makes the period ratio 1, not the root 2, and B_{2n-1} = 0 makes it 0/0.
+        refusals += [lambda r=r, mode=mode: limit_ratio(system, mode, r)
+                     for r in (-1, 0) for mode in ("consecutive_periods", "consecutive_terms")]
+        refusals += [lambda: weighted_sum_exact(system, "binomial", big_n=3),
+                     lambda: weighted_sum_exact(system, "geometric", x=Fraction(1, 7), big_n=3, r=-1)]
         refusals += [lambda: next(pseudoprime_scan(system, []), None), lambda: lucas_pseudoprime_test(system, 7),
                      lambda: remark_identities(system, 1)]
         for call in refusals:
