@@ -47,6 +47,7 @@ from .errors import (
     PoleAtRoot,
     PrecisionExhausted,
     PrimalityUndecided,
+    UsageError,
 )
 from .pell import PellSolution, SqrtExpansion, expand_sqrt, pell_fundamental, pell_solutions, to_system
 from .quadratic import QuadraticNumber

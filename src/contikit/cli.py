@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification fails (a failed check, a
 proven-composite verdict being the exception: that is still a successful
-run), 2 on bad input or violated hypotheses.
+run), 2 on a ContikitError (bad input or a violated hypothesis) or an OSError,
+printed as `error: <type>: <message>`; any other exception is a bug (a traceback).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 
 from . import divisibility, pell, recurrence, series, suite
 from .continuants import IDENTITIES, verify_identity
-from .errors import ContikitError
+from .errors import ContikitError, UsageError
 from .systems import PeriodicSystem
 
 
@@ -30,19 +31,27 @@ def _add_system_args(p: argparse.ArgumentParser):
                    help="allow non-positive coefficients")
 
 
+def _ints(flag, text, form="comma-separated integers", sep=",", count=None) -> tuple[int, ...]:
+    try:
+        values = tuple(int(x) for x in text.split(sep))
+        if count in (None, len(values)):
+            return values
+    except ValueError:  # from int() alone: a part that is not an integer
+        pass
+    raise UsageError(f"{flag} takes {form}, got {text!r}")
+
+
 def _system_from_args(args) -> PeriodicSystem:
-    given = [x is not None for x in (args.system, args.sqrt, args.d)]
-    if sum(given) != 1:
-        raise ValueError("give exactly one of --system, --sqrt, or --d/--a/--b")
+    if sum(x is not None for x in (args.system, args.sqrt, args.d)) != 1:
+        raise UsageError("give exactly one of --system, --sqrt, or --d/--a/--b")
     if args.system is not None:
-        with open(args.system) as fh:
+        with open(args.system, "rb") as fh:
             return PeriodicSystem.from_json(fh.read())
     if args.sqrt is not None:
         return pell.to_system(pell.expand_sqrt(args.sqrt))
     if args.a is None or args.b is None:
-        raise ValueError("--d requires --a and --b")
-    a = tuple(int(x) for x in args.a.split(","))
-    b = tuple(int(x) for x in args.b.split(","))
+        raise UsageError("--d requires --a and --b")
+    a, b = _ints("--a", args.a), _ints("--b", args.b)
     return PeriodicSystem(d=args.d, a=a, b=b, b0=args.b0, strict=not args.non_strict)
 
 
@@ -95,7 +104,7 @@ def cmd_series(args) -> int:
                                  compare_zeta=args.compare_zeta)
     elif args.family.startswith("pell_"):
         if args.sqrt is None:
-            raise ValueError(f"{args.family} needs --sqrt N")
+            raise UsageError(f"{args.family} needs --sqrt N")
         rep = series.telescoping_sum(args.sqrt, args.family, ctx)
     else:
         system = _system_from_args(args)
@@ -114,8 +123,7 @@ def cmd_series(args) -> int:
 def cmd_check(args) -> int:
     system = _system_from_args(args)
     if args.identity is not None:
-        params = tuple(int(x) for x in args.params.split(","))
-        rep = verify_identity(system, args.identity, params)
+        rep = verify_identity(system, args.identity, _ints("--params", args.params))
         print(json.dumps({"identity": rep.identity, "params": list(rep.params),
                           "lhs": [str(v) for v in rep.lhs],
                           "rhs": [str(v) for v in rep.rhs], "equal": rep.equal}) if args.json
@@ -133,7 +141,7 @@ def cmd_check(args) -> int:
             for lbl, ok in case.verified:
                 print(f"  [{'ok' if ok else 'FAIL'}] {lbl}")
         return 0 if case.all_pass else 1
-    raise ValueError("check needs --identity or --congruence-p")
+    raise UsageError("check needs --identity or --congruence-p")
 
 
 def cmd_pseudoprime(args) -> int:
@@ -141,15 +149,12 @@ def cmd_pseudoprime(args) -> int:
     if args.candidate is not None:
         candidates = [args.candidate]
     elif args.range is None:
-        raise ValueError("pseudoprime needs --candidate or --range lo:hi")
+        raise UsageError("pseudoprime needs --candidate or --range lo:hi")
     else:
-        try:
-            lo, hi = map(int, args.range.split(":"))
-        except ValueError:
-            raise ValueError(f"--range takes LO:HI, got {args.range!r}") from None
+        lo, hi = _ints("--range", args.range, "LO:HI", ":", 2)
         candidates = range(max(lo, 3) | 1, hi + 1, 2)
     if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     tail = " (epsilon = {0.epsilon}, tested B index {0.tested_index})" if args.range is None else ""
     for v in divisibility.pseudoprime_scan(system, candidates):  # each printed once ready
         print(json.dumps(v.to_dict()) if args.json else f"n = {v.n}: {v.verdict}" + tail.format(v))
@@ -261,11 +266,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ContikitError as exc:
+    except (ContikitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .core import lucas, residues
 from .errors import (DivisionByZero, HypothesisViolated, IndexOutOfRange, InputTooLarge,
-                     InvariantViolated, PrimalityUndecided)
+                     InvariantViolated, PrimalityUndecided, UsageError)
 from .recurrence import ReducedRecurrence, reduce
 from .systems import PeriodicSystem
 
@@ -28,7 +28,7 @@ from .systems import PeriodicSystem
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a | n) for odd n >= 1, by the standard binary algorithm."""
     if n <= 0 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs odd n >= 1, got {n}")
+        raise UsageError(f"Jacobi symbol needs odd n >= 1, got {n}")
     a %= n
     result = 1
     while a != 0:
@@ -80,7 +80,7 @@ def _is_prime(n: int) -> bool:
 
 def _require_prime(p: int):
     if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise UsageError(f"{p} is not prime")
 
 
 def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callable[[int], int]]:
@@ -93,7 +93,7 @@ def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callabl
 def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """B_{md-1} | B_{nd-1} whenever m | n; B_{nd-1} is read mod B_{md-1} unless that is 0."""
     if m < 1 or n < 1 or n % m != 0:
-        raise ValueError(f"need positive m | n, got m={m}, n={n}")
+        raise UsageError(f"need positive m | n, got m={m}, n={n}")
     B = reduce(system).boundary
     return B(n, abs(B(m)) or None) == 0
 
@@ -101,7 +101,7 @@ def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
 def strong_gcd_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """gcd(B_{md-1}, B_{nd-1}) == |B_{gcd(m,n)d-1}|, the larger index read mod the smaller's B."""
     if m < 1 or n < 1:
-        raise ValueError("m, n must be >= 1")
+        raise UsageError("m, n must be >= 1")
     B = reduce(system).boundary
     lo = B(min(m, n))
     return math.gcd(lo, B(max(m, n), abs(lo) or None)) == abs(B(math.gcd(m, n)))
@@ -278,7 +278,7 @@ def _least_divisor(holds, *parts: int) -> int:
 
 def _mult_order(x: int, p: int) -> int:
     if x % p == 0:
-        raise ValueError("order of 0 is undefined")
+        raise UsageError("order of 0 is undefined")
     return _least_divisor(lambda k: pow(x, k, p) == 1, p - 1)
 
 
@@ -346,7 +346,7 @@ def pseudoprime_scan(system: PeriodicSystem, candidates: Iterable[int]) -> Itera
     excluded = reduced.Cd * reduced.Dd * delta
     for n in candidates:
         if n < 3:
-            raise ValueError("n must be >= 3")
+            raise UsageError("n must be >= 3")
         if n % 2 == 0 or math.gcd(n, excluded) > 1:
             yield PseudoprimeVerdict(n, 0, 0, "inapplicable")
             continue
@@ -359,7 +359,7 @@ def pseudoprime_scan(system: PeriodicSystem, candidates: Iterable[int]) -> Itera
 def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict:
     """The verdict of pseudoprime_scan on the one candidate n."""
     if n < 3:  # refused before the reduction, whose errors come second
-        raise ValueError("n must be >= 3")
+        raise UsageError("n must be >= 3")
     return next(pseudoprime_scan(system, (n,)))
 
 
@@ -382,7 +382,7 @@ class RepetitionReport:
 
 def _padic_valuation(p: int, x: int) -> int:
     if x == 0:
-        raise ValueError("valuation of 0")
+        raise UsageError("valuation of 0")
     v = 0
     while x % p == 0:
         x //= p
@@ -395,18 +395,18 @@ def law_of_repetition_check(system: PeriodicSystem, p: int, n: int, m: int, f: i
     the power is exact when p does not divide D_d.  Both quotients are terms of W."""
     _require_prime(p)
     if m % p == 0:
-        raise ValueError("requires p coprime to m")
+        raise UsageError("requires p coprime to m")
     if f < 0 or n < 1 or m < 1:
-        raise ValueError("need n, m >= 1 and f >= 0")
+        raise UsageError("need n, m >= 1 and f >= 0")
     reduced = reduce(system)
     C, D = reduced.Cd, reduced.Dd
     e = _padic_valuation(p, lucas(C, D, n)[0])
     if e == 0:
-        raise ValueError("hypothesis unmet: p does not divide B_(nd-1)/B_(d-1)")
+        raise UsageError("hypothesis unmet: p does not divide B_(nd-1)/B_(d-1)")
     big, cap = p ** f * m * n, e + f + 1
     # W_k = 0 at some k >= 1 only if W's root ratio has order 2, 3, 4 or 6 (so 12).
     if lucas(C, D, math.gcd(big, 12))[0] == 0:
-        raise ValueError("valuation of 0")
+        raise UsageError("valuation of 0")
     w = lucas(C, D, big, p ** cap)[0]
     return RepetitionReport(p, e, f, _padic_valuation(p, w) if w else cap,
                             exact_expected=D % p != 0)

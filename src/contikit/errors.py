@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Every refusal in the package raises one of these; the CLI exits 2 on a ContikitError or an OSError only."""
 
 
 class ContikitError(Exception):
     """Base class for all library errors."""
+
+
+class UsageError(ContikitError, ValueError):
+    """An argument outside what a function or CLI option takes; also a ValueError."""
 
 
 class InvalidSystem(ContikitError):

@@ -15,7 +15,7 @@ from itertools import islice, repeat
 
 from .continuants import continuant_pair
 from .core import stride
-from .errors import InvariantViolated, PerfectSquare
+from .errors import InvariantViolated, PerfectSquare, UsageError
 from .systems import PeriodicSystem
 
 
@@ -92,5 +92,5 @@ def pell_fundamental(n: int) -> PellSolution:
 def pell_solutions(n: int, count: int) -> list[PellSolution]:
     """The first `count` solutions."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise UsageError("count must be >= 1")
     return list(islice(_solutions(n), count))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, UsageError
 
 
 def text(x: int | Fraction) -> str:
@@ -83,11 +83,11 @@ class QuadraticNumber:
         return self._coerce(other) / self
 
     def _coerce(self, other) -> "QuadraticNumber":
-        """other as a number of this field; mixed radicands raise ValueError."""
+        """other as a number of this field; mixed radicands raise UsageError."""
         if not isinstance(other, QuadraticNumber):
             return QuadraticNumber.rational(other, self.delta)
         if self.delta != other.delta:
-            raise ValueError(f"mixed radicands: sqrt({self.delta}) vs sqrt({other.delta})")
+            raise UsageError(f"mixed radicands: sqrt({self.delta}) vs sqrt({other.delta})")
         return other
 
     def conjugate(self) -> "QuadraticNumber":

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .continuants import b_sequence
 from .core import Matrix, lucas, mul, period, power
-from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare
+from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare, UsageError
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
 
@@ -39,8 +39,8 @@ class ReducedRecurrence:
         return cls(p + s, q * r - p * s, r)
 
     def boundary(self, k: int, m: int | None = None) -> int:
-        """B_{kd-1} (mod m) for k >= 0: W_k B_{d-1} on the Lucas ladder of (C_d, D_d)."""
-        b = lucas(self.Cd, self.Dd, k, m)[0] * self.Bd1
+        """B_{kd-1} (mod m) for k >= 0: W_k B_{d-1} on the Lucas ladder of (C_d, D_d), or 0 at once."""
+        b = self.Bd1 and lucas(self.Cd, self.Dd, k, m)[0] * self.Bd1
         return b if m is None else b % m
 
 
@@ -146,8 +146,8 @@ def sqrt_step(system: PeriodicSystem, n: int) -> int:
 
 
 def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
-    """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}."""
-    x, m = period(system, r % system.d)
+    """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}, from B_{nd+r} = u lam^n + v mu^n."""
+    x, m = period(system, r % system.d)  # first column (B_r, B_{r-1}) up to whole periods
     reduced = ReducedRecurrence.of(m)
     if reduced.Bd1 == 0:
         raise DivisionByZero("B_{d-1} = 0 makes B_{nd-1} = 0 and B_{nd+r} = B_d^n B_r, not a root's ratio")
@@ -155,19 +155,20 @@ def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
         raise DegenerateDiscriminant("limits require Delta > 0")
     if reduced.Cd == 0:
         raise DegenerateDiscriminant("|alpha| = |beta| when C_d = 0")
-    _, beta = roots(reduced)
+    s = math.isqrt(reduced.delta)  # a square Delta gives rational roots, and then u may be 0
+    root = QuadraticNumber(s, 0, s * s) if s * s == reduced.delta else QuadraticNumber(0, 1, reduced.delta)
+    lam = (reduced.Cd + (root if reduced.Cd > 0 else -root)) / 2  # |lam| > |mu| = |C_d - lam|
+    y = mul(x, m)  # first column (B_{d+r}, B_{d+r-1})
+    u = lambda i: y[i][0] - (reduced.Cd - lam) * x[i][0]  # u of B_{nd+r-i} times (lam - mu)
     if mode == "consecutive_terms":
         if r < 0:
             raise IndexOutOfRange("consecutive_terms requires r >= 0")
-        x = mul(x, power(m, r // system.d))  # T_r ... T_1, first column (B_r, B_{r-1})
-        y = mul(x, m)  # T_{d+r} ... T_1, first column (B_{d+r}, B_{d+r-1})
-        B = lambda t, i: QuadraticNumber.rational(t[i][0], reduced.delta)
-        return (beta * B(y, 0) - B(x, 0)) / (beta * B(y, 1) - B(x, 1))
+        return u(0) / u(1)  # u(1) = 0 makes the ratio diverge: DivisionByZero
     if mode == "consecutive_periods":
         if r < -1:
             raise IndexOutOfRange("consecutive_periods requires r >= -1")
-        return -reduced.Dd * beta
-    raise ValueError(f"unknown mode {mode!r}")
+        return lam if u(0).norm() else reduced.Cd - lam  # mu where B_{nd+r} has no lam part
+    raise UsageError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)

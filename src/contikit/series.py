@@ -17,13 +17,8 @@ from itertools import chain, islice, pairwise
 import mpmath
 
 from .core import mul, period, power, stride
-from .errors import (
-    DivisionByZero,
-    HypothesisViolated,
-    NoAdmissibleRoot,
-    PoleAtRoot,
-    PrecisionExhausted,
-)
+from .errors import (DivisionByZero, HypothesisViolated, NoAdmissibleRoot, PoleAtRoot,
+                     PrecisionExhausted, UsageError)
 from .pell import _solutions, expand_sqrt
 from .quadratic import QuadraticNumber, text
 from .recurrence import ReducedRecurrence, reduce, roots
@@ -37,9 +32,9 @@ class PrecisionContext:
 
     def __post_init__(self):
         if self.digits < 20:
-            raise ValueError("need at least 20 working digits")
+            raise UsageError("need at least 20 working digits")
         if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
+            raise UsageError("max_terms must be positive")
 
     @property
     def tolerance(self) -> mpmath.mpf:
@@ -127,7 +122,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
     """
     ctx = ctx or PrecisionContext()
     if family not in TELESCOPING_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise UsageError(f"unknown family {family!r}")
 
     if family.startswith("pell_"):
         if not isinstance(system_or_n, int):
@@ -221,7 +216,7 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     """
     ctx = ctx or PrecisionContext()
     if kind not in ZETA_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise UsageError(f"unknown kind {kind!r}")
     reduced = reduce(system)
     if reduced.Bd1 == 0:
         raise DivisionByZero("B_{d-1} = 0 makes every term and the target 0 (0 = 0)")
@@ -284,7 +279,10 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
         total, count, last = summation(zeta)
         extras = {"zeta": mpmath.nstr(zeta, ctx.digits)}
         if compare_zeta is not None:
-            cz = mpmath.mpf(compare_zeta)
+            try:
+                cz = mpmath.mpf(compare_zeta)
+            except ValueError:
+                raise UsageError(f"compare_zeta must be a number, got {compare_zeta!r}") from None
             alt_total, _, _ = summation(cz)
             extras["compare_zeta"] = mpmath.nstr(cz, ctx.digits)
             extras["compare_residual"] = mpmath.nstr(abs(alt_total - target), 10)
@@ -315,7 +313,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     binomial: sum_{n=1..N} C(N,n) (-1)^n (alpha+beta)^n B_{nd-1} = B_{2Nd-1}/D^N.
     """
     if big_n < 1:
-        raise ValueError("N must be >= 1")
+        raise UsageError("N must be >= 1")
     head, m = period(system, (r + 1) % system.d)
     reduced = ReducedRecurrence.of(m)
     C, D = reduced.Cd, reduced.Dd
@@ -324,7 +322,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
 
     if kind == "geometric":
         if r < -1:
-            raise ValueError("r must be >= -1")
+            raise UsageError("r must be >= -1")
         xf = Fraction(x)
         denom = xf * xf + Fraction(C, D) * xf - Fraction(1, D)
         if denom == 0:
@@ -342,4 +340,4 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         rhs = Fraction(reduced.boundary(2 * big_n), D ** big_n)
         return ExactSumReport(kind, Fraction(lhs), rhs)
 
-    raise ValueError(f"unknown kind {kind!r}")
+    raise UsageError(f"unknown kind {kind!r}")

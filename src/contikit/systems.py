@@ -81,8 +81,12 @@ class PeriodicSystem:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "PeriodicSystem":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str | bytes) -> "PeriodicSystem":
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8, -16 or -32
+            raise InvalidSystem(f"not a JSON document: {exc}") from None
+        return cls.from_dict(obj)
 
 
 def _integer(x) -> int:

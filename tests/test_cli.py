@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import contikit
 from contikit import HypothesisViolated, PeriodicSystem, S8
-from contikit import divisibility, recurrence, suite
+from contikit import divisibility, errors, recurrence, suite
 from contikit.cli import main
 from contikit.core import b_at
 
@@ -86,7 +87,9 @@ def test_reduce_system_file(tmp_path, capsys):
 @pytest.mark.parametrize("doc, message", [
     ('{"a": [1, 1], "b": [1, 4]}', "system is missing d"),
     ("[1, 2]", "a system must be a JSON object, got list"),
-], ids=["missing-d", "not-an-object"])
+    ('{"d": 2,', "not a JSON document: Expecting property name enclosed in double quotes: "
+                 "line 1 column 9 (char 8)"),
+], ids=["missing-d", "not-an-object", "not-json"])
 def test_malformed_system_file_exit2(tmp_path, capsys, doc, message):
     path = tmp_path / "system.json"
     path.write_text(doc)
@@ -107,16 +110,57 @@ USAGE_ERRORS = (
     (("pseudoprime", "--sqrt", "8", "--range", "3:4:5"), "--range takes LO:HI, got '3:4:5'"),
     (("pseudoprime", "--sqrt", "8", "--range", "5"), "--range takes LO:HI, got '5'"),
     (("pseudoprime", "--sqrt", "8", "--range", "3:x"), "--range takes LO:HI, got '3:x'"),
+    (("reduce", "--d", "2", "--a", "1,x", "--b", "1,2"), "--a takes comma-separated integers, got '1,x'"),
+    (("check", "--sqrt", "8", "--identity", "catalan", "--params", "0,q"),
+     "--params takes comma-separated integers, got '0,q'"),
+    (("series", "--sqrt", "8", "--family", "pi_over_6", "--compare-zeta", "abc"),
+     "compare_zeta must be a number, got 'abc'"),
+    (("pell", "--n", "8", "--count", "0"), "count must be >= 1"),
+    (("pisano", "--sqrt", "8", "--p", "9"), "9 is not prime"),
 )
 
 
 def test_system_sources_are_exclusive(capsys):
-    # Every usage error found after argparse exits 2 with one stderr line.
+    # Every usage error found after argparse exits 2 with one typed stderr line.
     for argv, message in USAGE_ERRORS:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: UsageError: {message}\n"
+
+
+def test_a_value_error_from_a_bug_escapes_main(capsys, monkeypatch):
+    # Only the exception's type makes exit 2: an untyped ValueError is a bug, not a usage error.
+    def bug(system):
+        raise ValueError("not a usage error")
+
+    monkeypatch.setattr(recurrence, "reduce", bug)
+    with pytest.raises(ValueError, match="not a usage error"):
+        main(["reduce", "--sqrt", "8"])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_every_raise_in_the_package_is_typed():
+    # A refusal raises a ContikitError; the two TypeErrors name a wrong Python type.
+    type_errors = {("quadratic.py", "_as_fraction"), ("continuants.py", "identity_failures")}
+    found = set()
+    for path in Path(contikit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}  # ast.walk is breadth first, so the innermost function is recorded last
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, func.name) for node in ast.walk(func) if isinstance(node, ast.Raise))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # a bare raise re-raises
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else exc.id
+            where = (path.name, owner.get(node))
+            if name == "TypeError" and where in type_errors:
+                found.add(where)
+            else:
+                assert issubclass(getattr(errors, name, Exception), errors.ContikitError), (where, name)
+    assert found == type_errors
 
 
 def test_binet_verb(capsys):
@@ -209,7 +253,7 @@ def test_pseudoprime_candidate_and_range_exclude_each_other(capsys):
 def test_pseudoprime_jobs_below_one_exit2(capsys):
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "pseudoprime", "--sqrt", "8", "--range", "3:40", "--jobs", jobs)
-        assert (code, out, err) == (2, "", f"error: --jobs must be >= 1, got {jobs}\n")
+        assert (code, out, err) == (2, "", f"error: UsageError: --jobs must be >= 1, got {jobs}\n")
 
 
 def test_pseudoprime_range_streams_results(capsys, monkeypatch):
@@ -288,7 +332,7 @@ def test_check_identity(capsys):
 ])
 def test_check_identity_wrong_parameter_count_exit2(capsys, identity, params, message):
     code, out, err = run(capsys, "check", "--sqrt", "8", "--identity", identity, f"--params={params}")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: UsageError: {message}\n")
 
 
 def test_check_congruence(capsys):

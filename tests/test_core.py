@@ -10,6 +10,7 @@ from itertools import islice
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -18,11 +19,13 @@ import contikit
 from contikit import (
     IDENTITIES,
     ContikitError,
+    DivisionByZero,
     IndexOutOfRange,
     S8,
     PeriodicSystem,
     PrimalityUndecided,
     ReducedRecurrence,
+    UsageError,
     b_sequence,
     binet,
     binet_negative,
@@ -51,7 +54,7 @@ from contikit import (
     verify_identity,
     weighted_sum_exact,
 )
-from contikit import core
+from contikit import core, divisibility, recurrence
 from contikit.cli import main
 from contikit.core import WALK_BELOW, b_at, lucas, power, residues, stride, transfer, walk
 from contikit.divisibility import PSI_12, _is_prime
@@ -171,6 +174,50 @@ def test_divisibility_checks_at_a_huge_index_answer_at_once():
         start = time.perf_counter()
         assert call()
         assert time.perf_counter() - start < 0.5
+
+
+def test_zero_corner_divisibility_checks_take_no_ladder(monkeypatch):
+    # B_{d-1} = 0 makes every B_{kd-1} 0, so W_n is never needed: over Z at n = 4*10^6 it took seconds.
+    ladders = []
+    for module in (recurrence, divisibility):
+        monkeypatch.setattr(module, "lucas", lambda *args: ladders.append(args) or lucas(*args))
+    n = 4 * 10 ** 6
+    assert divisibility_check(SPLIT_ZERO_CORNER, 1, n) and strong_gcd_check(SPLIT_ZERO_CORNER, 1, n)
+    assert ladders == []
+
+
+# C_d = -6 < 0, D_d = -8: the roots are -4 and -2, and -4 is the larger in size.
+NEGATIVE_TRACE = PeriodicSystem(d=2, a=(2, 4), b=(-4, 3), strict=False)
+
+
+@settings(max_examples=150)
+@given(systems(strict=False, max_d=3), st.sampled_from(["consecutive_periods", "consecutive_terms"]),
+       st.integers(-1, 7))
+@example(NEGATIVE_TRACE, "consecutive_periods", -1)
+@example(NEGATIVE_TRACE, "consecutive_terms", 0)
+@example(NEGATIVE_TRACE, "consecutive_terms", 1)
+@example(PeriodicSystem(d=2, a=(9, -6), b=(-4, 0), strict=False), "consecutive_periods", 0)  # u = 0
+@example(PeriodicSystem(d=2, a=(7, -1), b=(6, 0), strict=False), "consecutive_terms", 1)  # diverges
+@example(PeriodicSystem(d=2, a=(3, -8), b=(3, 0), strict=False), "consecutive_periods", 0)  # v = 0
+@example(PeriodicSystem(d=2, a=(3, -8), b=(3, 0), strict=False), "consecutive_terms", 1)  # v = 0 below
+def test_limit_ratio_matches_the_ratios_at_a_large_index(system, mode, r):
+    # B_{nd+r} = u lam^n + v mu^n with |mu/lam| = rho < 1, so a ratio at n is within about rho^n of its limit.
+    reduced, d, n = z_reduction(system), system.d, 400
+    assume(reduced.Bd1 != 0 and reduced.delta > 0 and reduced.Cd != 0)
+    assume(r >= 0 or mode == "consecutive_periods")
+    B = oracles.b_values(system, (n + 1) * d + r)  # index nu + 1 holds B_nu
+    top, bottom = (B[(n + 1) * d + r + 1], B[n * d + r + 1]) if mode == "consecutive_periods" \
+        else (B[n * d + r + 1], B[n * d + r])
+    assume(bottom != 0)
+    root = math.sqrt(reduced.delta)
+    with mpmath.workdps(60):
+        ratio, rho = mpmath.mpf(top) / bottom, mpmath.mpf(abs(root - abs(reduced.Cd))) / (root + abs(reduced.Cd))
+        try:
+            limit = limit_ratio(system, mode, r).mpf(60)
+        except DivisionByZero:  # B_{nd+r-1} has no lam part, so the ratio grows like rho^-n
+            assert mode == "consecutive_terms" and abs(ratio) > rho ** (-n / 2)
+            return
+        assert abs(ratio - limit) <= max(1, abs(limit)) * max(rho ** (n / 2), mpmath.mpf(10) ** -40)
 
 
 def test_boundary_reads_take_one_period_product(monkeypatch):
@@ -493,7 +540,7 @@ def test_identity_failures_raises_like_verify_identity(system, identity, params)
     assert raised(lambda: identity_failures(system, [(identity, [params])])) == expected
     if identity in IDENTITIES and len(params) != takes(identity):
         names = "(lam, nu, mu)" if takes(identity) == 3 else "(lam, nu)"
-        assert expected == (ValueError, f"{identity} takes {names}, got {len(params)} values")
+        assert expected == (UsageError, f"{identity} takes {names}, got {len(params)} values")
     elif identity in IDENTITIES and min(params) < 0:
         assert expected[0] is IndexOutOfRange
 

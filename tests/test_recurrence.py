@@ -13,6 +13,7 @@ from contikit import (
     IndexOutOfRange,
     NotAPerfectSquare,
     PeriodicSystem,
+    QuadraticNumber,
     ReducedRecurrence,
     b_sequence,
     binet,
@@ -185,6 +186,14 @@ def test_limit_ratio_consecutive_terms():
         seq = b_sequence(S8, 60)
         obs = mpmath.mpf(seq[51]) / seq[50]  # B_50 / B_49, r = 0 slot
         assert abs(lim - obs) < mpmath.mpf("1e-30")
+
+
+def test_limit_ratio_follows_the_root_larger_in_size_when_c_d_is_negative():
+    # C_d = -6, D_d = -8: the roots are -4 and -2, and B_(2n+2)/B_2n tends to -4.
+    system = PeriodicSystem(d=2, a=(2, 4), b=(-4, 3), strict=False)
+    limits = [limit_ratio(system, mode, r) for mode, r in
+              (("consecutive_periods", -1), ("consecutive_terms", 0), ("consecutive_terms", 1))]
+    assert limits == [QuadraticNumber.rational(x, 4) for x in (-4, Fraction(3, 2), Fraction(-8, 3))]
 
 
 def test_remark_identities_s8():
