@@ -71,7 +71,22 @@ class SeriesReport:
 TELESCOPING_FAMILIES = (
     "millin", "period_reciprocal", "pell_y", "pell_x", "pell_y2", "arctan", "artanh",
 )
-ZETA_KINDS = ("pi_over_6", "pi_over_8", "ln3", "ln2")
+# Each zeta kind is the arctan (c < 0) or artanh (c > 0) series at an angle theta with
+# c = -cot(theta) or coth(theta), summed at a root z of D z^2 + c sqrt(Delta) z -+ 1 = 0
+# (constant -1 for arctan, +1 for artanh); its target is theta B_(d-1) / sqrt(Delta):
+#   pi_over_6: D z^2 - sqrt(3) sqrt(Delta) z - 1 = 0,      theta = pi/6
+#   pi_over_8: D z^2 - (sqrt(2)+1) sqrt(Delta) z - 1 = 0,  theta = pi/8
+#   ln3:       D z^2 + 2 sqrt(Delta) z + 1 = 0,            theta = ln(3)/2
+#   ln2:       D z^2 + 3 sqrt(Delta) z + 1 = 0,            theta = ln(2)/2
+# A row is (c, theta's numerator, theta's denominator, target symbol), c and the
+# numerator as thunks evaluated at the working precision.
+_ZETA = {
+    "pi_over_6": (lambda: -mpmath.sqrt(3), lambda: mpmath.pi, 6, "pi*{b}/(6*{root})"),
+    "pi_over_8": (lambda: -(mpmath.sqrt(2) + 1), lambda: mpmath.pi, 8, "pi*{b}/(8*{root})"),
+    "ln3": (lambda: 2, lambda: mpmath.log(3), 2, "{b}*ln(3)/(2*{root})"),
+    "ln2": (lambda: 3, lambda: mpmath.log(2), 2, "{b}*ln(2)/(2*{root})"),
+}
+ZETA_KINDS = tuple(_ZETA)
 
 
 def _report(family: str, partial, closed, symbolic: str, terms: int,
@@ -162,17 +177,14 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
     if reduced.Dd != 1:
         raise HypothesisViolated(f"{family} requires D_d = 1")
     _, b1, b2, b3 = islice(B(), 4)
+    # artanh's closed form atanh(b1/b3) = ln((b3+b1)/(b3-b1))/2, without cancelling
+    fn, den, start, form = ((mpmath.atan, b2, 3, "arctan({1}/{0})") if family == "arctan"
+                            else (mpmath.atanh, b3, 4, "ln(({0}+{1})/({0}-{1}))/2"))
     with mpmath.workdps(ctx.digits + 10):
-        if family == "arctan":
-            closed = mpmath.atan(mpmath.mpf(b1) / b2)
-            symbolic = f"arctan({text(b1)}/{text(b2)})"
-            terms = (mpmath.atan(mpmath.mpf(b2) / b) for b in islice(B(), 3, 2 * ctx.max_terms + 2, 2))
-        else:
-            closed = mpmath.atanh(mpmath.mpf(b1) / b3)  # = ln((b3+b1)/(b3-b1))/2, without cancelling
-            symbolic = "ln(({0}+{1})/({0}-{1}))/2".format(text(b3), text(b1))
-            terms = (mpmath.atanh(mpmath.mpf(b2) / b) for b in islice(B(), 4, 2 * ctx.max_terms + 3, 2))
+        closed = fn(mpmath.mpf(b1) / den)
+    terms = (fn(mpmath.mpf(b2) / b) for b in islice(B(), start, 2 * ctx.max_terms + start - 1, 2))
     total, count = _sum_terms(terms, ctx)
-    return _report(family, total, closed, symbolic, count, ctx)
+    return _report(family, total, closed, form.format(text(den), text(b1)), count, ctx)
 
 
 def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
@@ -203,13 +215,7 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
 
 def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None = None,
                 compare_zeta=None) -> SeriesReport:
-    """Sum the odd-index power series at the admissible quadratic root.
-
-    kind selects the quadratic and target:
-      pi_over_6: D z^2 - sqrt(3 Delta) z - 1 = 0,          target pi B_(d-1) / (6 sqrt(Delta))
-      pi_over_8: D z^2 - (sqrt(2)-1) sqrt(Delta) z - 1 = 0, target pi B_(d-1) / (8 sqrt(Delta))
-      ln3:       D z^2 + 2 sqrt(Delta) z + 1 = 0,          target B_(d-1) ln 3 / (2 sqrt(Delta))
-      ln2:       D z^2 + 3 sqrt(Delta) z + 1 = 0,          target B_(d-1) ln 2 / (2 sqrt(Delta))
+    """Sum the odd-index power series of kind (see _ZETA) at the admissible quadratic root.
 
     If compare_zeta is given (a number), the same summation is additionally
     evaluated at that value and its residual is reported in extras.
@@ -223,26 +229,13 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     if reduced.delta <= 0:
         raise HypothesisViolated("requires Delta > 0")
     alpha, _ = roots(reduced)
-    b1, root = reduced.Bd1, f"sqrt({text(reduced.delta)})"
+    b1, (c, num, den, form) = reduced.Bd1, _ZETA[kind]
+    symbolic = form.format(b=text(b1), root=f"sqrt({text(reduced.delta)})")
 
     with mpmath.workdps(ctx.digits + 10):
-        sd = mpmath.sqrt(reduced.delta)
-        if kind == "pi_over_6":
-            lin, const = -mpmath.sqrt(3) * sd, -1
-            target = mpmath.pi * b1 / (6 * sd)
-            symbolic = f"pi*{text(b1)}/(6*{root})"
-        elif kind == "pi_over_8":
-            lin, const = -(mpmath.sqrt(2) + 1) * sd, -1
-            target = mpmath.pi * b1 / (8 * sd)
-            symbolic = f"pi*{text(b1)}/(8*{root})"
-        elif kind == "ln3":
-            lin, const = 2 * sd, 1
-            target = b1 * mpmath.log(3) / (2 * sd)
-            symbolic = f"{text(b1)}*ln(3)/(2*{root})"
-        else:
-            lin, const = 3 * sd, 1
-            target = b1 * mpmath.log(2) / (2 * sd)
-            symbolic = f"{text(b1)}*ln(2)/(2*{root})"
+        sd, c = mpmath.sqrt(reduced.delta), c()
+        lin, const = c * sd, (1 if c > 0 else -1)
+        target = num() * b1 / (den * sd)
 
         # Roots of D z^2 + lin z + const = 0.
         disc = lin * lin - 4 * reduced.Dd * const
@@ -265,10 +258,7 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
             odd = islice(stride(reduced.Cd, reduced.Dd, 0, b1), 1, None, 2)  # B_{(2k+1)d-1}
             for k, b in zip(range(ctx.max_terms), odd):
                 term = mpmath.mpf(b) / (2 * k + 1) * z ** (2 * k + 1)
-                if kind in ("pi_over_6", "pi_over_8"):
-                    term = term if k % 2 else -term  # (-1)^(k+1)
-                else:
-                    term = -term
+                term = term if c < 0 and k % 2 else -term  # arctan: (-1)^(k+1); artanh: -1
                 total += term
                 last = abs(term)
                 count = k + 1
