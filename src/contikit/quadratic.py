@@ -100,11 +100,14 @@ class QuadraticNumber:
         return self.q == 0
 
     def mpf(self, dps: int = 50) -> mpmath.mpf:
-        """Numeric value at dps decimal digits (requires delta >= 0)."""
+        """Numeric value at dps decimal digits (requires delta >= 0), to relative error 10^-dps."""
         with mpmath.workdps(dps + 10):
-            return mpmath.mpf(self.p.numerator) / self.p.denominator + (
-                mpmath.mpf(self.q.numerator) / self.q.denominator
-            ) * mpmath.sqrt(self.delta)
+            p = mpmath.mpf(self.p.numerator) / self.p.denominator
+            r = mpmath.mpf(self.q.numerator) / self.q.denominator * mpmath.sqrt(self.delta)
+            if self.p * self.q >= 0:
+                return p + r
+            n = self.norm()  # p + r would cancel; N(x)/(p - r), the norm over the conjugate, does not
+            return mpmath.mpf(n.numerator) / n.denominator / (p - r)
 
     def __str__(self) -> str:
         if self.q == 0:

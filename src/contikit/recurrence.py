@@ -163,7 +163,10 @@ def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     if mode == "consecutive_terms":
         if r < 0:
             raise IndexOutOfRange("consecutive_terms requires r >= 0")
-        return u(0) / u(1)  # u(1) = 0 makes the ratio diverge: DivisionByZero
+        if not u(1).norm():
+            raise DivisionByZero(f"at r = {r}, B_{{nd+r-1}} has no part in the larger root, "
+                                 "so B_{nd+r}/B_{nd+r-1} grows without bound")
+        return u(0) / u(1)
     if mode == "consecutive_periods":
         if r < -1:
             raise IndexOutOfRange("consecutive_periods requires r >= -1")

@@ -78,8 +78,7 @@ TELESCOPING_FAMILIES = (
 #   pi_over_8: D z^2 - (sqrt(2)+1) sqrt(Delta) z - 1 = 0,  theta = pi/8
 #   ln3:       D z^2 + 2 sqrt(Delta) z + 1 = 0,            theta = ln(3)/2
 #   ln2:       D z^2 + 3 sqrt(Delta) z + 1 = 0,            theta = ln(2)/2
-# A row is (c, theta's numerator, theta's denominator, target symbol), c and the
-# numerator as thunks evaluated at the working precision.
+# A row is (c, theta's numerator, its denominator, target symbol); thunks run at working precision.
 _ZETA = {
     "pi_over_6": (lambda: -mpmath.sqrt(3), lambda: mpmath.pi, 6, "pi*{b}/(6*{root})"),
     "pi_over_8": (lambda: -(mpmath.sqrt(2) + 1), lambda: mpmath.pi, 8, "pi*{b}/(8*{root})"),
@@ -237,12 +236,12 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
         lin, const = c * sd, (1 if c > 0 else -1)
         target = num() * b1 / (den * sd)
 
-        # Roots of D z^2 + lin z + const = 0.
+        # Roots big/D and const/big of D z^2 + lin z + const = 0, neither cancelling.
         disc = lin * lin - 4 * reduced.Dd * const
         if disc < 0:
             raise NoAdmissibleRoot("complex roots")
-        sq = mpmath.sqrt(disc)
-        candidates = [(-lin + sq) / (2 * reduced.Dd), (-lin - sq) / (2 * reduced.Dd)]
+        big = -(lin + mpmath.sign(lin) * mpmath.sqrt(disc)) / 2
+        candidates = [big / reduced.Dd, const / big]
         abs_alpha = abs(alpha.mpf(ctx.digits))
         admissible = [z for z in candidates if abs(z) < abs_alpha]
         if not admissible:

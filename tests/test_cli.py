@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import pytest
 
 import contikit
@@ -351,7 +352,7 @@ SERIES_MILLIN_TEXT = """\
 family      : millin
 partial sum : 0.171572875253809902396622551581  (6 terms)
 closed form : 0.171572875253809902396622551581  [1/(b1*beta) = 3 - 1/2*sqrt(32)]
-abs error   : 1.11593347e-43
+abs error   : 1.115933447e-43
 converged   : True
 """
 
@@ -359,6 +360,26 @@ converged   : True
 def test_series_text_output(capsys):
     code, out, err = run(capsys, "series", "--sqrt", "8", "--family", "millin", "--digits", "30")
     assert (code, out, err) == (0, SERIES_MILLIN_TEXT, "")
+
+
+@pytest.mark.parametrize("argv, terms, closed", [
+    (("--sqrt", "1000003", "--family", "pi_over_6", "--digits", "50"), 60,
+     "0.00026179899510095130853929440066758568759211081879172"),
+    (("--sqrt", "1000003", "--family", "period_reciprocal"), 1,
+     "1.9927415595579344962611336904775534893587086366912e-745"),
+    (("--sqrt", "100000007", "--family", "period_reciprocal", "--digits", "50"), 1,
+     "5.6864666535283148978652333493954935138279425559687e-9991"),
+], ids=["pi_over_6-d458", "period_reciprocal-d458", "period_reciprocal-d6524"])
+def test_series_closed_forms_with_a_large_c_d_do_not_cancel(capsys, argv, terms, closed):
+    # p + q*sqrt(Delta) cancelled in QuadraticNumber.mpf: pi_over_6 was refused with
+    # |alpha| = 0.0, and both period_reciprocal closed forms printed 0.0.
+    code, out, err = run(capsys, "series", *argv)
+    assert (code, err) == (0, "")
+    lines = dict(line.split(" : ", 1) for line in out.splitlines())
+    partial, count = lines["partial sum"].split("  ")
+    assert lines["closed form"].split("  ")[0] == closed and count == f"({terms} terms)"
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(partial) - mpmath.mpf(closed)) < mpmath.mpf("1e-30") * mpmath.mpf(closed)
 
 
 def test_check_congruence_text_output(capsys):

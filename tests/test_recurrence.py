@@ -196,6 +196,15 @@ def test_limit_ratio_follows_the_root_larger_in_size_when_c_d_is_negative():
     assert limits == [QuadraticNumber.rational(x, 4) for x in (-4, Fraction(3, 2), Fraction(-8, 3))]
 
 
+def test_limit_ratio_says_why_a_term_ratio_diverges():
+    # B_2n = (-1)^n and B_(2n+1) grows like 7^n, so B_(2n+1)/B_2n has no limit.
+    system = PeriodicSystem(d=2, a=(7, -1), b=(6, 0), strict=False)
+    assert b_values(system, 6) == [0, 1, 6, -1, 36, 1, 258, -1]
+    with pytest.raises(DivisionByZero, match=r"^at r = 1, B_\{nd\+r-1\} has no part in the larger "
+                                             r"root, so B_\{nd\+r\}/B_\{nd\+r-1\} grows without bound$"):
+        limit_ratio(system, "consecutive_terms", 1)
+
+
 def test_remark_identities_s8():
     rep = remark_identities(S8, 1)
     # 204^2/35^2 - 32*35^2/1^2 vs 4(-D)^n: 36 - 32 = 4 at n=1 scale

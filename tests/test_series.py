@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -6,12 +7,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from contikit import (
     FIB,
     S8,
     HypothesisViolated,
-    NoAdmissibleRoot,
     PoleAtRoot,
     PeriodicSystem,
     PrecisionContext,
@@ -141,8 +143,7 @@ def test_huge_closed_forms_build_under_the_default_digit_limit():
     set_digits(4300)
     try:
         rep = telescoping_sum(system, "period_reciprocal")
-        with pytest.raises(NoAdmissibleRoot):  # its own refusal, not the digit limit's ValueError
-            zeta_series(system, "pi_over_6")
+        zeta = zeta_series(system, "pi_over_6")  # |alpha| = 1.1e-3333 there, not the 0.0 that refused it
         set_digits(0)
         reduced = reduce(system)
         closed = roots(reduced)[0] / QuadraticNumber.rational(reduced.Bd1 ** 2, reduced.delta)
@@ -152,6 +153,42 @@ def test_huge_closed_forms_build_under_the_default_digit_limit():
         set_digits(old)
     assert len(expected) > 4300
     assert rep.closed_symbolic == expected
+    assert zeta.terms == 60 and mpmath.mpf(zeta.abs_error) < mpmath.mpf("1e-35")
+
+
+@st.composite
+def quadratic_numbers(draw):
+    """p + q*sqrt(delta) with |p|, |q| up to 10^500, often with p near -q*sqrt(delta)."""
+    s = draw(st.integers(0, 10 ** 6))
+    delta = s * s if draw(st.booleans()) else draw(st.integers(0, 10 ** 12))
+    den = draw(st.integers(1, 10 ** 6))
+    qn = draw(st.integers(-10 ** 500, 10 ** 500))
+    if draw(st.booleans()):  # p*den the integer nearest -q*den*sqrt(delta), give or take a few
+        root = math.isqrt(qn * qn * delta)
+        pn = -root if qn > 0 else root
+        pn += draw(st.integers(-3, 3))
+    else:
+        pn = draw(st.integers(-10 ** 500, 10 ** 500))
+    return QuadraticNumber(Fraction(pn, den), Fraction(qn, den), delta)
+
+
+@given(quadratic_numbers(), st.integers(20, 200))
+@example(QuadraticNumber(-3 * 10 ** 500, 10 ** 500, 9), 50)  # x = 0 exactly
+@example(QuadraticNumber(-(10 ** 500 + 1), 10 ** 250, 10 ** 500 + 2), 50)  # x = -5e-501
+def test_quadratic_mpf_has_small_relative_error(x, dps):
+    value, s = x.mpf(dps), math.isqrt(x.delta)
+    if s * s == x.delta and x.p == -x.q * s:
+        assert value == 0
+        return
+    # Summing p and q*sqrt(delta) directly cancels at most the bits of 2*max(|p|, |q*sqrt(delta)|)^2
+    # times the squared denominators, since |N(x)| >= 1/den(p)^2 den(q)^2; add those to 3x the precision.
+    lost = 2 * sum(n.bit_length() for n in (x.p.numerator, x.p.denominator, x.q.numerator,
+                                           x.q.denominator, x.delta)) + 8
+    with mpmath.workprec(int(3 * dps * 3.33) + lost):
+        exact = mpmath.mpf(x.p.numerator) / x.p.denominator + \
+            mpmath.mpf(x.q.numerator) / x.q.denominator * mpmath.sqrt(x.delta)
+        assert exact != 0
+        assert abs(value - exact) <= mpmath.mpf(10) ** -dps * abs(exact)
 
 
 def test_arctan_requires_unit_d():
