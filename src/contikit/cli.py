@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=50)
     p.add_argument("--terms", type=int, default=60)
     p.add_argument("--compare-zeta", type=str, default=None,
-                   help="also evaluate the sum at this root value")
+                   help="also sum as many terms at this root value")
     common(p)
     p.set_defaults(func=cmd_series)
 

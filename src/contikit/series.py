@@ -3,9 +3,12 @@
 Partial sums are accumulated exactly in rationals whenever the terms are
 rational (the reciprocal/telescoping families) and in guarded high-precision
 arithmetic for the arctan/artanh and zeta-style families.  Each sum reads only
-the terms it names, one at a time from a stride of the integer core.  Closed
-forms are evaluated from exact quadratic-field data; only the final comparison
-is approximate, at an explicit tolerance 10^-(digits-5).
+the terms it names, one at a time from a stride of the integer core.  Every
+family is summed by one rule, `_sum_terms`: stop at the first term below
+tolerance/4, or raise PrecisionExhausted once max_terms terms have not reached
+it.  Closed forms are evaluated from exact quadratic-field data; only the final
+comparison is approximate, and `converged` means exactly |partial - closed| <=
+tolerance = 10^-(digits-5).
 """
 from __future__ import annotations
 
@@ -90,7 +93,7 @@ ZETA_KINDS = tuple(_ZETA)
 
 def _report(family: str, partial, closed, symbolic: str, terms: int,
             ctx: PrecisionContext, partial_exact: Fraction | None = None,
-            extras: dict | None = None, tail=0) -> SeriesReport:
+            extras: dict | None = None) -> SeriesReport:
     with mpmath.workdps(ctx.digits + 10):
         partial = _to_mpf(partial)
         err = abs(partial - closed)
@@ -101,7 +104,7 @@ def _report(family: str, partial, closed, symbolic: str, terms: int,
             closed_symbolic=symbolic,
             abs_error=mpmath.nstr(err, 10),
             terms=terms,
-            converged=bool(err <= ctx.tolerance or err <= tail),
+            converged=bool(err <= ctx.tolerance),
             partial_exact=partial_exact,
             extras=extras or {},
         )
@@ -216,8 +219,8 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
                 compare_zeta=None) -> SeriesReport:
     """Sum the odd-index power series of kind (see _ZETA) at the admissible quadratic root.
 
-    If compare_zeta is given (a number), the same summation is additionally
-    evaluated at that value and its residual is reported in extras.
+    If compare_zeta is given (a number), the same number of terms is summed at
+    that value and its distance from the target is reported in extras.
     """
     ctx = ctx or PrecisionContext()
     if kind not in ZETA_KINDS:
@@ -249,37 +252,24 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
                 f"no root of the {kind} quadratic has |zeta| < |alpha| = {abs_alpha}")
         zeta = min(admissible, key=abs)
 
-        def summation(z) -> tuple[mpmath.mpf, int, mpmath.mpf]:
-            total = mpmath.mpf(0)
-            last = mpmath.mpf(0)
-            tol = ctx.tolerance / 10
-            count = 0
+        def terms(z):
             odd = islice(stride(reduced.Cd, reduced.Dd, 0, b1), 1, None, 2)  # B_{(2k+1)d-1}
-            for k, b in zip(range(ctx.max_terms), odd):
+            for k, b in enumerate(odd):
                 term = mpmath.mpf(b) / (2 * k + 1) * z ** (2 * k + 1)
-                term = term if c < 0 and k % 2 else -term  # arctan: (-1)^(k+1); artanh: -1
-                total += term
-                last = abs(term)
-                count = k + 1
-                if last < tol:
-                    break
-            return total, count, last
+                yield term if c < 0 and k % 2 else -term  # arctan: (-1)^(k+1); artanh: -1
 
-        total, count, last = summation(zeta)
         extras = {"zeta": mpmath.nstr(zeta, ctx.digits)}
-        if compare_zeta is not None:
+        if compare_zeta is not None:  # parsed first: a bad value is a UsageError at any cap
             try:
                 cz = mpmath.mpf(compare_zeta)
             except ValueError:
                 raise UsageError(f"compare_zeta must be a number, got {compare_zeta!r}") from None
-            alt_total, _, _ = summation(cz)
+        total, count = _sum_terms(terms(zeta), ctx)
+        if compare_zeta is not None:
             extras["compare_zeta"] = mpmath.nstr(cz, ctx.digits)
-            extras["compare_residual"] = mpmath.nstr(abs(alt_total - target), 10)
-        # Term count is driven by the geometric decay of |zeta*beta|; the
-        # series counts as converged once the residual is inside the tail
-        # bound implied by the last summed term (or the hard tolerance).
-        return _report(f"zeta_{kind}", total, target, symbolic, count, ctx, extras=extras,
-                       tail=4 * last)
+            residual = abs(sum(islice(terms(cz), count)) - target)
+            extras["compare_residual"] = mpmath.nstr(residual, 10)
+        return _report(f"zeta_{kind}", total, target, symbolic, count, ctx, extras=extras)
 
 
 @dataclass(frozen=True)

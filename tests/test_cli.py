@@ -307,11 +307,26 @@ def test_series_verb(capsys):
 
 
 def test_series_zeta_verb(capsys):
+    # S8's pi_over_6 terms shrink by about 0.358 each: 50 digits take 97 terms, not 40.
+    code, out, err = run(capsys, "series", "--sqrt", "8", "--family", "pi_over_6",
+                         "--digits", "50", "--terms", "40", "--json")
+    assert (code, out, err) == (2, "", "error: PrecisionExhausted: 40 terms did not reach "
+                                       "the tolerance 10^-45\n")
     code, out, _ = run(capsys, "series", "--sqrt", "8", "--family", "pi_over_6",
-                       "--digits", "50", "--terms", "40", "--json")
-    assert code == 0
+                       "--digits", "50", "--terms", "97", "--json")
     doc = json.loads(out)
-    assert doc["converged"] is True and "zeta" in doc
+    assert code == 0 and doc["converged"] is True and doc["terms"] == 97 and "zeta" in doc
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (("--sqrt", "8", "--digits", "50", "--terms", "10"), 10),
+    (("--sqrt", "1000003"), 60),
+], ids=["sqrt8-terms10", "sqrt1000003-default-cap"])
+def test_a_zeta_sum_cut_off_at_its_term_cap_is_refused(capsys, argv, terms):
+    # Both used to print "converged : True" at errors of 1.4e-7 and 4.2e-35.
+    code, out, err = run(capsys, "series", "--family", "pi_over_6", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: PrecisionExhausted: {terms} terms did not reach the tolerance 10^-45\n"
 
 
 def test_series_hypothesis_violation_exit2(capsys):
@@ -363,7 +378,7 @@ def test_series_text_output(capsys):
 
 
 @pytest.mark.parametrize("argv, terms, closed", [
-    (("--sqrt", "1000003", "--family", "pi_over_6", "--digits", "50"), 60,
+    (("--sqrt", "1000003", "--family", "pi_over_6", "--digits", "50", "--terms", "100"), 85,
      "0.00026179899510095130853929440066758568759211081879172"),
     (("--sqrt", "1000003", "--family", "period_reciprocal"), 1,
      "1.9927415595579344962611336904775534893587086366912e-745"),
@@ -470,6 +485,13 @@ def test_paper_verb_deterministic(capsys):
     code, doc, _ = run(capsys, "paper", "--json")
     assert code == 0
     assert sha256(doc) == PAPER_JSON_SHA256
+
+
+@pytest.mark.parametrize("digits", ["20", "21", "22", "23"])
+def test_paper_passes_at_few_digits(capsys, digits):
+    # The zeta row sums its own 40 terms; the library's sum once stopped short of them here.
+    code, out, _ = run(capsys, "paper", "--digits", digits)
+    assert code == 0 and out.splitlines()[-1] == "13/13 checks passed"
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])

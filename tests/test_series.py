@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from contikit import (
     FIB,
     S8,
+    ContikitError,
     HypothesisViolated,
     PoleAtRoot,
     PeriodicSystem,
@@ -143,7 +144,8 @@ def test_huge_closed_forms_build_under_the_default_digit_limit():
     set_digits(4300)
     try:
         rep = telescoping_sum(system, "period_reciprocal")
-        zeta = zeta_series(system, "pi_over_6")  # |alpha| = 1.1e-3333 there, not the 0.0 that refused it
+        # |alpha| = 1.1e-3333 there, not the 0.0 that refused it
+        zeta = zeta_series(system, "pi_over_6", PrecisionContext(50, 100))
         set_digits(0)
         reduced = reduce(system)
         closed = roots(reduced)[0] / QuadraticNumber.rational(reduced.Bd1 ** 2, reduced.delta)
@@ -153,7 +155,7 @@ def test_huge_closed_forms_build_under_the_default_digit_limit():
         set_digits(old)
     assert len(expected) > 4300
     assert rep.closed_symbolic == expected
-    assert zeta.terms == 60 and mpmath.mpf(zeta.abs_error) < mpmath.mpf("1e-35")
+    assert zeta.terms == 83 and zeta.converged
 
 
 @st.composite
@@ -200,8 +202,14 @@ def test_arctan_requires_unit_d():
 
 
 def test_zeta_kinds_s8():
+    # At 50 digits S8 needs 97, 59, 74 and 47 terms: a cap of 60 cuts two kinds off.
     for kind in ZETA_KINDS:
-        rep = zeta_series(S8, kind, PrecisionContext(50, 60))
+        if kind in ("pi_over_6", "ln3"):
+            with pytest.raises(PrecisionExhausted, match="^60 terms did not reach the tolerance"):
+                zeta_series(S8, kind, PrecisionContext(50, 60))
+        else:
+            assert zeta_series(S8, kind, PrecisionContext(50, 60)).converged, kind
+        rep = zeta_series(S8, kind, PrecisionContext(50, 150))
         assert rep.converged, kind
         with mpmath.workdps(60):
             zeta = mpmath.mpf(rep.extras["zeta"])
@@ -211,11 +219,27 @@ def test_zeta_kinds_s8():
 def test_zeta_pi6_tolerance_and_compare():
     with mpmath.workdps(60):
         printed = 2 * mpmath.sqrt(6) - 5
-    rep = zeta_series(S8, "pi_over_6", PrecisionContext(50, 40), compare_zeta=printed)
+    rep = zeta_series(S8, "pi_over_6", PrecisionContext(50, 150), compare_zeta=printed)
+    assert rep.converged and rep.terms == 97
     with mpmath.workdps(60):
-        assert mpmath.mpf(rep.abs_error) < mpmath.mpf("1e-20")
+        assert mpmath.mpf(rep.abs_error) <= mpmath.mpf("1e-45")
+        # The same 97 terms summed at the printed root miss the target.
         assert mpmath.mpf(rep.extras["compare_residual"]) > mpmath.mpf("1e-3")
-    assert rep.terms <= 40
+        want = mpmath.sqrt(23) - 2 * mpmath.sqrt(6)  # small root of z^2 + sqrt(96) z + 1
+        assert abs(mpmath.mpf(rep.extras["zeta"]) - want) < mpmath.mpf("1e-45")
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(ZETA_KINDS), st.integers(1, 150),
+       st.integers(20, 60))
+def test_a_zeta_verdict_holds_at_the_tolerance(seed, kind, cap, digits):
+    # "converged" means within 10^-(digits-5) of the target, or the call is refused; a sum
+    # cut off at its cap once read as converged whenever its error was below 4x its last term.
+    system = random_strict_system(random.Random(seed))
+    try:
+        rep = zeta_series(system, kind, PrecisionContext(digits, cap))
+    except ContikitError:
+        return
+    assert not rep.converged or mpmath.mpf(rep.abs_error) <= mpmath.mpf(10) ** -(digits - 5)
 
 
 def test_zeta_fib():
