@@ -100,8 +100,9 @@ def cmd_series(args) -> int:
     ctx = series.PrecisionContext(args.digits, args.terms)
     if args.family in series.ZETA_KINDS:
         system = _system_from_args(args)
-        rep = series.zeta_series(system, args.family, ctx,
-                                 compare_zeta=args.compare_zeta)
+        rep = series.zeta_series(system, args.family, ctx, compare_zeta=args.compare_zeta)
+    elif args.compare_zeta is not None:
+        raise UsageError(f"--compare-zeta applies to the zeta kinds only, not {args.family}")
     elif args.family.startswith("pell_"):
         if args.sqrt is None:
             raise UsageError(f"{args.family} needs --sqrt N")
@@ -116,6 +117,8 @@ def cmd_series(args) -> int:
         print(f"partial sum : {rep.partial_sum}  ({rep.terms} terms)")
         print(f"closed form : {rep.closed_form}  [{rep.closed_symbolic}]")
         print(f"abs error   : {rep.abs_error}")
+        if args.compare_zeta is not None:
+            print(f"compare zeta: {rep.extras['compare_zeta']}  (residual {rep.extras['compare_residual']})")
         print(f"converged   : {rep.converged}")
     return 0 if rep.converged else 1
 
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=50)
     p.add_argument("--terms", type=int, default=60)
     p.add_argument("--compare-zeta", type=str, default=None,
-                   help="also sum as many terms at this root value")
+                   help="zeta kinds only: also sum as many terms at this root value")
     common(p)
     p.set_defaults(func=cmd_series)
 

@@ -58,7 +58,9 @@ def stride(c: int, d: int, x: int, y: int) -> Iterator[int]:
 
 
 def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:
-    """(W_k, W_{k+1}) (mod m) for W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}, k >= 0."""
+    """(W_k, W_{k+1}) (mod m) for W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}, k >= 0 only."""
+    if k < 0:
+        raise IndexOutOfRange(f"the Lucas ladder reads W_k for k >= 0, got {k}")
     if m is not None:
         c, d = c % m, d % m
     w, w1 = 0, 1
@@ -81,7 +83,9 @@ def power(x: Matrix, n: int) -> Matrix:
 
 
 def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matrix:
-    """T_{lam+count} ... T_{lam+1} * start over Z, one transfer step at a time."""
+    """T_{lam+count} ... T_{lam+1} * start over Z for count >= 0, one transfer step at a time."""
+    if count < 0:
+        raise IndexOutOfRange(f"a walk takes count >= 0 steps, got {count}")
     a, b, d = system.a, system.b, system.d
     (p, q), (r, s) = start
     for i in range(lam, lam + count):

@@ -3,11 +3,11 @@
 B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = tr M and
 D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
 (Cayley-Hamilton), so B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of
-(C_d, D_d) (ReducedRecurrence.boundary); plus closed forms at positive and
-negative indices through powers of M and its adjugate, roots in Q(sqrt(Delta)),
-the generating-function check, ratio limits and square-root stepping.
-The reduction divides by nothing, so B_{d-1} = 0 is allowed; readers whose answer divides
-by it, or is 0 = 0 or (limit_ratio) no root's ratio because of it, refuse it (DivisionByZero).
+(C_d, D_d) (ReducedRecurrence.boundary), which divides by nothing; plus exact values at
+positive and negative indices through powers of M and its adjugate, at any Delta, roots in
+Q(sqrt(Delta)), the generating-function check, ratio limits and square-root stepping.
+A reader refuses B_{d-1} = 0 (DivisionByZero) where its answer divides by it, or is 0 = 0 or
+(limit_ratio) no root's ratio, and Delta = 0 (DegenerateDiscriminant) only where it takes a root.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import b_sequence
-from .core import Matrix, lucas, mul, period, power
+from .core import Matrix, b_at, lucas, mul, period, power
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare, UsageError
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -61,30 +61,24 @@ def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]
     return alpha, beta
 
 
-def _closed_form(system: PeriodicSystem, n: int, r: int, nu: int) -> tuple[Matrix, Matrix]:
-    """T_nu ... T_1 and M from the period walk behind the Delta check."""
+def binet(system: PeriodicSystem, n: int, r: int) -> int:
+    """B_{nd+r} over Z from one core.b_at read (a walk, or one period walk and the ladder); any Delta."""
     if n < 0 or r < -1:
         raise IndexOutOfRange("requires n >= 0, r >= -1")
-    x, m = period(system, nu)
-    if ReducedRecurrence.of(m).delta == 0:
-        raise DegenerateDiscriminant("Delta = 0")
-    return x, m
-
-
-def binet(system: PeriodicSystem, n: int, r: int) -> int:
-    """B_{nd+r} read from the core's power of M, exact in integers."""
-    return _closed_form(system, n, r, n * system.d + r + 1)[0][1][0]
+    return b_at(system, n * system.d + r)
 
 
 def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
-    """B_{-nd+r} = [T_{r+1} ... T_1 adj(M)^n]_{1,0} / det(M)^n; exact rational.
+    """B_{-nd+r} = [T_{r+1} ... T_1 adj(M)^n]_{1,0} / det(M)^n; exact rational, any Delta.
 
     M^{-n} carries (B_0, B_{-1}) back to (B_{-nd}, B_{-nd-1}), and
-    det M = -D_d.  Satisfies (-D_d)^n B_{-nd-1} = -B_{nd-1} at r = -1.
-    Rationals appear when |a_nu| != 1, matching the backward recurrence
+    det M = -D_d, never 0 as no a_i is.  Satisfies (-D_d)^n B_{-nd-1} = -B_{nd-1}
+    at r = -1.  Rationals appear when |a_nu| != 1, matching the backward recurrence
     B_{nu-2} = (B_nu - b_nu B_{nu-1}) / a_nu.
     """
-    x, ((p, q), (t, s)) = _closed_form(system, n, r, r + 1)
+    if n < 0 or r < -1:
+        raise IndexOutOfRange("requires n >= 0, r >= -1")
+    x, ((p, q), (t, s)) = period(system, r + 1)
     return Fraction(mul(x, power(((s, -q), (-t, p)), n))[1][0], (p * s - q * t) ** n)
 
 

@@ -92,20 +92,19 @@ ZETA_KINDS = tuple(_ZETA)
 
 
 def _report(family: str, partial, closed, symbolic: str, terms: int,
-            ctx: PrecisionContext, partial_exact: Fraction | None = None,
-            extras: dict | None = None) -> SeriesReport:
+            ctx: PrecisionContext, extras: dict | None = None) -> SeriesReport:
     with mpmath.workdps(ctx.digits + 10):
-        partial = _to_mpf(partial)
-        err = abs(partial - closed)
+        value = _to_mpf(partial)
+        err = abs(value - closed)
         return SeriesReport(
             family=family,
-            partial_sum=mpmath.nstr(partial, ctx.digits),
+            partial_sum=mpmath.nstr(value, ctx.digits),
             closed_form=mpmath.nstr(mpmath.mpf(closed), ctx.digits),
             closed_symbolic=symbolic,
             abs_error=mpmath.nstr(err, 10),
             terms=terms,
             converged=bool(err <= ctx.tolerance),
-            partial_exact=partial_exact,
+            partial_exact=partial if isinstance(partial, Fraction) else None,
             extras=extras or {},
         )
 
@@ -164,8 +163,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
                  for n in range(1, n_cap + 1))
         total, count = _sum_terms(terms, ctx)
         closed = 1 / (system.b[0] * beta)
-        return _report(family, total, closed.mpf(ctx.digits + 10),
-                       f"1/(b1*beta) = {closed}", count, ctx, total)
+        return _report(family, total, closed.mpf(ctx.digits + 10), f"1/(b1*beta) = {closed}", count, ctx)
 
     B = lambda: stride(reduced.Cd, reduced.Dd, 0, reduced.Bd1)  # B_{nd-1} at n = 0, 1, ...
     if family == "period_reciprocal":
@@ -173,8 +171,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
                  for n, (lo, hi) in zip(range(ctx.max_terms), pairwise(islice(B(), 1, None))))
         total, count = _sum_terms(terms, ctx)
         closed = alpha / QuadraticNumber.rational(reduced.Bd1 ** 2, reduced.delta)
-        return _report(family, total, closed.mpf(ctx.digits + 10),
-                       f"alpha/B_(d-1)^2 = {closed}", count, ctx, total)
+        return _report(family, total, closed.mpf(ctx.digits + 10), f"alpha/B_(d-1)^2 = {closed}", count, ctx)
 
     if reduced.Dd != 1:
         raise HypothesisViolated(f"{family} requires D_d = 1")
@@ -212,7 +209,7 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
         closed = QuadraticNumber.rational(Fraction(1, y1 ** 3), delta)
         symbolic = f"1/y1^3 = {closed}"
     total, count = _sum_terms(terms, ctx)
-    return _report(family, total, closed.mpf(ctx.digits + 10), symbolic, count, ctx, total)
+    return _report(family, total, closed.mpf(ctx.digits + 10), symbolic, count, ctx)
 
 
 def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None = None,

@@ -175,6 +175,13 @@ def test_binet_verb(capsys):
     assert json.loads(out) == {"nu": "-7", "B": "-495/64"}
 
 
+@pytest.mark.parametrize("nu, line", [("10", "B_10 = 11"), ("-5", "B_-5 = -4")])
+def test_binet_answers_a_zero_discriminant(capsys, nu, line):
+    # Delta = 0 with the double root 1, so B_nu = nu + 1; binet takes no root and used to refuse it.
+    argv = ("binet", "--d", "2", "--a=-1,-1", "--b", "2,2", "--non-strict", "--nu", nu)
+    assert run(capsys, *argv) == (0, line + "\n", "")
+
+
 def test_binet_past_the_int_str_digit_limit(capsys):
     # B_100000 has about 38 000 digits, past CPython's default 4300.
     for extra in ((), ("--json",)):
@@ -327,6 +334,24 @@ def test_a_zeta_sum_cut_off_at_its_term_cap_is_refused(capsys, argv, terms):
     code, out, err = run(capsys, "series", "--family", "pi_over_6", *argv)
     assert (code, out) == (2, "")
     assert err == f"error: PrecisionExhausted: {terms} terms did not reach the tolerance 10^-45\n"
+
+
+def test_compare_zeta_is_refused_outside_the_zeta_kinds(capsys):
+    # It was accepted and ignored, with exit 0.
+    code, out, err = run(capsys, "series", "--sqrt", "8", "--family", "millin", "--compare-zeta", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "error: UsageError: --compare-zeta applies to the zeta kinds only, not millin\n"
+
+
+def test_compare_zeta_prints_its_residual_in_text_mode(capsys):
+    # Text mode printed the same five lines with or without it; now one more line names the value and residual.
+    argv = ("series", "--sqrt", "8", "--family", "pi_over_6", "--terms", "100")
+    code, plain, _ = run(capsys, *argv)
+    lines = plain.splitlines()
+    assert code == 0 and len(lines) == 5
+    code, compared, _ = run(capsys, *argv, "--compare-zeta", "0.1")
+    assert code == 0
+    assert compared.splitlines() == lines[:4] + ["compare zeta: 0.1  (residual 0.1828138815)"] + lines[4:]
 
 
 def test_series_hypothesis_violation_exit2(capsys):

@@ -406,6 +406,49 @@ def test_continuant_pair_and_b_at_at_large_index(system, nu, lam):
     assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
 
 
+# Delta = 0: the double root 1 gives B_nu = nu + 1, and the double root 3 gives B_nu = (nu + 1) 3^nu.
+DOUBLE_ROOT = PeriodicSystem(d=2, a=(-1, -1), b=(2, 2), strict=False)
+DOUBLE_ROOT_3 = PeriodicSystem(d=1, a=(-9,), b=(6,), strict=False)
+
+
+@settings(max_examples=150)
+@given(systems(strict=False, max_d=3), st.integers(0, 12), st.integers(-1, 5))
+@example(DOUBLE_ROOT, 5, 0)
+@example(DOUBLE_ROOT, 3, -1)
+@example(DOUBLE_ROOT_3, 7, 2)
+@example(ZERO_CORNER, 4, 1)  # B_{d-1} = 0 and Delta = 0
+@example(SPLIT_ZERO_CORNER, 6, -1)
+def test_closed_forms_match_the_walks_at_any_delta(system, n, r):
+    # binet and binet_negative take no root, so they answer Delta = 0 and B_{d-1} = 0 like any system.
+    d = system.d
+    B = {i - 1: b for i, b in enumerate(oracles.b_values(system, n * d + r))}  # B_-1 .. B_{nd+r}
+    B.update(oracles.backward_sequence(system, r - n * d))  # B_{r-nd} .. B_0
+    assert binet(system, n, r) == B[n * d + r]
+    assert binet_negative(system, n, r) == B[r - n * d]
+
+
+@settings(max_examples=60)
+@given(systems(), st.integers(-40, -1))
+@example(S8, -1)  # boundary(-1) gave 1 for B_{-3} = -1, b_at(S8, -3) gave 0
+@example(S8, -2)  # boundary(-2) gave 6 for B_{-5} = -6, power(x, -2) gave x^2
+@example(ZERO_CORNER, -3)
+def test_core_refuses_negative_indices(system, k):
+    # Ladder rungs and step counts are defined for k >= 0 only; a negative one used to read a wrong value.
+    red, mat = z_reduction(system), period_matrix(system)
+    reads = [lambda: lucas(red.Cd, red.Dd, k), lambda: lucas(red.Cd, red.Dd, k, 7), lambda: power(mat, k),
+             lambda: core.steps(system, 0, k, core.IDENTITY), lambda: transfer(system, k),
+             lambda: core.period(system, k), lambda: b_at(system, k - 1),
+             lambda: binet(system, k, 0), lambda: binet_negative(system, k, 0)]
+    for read in reads:
+        with pytest.raises(IndexOutOfRange):
+            read()
+    if red.Bd1:
+        with pytest.raises(IndexOutOfRange):
+            red.boundary(k)
+    else:  # B_{d-1} = B_{-1} = 0 makes every B_{jd-1} 0, at negative j too, and no ladder runs
+        assert red.boundary(k) == 0 == oracles.backward_sequence(system, k * system.d - 1)[k * system.d - 1]
+
+
 @settings(max_examples=60)
 @given(systems(), st.integers(0, 1000), st.integers(-1, 6))
 @example(SPLIT_ZERO_CORNER, 1000, 1)

@@ -10,6 +10,7 @@ from contikit import (
     ZETA_KINDS,
     DegenerateDiscriminant,
     DivisionByZero,
+    HypothesisViolated,
     IndexOutOfRange,
     NotAPerfectSquare,
     PeriodicSystem,
@@ -97,10 +98,22 @@ def test_closed_forms_reject_bad_input(closed_form):
     for n, r in ((-1, 0), (0, -2)):
         with pytest.raises(IndexOutOfRange):
             closed_form(S8, n, r)
-    # C_1 = 2, D_1 = -1: Delta = 0.
+    # C_1 = 2, D_1 = -1: Delta = 0, and B_nu = nu + 1.  No root is taken, so it is answered.
+    degenerate = PeriodicSystem(d=1, a=(-1,), b=(2,), strict=False)
+    assert closed_form(degenerate, 2, 0) == {binet: 3, binet_negative: -1}[closed_form]
+
+
+def test_root_readers_refuse_a_zero_discriminant():
+    # The double root of x^2 - 2x + 1 has no Q(sqrt(Delta)) pair, so every reader that takes a root refuses it.
     degenerate = PeriodicSystem(d=1, a=(-1,), b=(2,), strict=False)
     with pytest.raises(DegenerateDiscriminant):
-        closed_form(degenerate, 2, 0)
+        roots(reduce(degenerate))
+    with pytest.raises(DegenerateDiscriminant):
+        limit_ratio(degenerate, "consecutive_periods", 0)
+    with pytest.raises(HypothesisViolated, match="Delta > 0"):
+        telescoping_sum(degenerate, "period_reciprocal")
+    with pytest.raises(HypothesisViolated, match="Delta > 0"):
+        zeta_series(degenerate, "pi_over_6")
 
 
 def test_negative_index_reflection():
