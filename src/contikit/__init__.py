@@ -10,7 +10,6 @@ from .continuants import (
     IdentityReport,
     b_sequence,
     continuant_determinant,
-    continuant_matrix,
     continuant_pair,
     convergent,
     identity_failures,
@@ -26,7 +25,7 @@ from .divisibility import (
     jacobi,
     law_of_repetition_check,
     lucas_pseudoprime_test,
-    pisano_bound,
+    pisano,
     pisano_period,
     pseudoprime_scan,
     rank_of_apparition,

@@ -166,7 +166,7 @@ def cmd_pseudoprime(args) -> int:
 
 def cmd_pisano(args) -> int:
     system = _system_from_args(args)
-    pi, bound = divisibility._pisano(system, args.p)
+    pi, bound = divisibility.pisano(system, args.p)
     print(json.dumps({"p": str(args.p), "pi": str(pi), "bound": str(bound)}) if args.json
           else f"pi({args.p}) = {pi}  (divisor bound {bound})")
     return 0

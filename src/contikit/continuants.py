@@ -46,19 +46,6 @@ def b_sequence(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
     return walk(system, nu_max, lam)
 
 
-def continuant_matrix(system: PeriodicSystem, nu: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(1 1; 1 0) * prod_{j=1..nu} (b_j 1; a_j 0).
-
-    The leading factor encodes b_0 = 1, so system.b0 is deliberately ignored
-    here; rows are (A_nu, A_{nu-1}) and (B_nu, B_{nu-1}) under that
-    convention.  The product is the transpose of the core's transfer matrix.
-    """
-    if nu < 0:
-        raise IndexOutOfRange(f"nu must be >= 0, got {nu}")
-    (p, q), (r, s) = transfer(system, nu)
-    return (p + q, r + s), (p, r)
-
-
 def _bareiss_det(mat: list[list[int]]) -> int:
     """Exact determinant via fraction-free Gaussian elimination."""
     n = len(mat)

@@ -294,13 +294,9 @@ def _bound_parts(reduced: ReducedRecurrence, p: int, d: int) -> tuple[int, ...]:
     return p + 1, d, _mult_order(-D, p)
 
 
-def pisano_bound(system: PeriodicSystem, p: int) -> int:
-    """The divisor bound on the Pisano period modulo a prime p coprime to 2 D_d."""
-    return math.prod(_bound_parts(_modular(system, p)[0], p, system.d))
-
-
-def _pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
-    """(pisano_period, pisano_bound) of system mod p, with the bound derived once."""
+def pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
+    """(pi, L) modulo a prime p coprime to 2 D_d: the least pi >= 1 with B_{nu+pi} = B_nu
+    (mod p) for all nu >= -1, and the divisor bound L it divides, derived once."""
     reduced, B = _modular(system, p)
     parts = _bound_parts(reduced, p, system.d)
     limit = math.prod(parts)
@@ -314,8 +310,8 @@ def _pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
 
 
 def pisano_period(system: PeriodicSystem, p: int) -> int:
-    """Least pi >= 1 with B_{nu+pi} = B_nu (mod p) for all nu >= -1."""
-    return _pisano(system, p)[0]
+    """The period alone, pisano(system, p)[0]."""
+    return pisano(system, p)[0]
 
 
 @dataclass(frozen=True)

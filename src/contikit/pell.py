@@ -73,24 +73,23 @@ def to_system(expansion: SqrtExpansion) -> PeriodicSystem:
     return PeriodicSystem(d=d, a=(1,) * d, b=expansion.period, b0=expansion.a0, strict=True)
 
 
-def _solutions(n: int) -> Iterator[PellSolution]:
-    """Every solution in order: (x1, y1) is the continuant pair at the end of the
-    (doubled, when d is odd) period, and x_k + y_k sqrt(N) is its k-th power, a
-    root of t^2 - 2 x1 t + 1: X_{k+1} = 2 x1 X_k - X_{k-1} for X = x, y."""
-    expansion = expand_sqrt(n)
+def _solutions(expansion: SqrtExpansion) -> Iterator[PellSolution]:
+    """Every solution in order for the N that was expanded: (x1, y1) is the continuant pair
+    at the end of the (doubled, when d is odd) period, and x_k + y_k sqrt(N) is its k-th
+    power, a root of t^2 - 2 x1 t + 1: X_{k+1} = 2 x1 X_k - X_{k-1} for X = x, y."""
     d = expansion.d
     x1, y1 = continuant_pair(to_system(expansion), d - 1 if d % 2 == 0 else 2 * d - 1)
     t = 2 * x1  # (x_2, y_2) = (t x1 - x_0, t y1 - y_0) with (x_0, y_0) = (1, 0)
-    return map(PellSolution, stride(t, -1, x1, t * x1 - 1), stride(t, -1, y1, t * y1), repeat(n))
+    return map(PellSolution, stride(t, -1, x1, t * x1 - 1), stride(t, -1, y1, t * y1), repeat(expansion.n))
 
 
 def pell_fundamental(n: int) -> PellSolution:
     """Minimal (x, y) with x^2 - N y^2 = 1, from the period-boundary convergent."""
-    return next(_solutions(n))
+    return next(_solutions(expand_sqrt(n)))
 
 
 def pell_solutions(n: int, count: int) -> list[PellSolution]:
     """The first `count` solutions."""
     if count < 1:
         raise UsageError("count must be >= 1")
-    return list(islice(_solutions(n), count))
+    return list(islice(_solutions(expand_sqrt(n)), count))

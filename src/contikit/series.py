@@ -190,7 +190,7 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
     expansion = expand_sqrt(n)
     if expansion.d % 2 != 0:
         raise HypothesisViolated(f"{family} requires an even period; sqrt({n}) has d={expansion.d}")
-    first = next(sols := _solutions(n))
+    first = next(sols := _solutions(expansion))
     x1, y1 = first.x, first.y
     pairs = islice(pairwise(chain([first], sols)), ctx.max_terms)  # (s_k, s_{k+1}), k >= 1
     delta = x1 * x1 - 1  # = N * y1^2

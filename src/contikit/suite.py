@@ -56,8 +56,9 @@ def check_sqrt8_sequence() -> SuiteRow:
     d = S8.d
     via_reduced = all(raw[nu] == reduced.Cd * raw[nu - d] + reduced.Dd * raw[nu - 2 * d]
                       for nu in range(2 * d, 9))
-    via_binet = [recurrence.binet(S8, nu // 2, nu % 2) for nu in range(9)]
-    ok = raw == expected and via_reduced and via_binet == expected
+    # P_r M^q for nu + 1 = qd + r steps, M^q read on the Lucas ladder: P's entry (1, 0) is B_nu.
+    via_ladder = [core.period(S8, nu + 1)[0][1][0] for nu in range(9)]
+    ok = raw == expected and via_reduced and via_ladder == expected
     ok = ok and (reduced.Cd, reduced.Dd) == (6, -1)
     return _row("sqrt8-sequence", ok, f"recurrence/reduced/closed-form all = {raw}")
 
@@ -225,8 +226,8 @@ def check_pseudoprime(rng: random.Random) -> SuiteRow:
 
 
 def check_pisano(rng: random.Random) -> SuiteRow:
-    pi3, b3 = divisibility._pisano(S8, 3)
-    pi7, b7 = divisibility._pisano(S8, 7)
+    pi3, b3 = divisibility.pisano(S8, 3)
+    pi7, b7 = divisibility.pisano(S8, 7)
     # The catalogued periods 8 and 12 are the corollary bounds; the observed
     # least period divides them (mod 7 it is properly smaller: 6).
     ok = (pi3, pi7, b3, b7) == (8, 6, 8, 12)
@@ -237,7 +238,7 @@ def check_pisano(rng: random.Random) -> SuiteRow:
         for p in primes:
             if math.prod(system.a) % p == 0:  # p | D_d
                 continue
-            pi, _ = divisibility._pisano(system, p)
+            pi, _ = divisibility.pisano(system, p)
             # pi is a period: the 2d values that pin B mod p repeat, read over Z.
             ok = ok and all((core.b_at(system, pi + nu) - core.b_at(system, nu)) % p == 0
                             for nu in range(-1, 2 * system.d - 1))

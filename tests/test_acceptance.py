@@ -9,7 +9,7 @@ at 50 digits for the zeta series.
 import random
 from collections import Counter
 
-from contikit import continuants, suite
+from contikit import continuants, core, suite
 
 CRITERIA = (
     (1, "sqrt(8) B-sequence by three computation paths", suite.check_sqrt8_sequence, False),
@@ -93,6 +93,15 @@ def test_criterion_12():
 
 def test_criterion_13():
     _run(*CRITERIA[12])
+
+
+def test_sqrt8_row_reads_a_third_path_on_the_lucas_ladder(monkeypatch):
+    # Below WALK_BELOW, binet is one walk like the other two paths; P_r M^q reads M^q on
+    # the ladder for each of B_1 .. B_8 (B_0 takes no whole period).
+    ladders, lucas = [], core.lucas
+    monkeypatch.setattr(core, "lucas", lambda *args: ladders.append(args) or lucas(*args))
+    row = suite.check_sqrt8_sequence()
+    assert row.passed and len(ladders) == 8
 
 
 def nested_loop_instances(d):

@@ -529,7 +529,9 @@ def test_paper_passes_at_the_benchmark_seeds(capsys, seed):
 
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(contikit.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "contikit", "binet", "--sqrt", "8", "--nu", "10"],
+    # The child runs at the suite's own optimization level: -O (or -OO) strips its asserts too.
+    done = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-m", "contikit",
+                           "binet", "--sqrt", "8", "--nu", "10"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"B_10 = {b_at(S8, 10)}\n"

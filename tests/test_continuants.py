@@ -15,7 +15,6 @@ from contikit import (
     PeriodicSystem,
     b_sequence,
     continuant_determinant,
-    continuant_matrix,
     continuant_pair,
     convergent,
     identity_failures,
@@ -75,19 +74,6 @@ def test_lambda_periodicity():
         assert continuant_pair(system, nu, lam) == continuant_pair(system, nu, lam + system.d)
         # At lam = 0 only the B side is periodic: A_(0,0) = b_0 is special.
         assert continuant_pair(system, nu, 0)[1] == continuant_pair(system, nu, system.d)[1]
-
-
-def test_matrix_oracle():
-    rng = random.Random(3)
-    for _ in range(25):
-        system = random_strict_system(rng)
-        if system.b0 != 1:
-            system = PeriodicSystem(system.d, system.a, system.b, 1)
-        nu = rng.randint(0, 10)
-        m = continuant_matrix(system, nu)
-        a_nu, b_nu = continuant_pair(system, nu)
-        a_prev, b_prev = continuant_pair(system, nu - 1)
-        assert m == ((a_nu, a_prev), (b_nu, b_prev))
 
 
 def test_determinant_oracle():

@@ -30,7 +30,6 @@ from contikit import (
     binet,
     binet_negative,
     congruence_suite,
-    continuant_matrix,
     expand_sqrt,
     continuant_pair,
     convergent,
@@ -40,7 +39,7 @@ from contikit import (
     lucas_pseudoprime_test,
     pell_fundamental,
     pell_solutions,
-    pisano_bound,
+    pisano,
     pisano_period,
     pseudoprime_scan,
     rank_of_apparition,
@@ -223,8 +222,8 @@ def test_limit_ratio_matches_the_ratios_at_a_large_index(system, mode, r):
 def test_boundary_reads_take_one_period_product(monkeypatch):
     # Each of these walks at most one period over Z, once: the reads at period
     # boundaries take the period product of their one reduce, and a read at any
-    # other index takes its r-step prefix on the way to the period matrix M, as does
-    # the Delta check of a closed form.  The rank of apparition walks only mod p.
+    # other index, a closed form's too, takes its r-step prefix on the way to the
+    # period matrix M.  The rank of apparition walks only mod p.
     taken, modular = [], []
     steps, walk_ = core.steps, core.walk
     monkeypatch.setattr(core, "steps", lambda s, lam, n, x: taken.append(n) or steps(s, lam, n, x))
@@ -362,13 +361,6 @@ def test_residues_reduction_matches_period_matrix(system, m):
     assert residues(system, m)[0] == (red.Cd % m, red.Dd % m, red.Bd1 % m)
 
 
-@given(systems(), st.integers(0, max(60, 3 * WALK_BELOW)))
-def test_continuant_matrix_matches_linear(system, nu):
-    system = PeriodicSystem(system.d, system.a, system.b, 1, system.strict)
-    (a_nu, b_nu), (a_prev, b_prev) = (oracles.continuant_pair(system, k) for k in (nu, nu - 1))
-    assert continuant_matrix(system, nu) == ((a_nu, a_prev), (b_nu, b_prev))
-
-
 @given(systems())
 def test_reduce_matches_recurrence_check(system):
     if not reducible(system):
@@ -380,16 +372,12 @@ def test_reduce_matches_recurrence_check(system):
 @given(systems(), st.integers(0, 40), st.integers(-1, 6))
 @example(SPLIT_ZERO_CORNER, 3, 0)
 def test_binet_matches_linear(system, n, r):
-    if z_reduction(system).delta == 0:
-        return
     assert binet(system, n, r) == oracles.b_values(system, n * system.d + r)[-1]
 
 
 @given(systems(), st.integers(0, 6), st.integers(-1, 6))
 @example(SPLIT_ZERO_CORNER, 3, 0)
 def test_binet_negative_matches_backward(system, n, r):
-    if z_reduction(system).delta == 0:
-        return
     nu = -n * system.d + r
     if nu >= 0:
         expected = Fraction(oracles.b_values(system, nu)[-1])
@@ -453,8 +441,6 @@ def test_core_refuses_negative_indices(system, k):
 @given(systems(), st.integers(0, 1000), st.integers(-1, 6))
 @example(SPLIT_ZERO_CORNER, 1000, 1)
 def test_binet_at_large_index(system, n, r):
-    if z_reduction(system).delta == 0:
-        return
     assert binet(system, n, r) == oracles.b_values(system, n * system.d + r)[-1]
 
 
@@ -462,8 +448,6 @@ def test_binet_at_large_index(system, n, r):
 @given(systems(), st.integers(0, 200), st.integers(-1, 6))
 @example(SPLIT_ZERO_CORNER, 200, -1)
 def test_binet_negative_at_large_index(system, n, r):
-    if z_reduction(system).delta == 0:
-        return
     nu = -n * system.d + r
     if nu >= 0:
         expected = Fraction(oracles.b_values(system, nu)[-1])
@@ -680,7 +664,8 @@ def test_rank_of_apparition_matches_linear(system, p):
 def test_pisano_period_matches_two_stage_scan(system, p):
     if z_reduction(system).Dd % p == 0:
         return
-    assert pisano_period(system, p) == oracles.pisano_period(system, p, pisano_bound(system, p))
+    pi, bound = pisano(system, p)
+    assert pi == pisano_period(system, p) == oracles.pisano_period(system, p, bound)
 
 
 @settings(max_examples=60)
@@ -690,8 +675,8 @@ def test_pisano_period_is_the_least_window_period(system, p):
     # A period whose every pi/q (q prime) is not a period is the least one.
     if z_reduction(system).Dd % p == 0:
         return
-    pi = pisano_period(system, p)
-    assert pisano_bound(system, p) % pi == 0
+    pi, bound = pisano(system, p)
+    assert bound % pi == 0
     assert oracles.is_pisano_period(system, p, pi)
     assert not any(oracles.is_pisano_period(system, p, pi // q) for q in oracles.prime_factors(pi))
 

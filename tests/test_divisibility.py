@@ -20,7 +20,7 @@ from contikit import (
     jacobi,
     law_of_repetition_check,
     lucas_pseudoprime_test,
-    pisano_bound,
+    pisano,
     pisano_period,
     rank_of_apparition,
     reduce,
@@ -140,9 +140,9 @@ def test_prime_modulus_entry_points_take_no_period_product_over_z(monkeypatch):
     for system in systems:
         assert congruence_suite(system, 7).all_pass
         assert rank_of_apparition(system, 7).clause_holds
-        assert pisano_bound(system, 11) % pisano_period(system, 11) == 0
-    assert (rank_of_apparition(zero_corner, 7).omega, pisano_bound(zero_corner, 7),
-            pisano_period(zero_corner, 7)) == (1, 14, 2)
+        pi, bound = pisano(system, 11)
+        assert bound % pi == 0 and pi == pisano_period(system, 11)
+    assert (rank_of_apparition(zero_corner, 7).omega, pisano(zero_corner, 7)) == (1, (2, 14))
 
 
 def test_paper_suite_reduces_over_z_at_most_40_times(monkeypatch):
@@ -221,18 +221,15 @@ def test_rank_of_apparition_random():
 
 
 def test_pisano_s8():
-    assert pisano_period(S8, 3) == 8
-    assert pisano_period(S8, 7) == 6
-    assert pisano_bound(S8, 3) == 8
-    assert pisano_bound(S8, 7) == 12
+    assert pisano(S8, 3) == (8, 8)
+    assert pisano(S8, 7) == (6, 12)
     # The catalogued mod-7 congruence B_(r+12) = B_r holds (12 = 2 * 6).
     seq = [x % 7 for x in b_sequence(S8, 40)]
     assert all(seq[i + 12] == seq[i] for i in range(len(seq) - 12))
 
 
 def test_pisano_fib():
-    assert pisano_period(FIB, 5) == 20
-    assert pisano_bound(FIB, 5) == 20
+    assert pisano(FIB, 5) == (20, 20)
 
 
 def test_pisano_divides_bound():
@@ -246,8 +243,8 @@ def test_pisano_divides_bound():
                 with pytest.raises(HypothesisViolated):
                     pisano_period(system, p)
                 continue
-            pi = pisano_period(system, p)
-            assert pisano_bound(system, p) % pi == 0
+            pi, bound = pisano(system, p)
+            assert bound % pi == 0
             # Independent check: the sequence really repeats with period pi.
             seq = b_values(system, 3 * pi + 2 * system.d, m=p)
             assert all(seq[i + pi] == seq[i] for i in range(len(seq) - pi))
@@ -255,14 +252,8 @@ def test_pisano_divides_bound():
 
 def test_pisano_answers_without_listing():
     system = PeriodicSystem(d=3, a=(1, 2, 3), b=(4, 5, 6))
-    assert pisano_bound(system, 10007) == 300420144
-    tracemalloc.start()
-    try:
-        pi = pisano_period(system, 10007)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pi == 300420144
+    (pi, bound), peak = peak_bytes(lambda: pisano(system, 10007))
+    assert pi == bound == 300420144
     assert peak < 10 ** 5
 
 
@@ -330,7 +321,7 @@ def test_rank_of_apparition_on_a_long_period_lists_nothing():
     residues_7 = b_values(system, 3 * d - 1, m=7)
     assert [residues_7[k * d] == 0 for k in (1, 2, 3)] == [False, False, True]
     assert (rep.case_tag, rep.omega, rep.bound, rep.clause_holds) == ("QR", 3, 6, True)
-    bound, peak = peak_bytes(lambda: pisano_bound(system, 11))
+    (_, bound), peak = peak_bytes(lambda: pisano(system, 11))
     assert (bound, peak < 10 ** 7) == (22 * d, True)
     case, peak = peak_bytes(lambda: congruence_suite(system, 7, range(-1, 6)))
     assert (case.case_tag, case.all_pass, len(case.verified), peak < 10 ** 7) == ("QR", True, 16, True)
@@ -344,7 +335,7 @@ def test_pisano_bound_refuses_a_non_prime_modulus(monkeypatch):
     monkeypatch.setattr(divisibility, "_mult_order", no_order)
     for system, p in ((PeriodicSystem(d=1, a=(3,), b=(3,)), 9), (FIB, 0)):
         with pytest.raises(ValueError, match="is not prime"):
-            pisano_bound(system, p)
+            pisano(system, p)
 
 
 def test_pseudoprime_s8_35():

@@ -29,6 +29,7 @@ from contikit import (
     weighted_sum_exact,
     zeta_series,
 )
+from contikit import pell, series
 from contikit.series import TELESCOPING_FAMILIES, ZETA_KINDS
 from contikit.suite import random_strict_system
 
@@ -64,6 +65,17 @@ def test_pell_families_converge():
     for fam in ("pell_y", "pell_x", "pell_y2"):
         rep = telescoping_sum(8, fam)
         assert rep.converged, fam
+
+
+def test_a_pell_sum_expands_sqrt_n_once(monkeypatch):
+    # The parity check and the solutions read one O(d) expansion.
+    expanded = []
+    for module in (pell, series):
+        monkeypatch.setattr(module, "expand_sqrt", lambda n: expanded.append(n) or expand_sqrt(n))
+    for fam in ("pell_y", "pell_x", "pell_y2"):
+        expanded.clear()
+        assert telescoping_sum(1000003, fam).converged
+        assert expanded == [1000003], fam
 
 
 def test_pell_families_need_even_period():
