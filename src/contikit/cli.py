@@ -4,11 +4,14 @@ Exit codes: 0 on success, 1 when a verification fails (a failed check, a
 proven-composite verdict being the exception: that is still a successful
 run), 2 on a ContikitError (bad input or a violated hypothesis) or an OSError,
 printed as `error: <type>: <message>`; any other exception is a bug (a traceback).
+A stdout closed by its reader (`| head`) is not a refused input: the run stops
+quietly with 141, the status of a process killed by SIGPIPE.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import divisibility, pell, recurrence, series, suite
@@ -268,7 +271,12 @@ def main(argv=None) -> int:
         set_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe: that last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ContikitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

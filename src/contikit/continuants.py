@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .core import transfer, walk
-from .errors import IndexOutOfRange, UsageError
+from .errors import DivisionByZero, IndexOutOfRange, UsageError
 from .systems import PeriodicSystem
 
 
@@ -41,8 +41,6 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
 
 def b_sequence(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
     """B_{-1,lam} .. B_{nu_max,lam} as a list (index i holds B_{i-1,lam})."""
-    if nu_max < -1:
-        raise IndexOutOfRange(f"nu_max must be >= -1, got {nu_max}")
     return walk(system, nu_max, lam)
 
 
@@ -97,10 +95,13 @@ def continuant_determinant(system: PeriodicSystem, nu: int) -> tuple[int, int]:
 
 
 def convergent(system: PeriodicSystem, nu: int, lam: int = 0) -> Fraction:
-    """Depth-nu convergent A_{nu,lam}/B_{nu,lam}; ZeroDivisionError where B_{nu,lam} = 0."""
+    """Depth-nu convergent A_{nu,lam}/B_{nu,lam}; DivisionByZero where B_{nu,lam} = 0."""
     if nu < 0:
         raise IndexOutOfRange(f"nu must be >= 0, got {nu}")
-    return Fraction(*continuant_pair(system, nu, lam))
+    a, b = continuant_pair(system, nu, lam)
+    if b == 0:
+        raise DivisionByZero(f"B_{{{nu},{lam}}} = 0, the denominator of the depth-{nu} convergent")
+    return Fraction(a, b)
 
 
 class IdentityReport(NamedTuple):

@@ -37,7 +37,9 @@ WALK_BELOW = 12
 
 
 def walk(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None) -> list[int]:
-    """[B_{-1,lam}, B_{0,lam}, ..., B_{nu_max,lam}], reduced mod m at every step if m is given."""
+    """[B_{-1,lam}, ..., B_{nu_max,lam}] for nu_max >= -1, reduced mod m at every step if m is given."""
+    if nu_max < -1:
+        raise IndexOutOfRange(f"nu_max must be >= -1, got {nu_max}")
     a, b, d = system.a, system.b, system.d
     seq = [0, 1 if m is None else 1 % m]
     prev, cur = seq

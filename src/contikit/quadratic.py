@@ -41,10 +41,6 @@ class QuadraticNumber:
         object.__setattr__(self, "q", _as_fraction(self.q))
         object.__setattr__(self, "delta", int(self.delta))
 
-    @classmethod
-    def rational(cls, x, delta: int) -> "QuadraticNumber":
-        return cls(_as_fraction(x), Fraction(0), delta)
-
     def __add__(self, other):
         other = self._coerce(other)
         return QuadraticNumber(self.p + other.p, self.q + other.q, self.delta)
@@ -85,7 +81,7 @@ class QuadraticNumber:
     def _coerce(self, other) -> "QuadraticNumber":
         """other as a number of this field; mixed radicands raise UsageError."""
         if not isinstance(other, QuadraticNumber):
-            return QuadraticNumber.rational(other, self.delta)
+            return QuadraticNumber(other, 0, self.delta)
         if self.delta != other.delta:
             raise UsageError(f"mixed radicands: sqrt({self.delta}) vs sqrt({other.delta})")
         return other

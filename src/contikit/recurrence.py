@@ -85,7 +85,7 @@ def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
 @dataclass(frozen=True)
 class GFReport:
     numerator: tuple[int, ...]   # coefficients of the expected numerator polynomial
-    product: tuple[int, ...]     # (1 - C x^d - D x^{2d}) * partial series, truncated
+    product: tuple[int, ...]     # (1 - C x^d - D x^{2d}) * partial series, x^0 .. x^N
     degree_checked: int
 
     @property
@@ -96,7 +96,8 @@ class GFReport:
 
 
 def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
-    """Check (1 - C x^d - D x^{2d}) * sum B_n x^n against the numerator poly."""
+    """Check (1 - C x^d - D x^{2d}) * sum_{n<=N} B_n x^n: each of its N + 1 coefficients is
+    the numerator's (those below x^{2d}) or 0."""
     d = system.d
     if n_terms < 2 * d:
         raise IndexOutOfRange(f"need N >= 2d = {2 * d}, got {n_terms}")
@@ -108,11 +109,7 @@ def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
             prod[i + d] -= reduced.Cd * bn
         if i + 2 * d <= n_terms:
             prod[i + 2 * d] -= reduced.Dd * bn
-    numer = seq[: 2 * d]
-    for i in range(d):
-        numer[i + d] -= reduced.Cd * seq[i]
-    deg = n_terms - 2 * d
-    return GFReport(tuple(numer), tuple(prod[: deg + 1]), deg)
+    return GFReport(tuple(prod[: 2 * d]), tuple(prod), n_terms)
 
 
 def sqrt_step(system: PeriodicSystem, n: int) -> int:

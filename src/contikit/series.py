@@ -4,11 +4,12 @@ Partial sums are accumulated exactly in rationals whenever the terms are
 rational (the reciprocal/telescoping families) and in guarded high-precision
 arithmetic for the arctan/artanh and zeta-style families.  Each sum reads only
 the terms it names, one at a time from a stride of the integer core.  Every
-family is summed by one rule, `_sum_terms`: stop at the first term below
-tolerance/4, or raise PrecisionExhausted once max_terms terms have not reached
-it.  Closed forms are evaluated from exact quadratic-field data; only the final
-comparison is approximate, and `converged` means exactly |partial - closed| <=
-tolerance = 10^-(digits-5).
+family hands its terms and closed form to `_report`, which sums them by one
+rule, `_sum_terms` (stop at the first term below tolerance/4, or raise
+PrecisionExhausted once max_terms terms have not reached it), evaluates an
+exact quadratic-field closed form and judges; only that comparison is
+approximate, and `converged` means exactly |partial - closed| <= tolerance =
+10^-(digits-5).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from itertools import chain, islice, pairwise
 
 import mpmath
 
-from .core import mul, period, power, stride
+from .core import mul, period, stride
 from .errors import (DivisionByZero, HypothesisViolated, NoAdmissibleRoot, PoleAtRoot,
                      PrecisionExhausted, UsageError)
 from .pell import _solutions, expand_sqrt
@@ -91,8 +92,12 @@ _ZETA = {
 ZETA_KINDS = tuple(_ZETA)
 
 
-def _report(family: str, partial, closed, symbolic: str, terms: int,
-            ctx: PrecisionContext, extras: dict | None = None) -> SeriesReport:
+def _report(family: str, terms, closed, symbol: str, ctx: PrecisionContext,
+            extras: dict | None = None) -> SeriesReport:
+    """Sum terms and judge them against closed: an mpf, or a QuadraticNumber shown as `symbol = closed`."""
+    partial, count = _sum_terms(terms, ctx)
+    if isinstance(closed, QuadraticNumber):
+        symbol, closed = f"{symbol} = {closed}", closed.mpf(ctx.digits + 10)
     with mpmath.workdps(ctx.digits + 10):
         value = _to_mpf(partial)
         err = abs(value - closed)
@@ -100,9 +105,9 @@ def _report(family: str, partial, closed, symbolic: str, terms: int,
             family=family,
             partial_sum=mpmath.nstr(value, ctx.digits),
             closed_form=mpmath.nstr(mpmath.mpf(closed), ctx.digits),
-            closed_symbolic=symbolic,
+            closed_symbolic=symbol,
             abs_error=mpmath.nstr(err, 10),
-            terms=terms,
+            terms=count,
             converged=bool(err <= ctx.tolerance),
             partial_exact=partial if isinstance(partial, Fraction) else None,
             extras=extras or {},
@@ -130,6 +135,16 @@ def _sum_terms(terms_iter, ctx: PrecisionContext):
     raise PrecisionExhausted("term stream exhausted before reaching tolerance")
 
 
+def _admissible(system: PeriodicSystem, why: str):
+    """The reduction and roots (alpha, beta) of system; refuses B_{d-1} = 0 (saying why) and Delta <= 0."""
+    reduced = reduce(system)
+    if reduced.Bd1 == 0:
+        raise DivisionByZero(why)
+    if reduced.delta <= 0:
+        raise HypothesisViolated("series require Delta > 0")
+    return reduced, roots(reduced)
+
+
 def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = None) -> SeriesReport:
     """Verify one telescoping family against its closed form.
 
@@ -146,12 +161,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         return _pell_sum(system_or_n, family, ctx)
 
     system: PeriodicSystem = system_or_n
-    reduced = reduce(system)
-    if reduced.Bd1 == 0:
-        raise DivisionByZero("B_{d-1} = 0, so every B_{kd-1} the terms divide by is 0")
-    if reduced.delta <= 0:
-        raise HypothesisViolated("telescoping sums require Delta > 0")
-    alpha, beta = roots(reduced)
+    reduced, (alpha, beta) = _admissible(system, "B_{d-1} = 0, so every B_{kd-1} the terms divide by is 0")
 
     if family == "millin":
         if system.d != 2:
@@ -161,17 +171,13 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         n_cap = min(ctx.max_terms, 14)
         terms = (Fraction(a1a2) ** (2 ** (n - 1)) / reduced.boundary(2 ** n)  # B_{2^(n+1)-1}
                  for n in range(1, n_cap + 1))
-        total, count = _sum_terms(terms, ctx)
-        closed = 1 / (system.b[0] * beta)
-        return _report(family, total, closed.mpf(ctx.digits + 10), f"1/(b1*beta) = {closed}", count, ctx)
+        return _report(family, terms, 1 / (system.b[0] * beta), "1/(b1*beta)", ctx)
 
     B = lambda: stride(reduced.Cd, reduced.Dd, 0, reduced.Bd1)  # B_{nd-1} at n = 0, 1, ...
     if family == "period_reciprocal":
         terms = (Fraction((-reduced.Dd) ** n, lo * hi)
                  for n, (lo, hi) in zip(range(ctx.max_terms), pairwise(islice(B(), 1, None))))
-        total, count = _sum_terms(terms, ctx)
-        closed = alpha / QuadraticNumber.rational(reduced.Bd1 ** 2, reduced.delta)
-        return _report(family, total, closed.mpf(ctx.digits + 10), f"alpha/B_(d-1)^2 = {closed}", count, ctx)
+        return _report(family, terms, alpha / reduced.Bd1 ** 2, "alpha/B_(d-1)^2", ctx)
 
     if reduced.Dd != 1:
         raise HypothesisViolated(f"{family} requires D_d = 1")
@@ -182,8 +188,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
     with mpmath.workdps(ctx.digits + 10):
         closed = fn(mpmath.mpf(b1) / den)
     terms = (fn(mpmath.mpf(b2) / b) for b in islice(B(), start, 2 * ctx.max_terms + start - 1, 2))
-    total, count = _sum_terms(terms, ctx)
-    return _report(family, total, closed, form.format(text(den), text(b1)), count, ctx)
+    return _report(family, terms, closed, form.format(text(den), text(b1)), ctx)
 
 
 def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
@@ -198,18 +203,16 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
     if family == "pell_y":
         terms = (Fraction(1, s.y * t.y) for s, t in pairs)
         closed = QuadraticNumber(Fraction(x1, y1 * y1), Fraction(-1, y1 * y1), delta)
-        symbolic = f"(x1 - sqrt(x1^2-1))/y1^2 = {closed}"
+        symbol = "(x1 - sqrt(x1^2-1))/y1^2"
     elif family == "pell_x":
         terms = (Fraction(1, s.x * t.x) for s, t in pairs)
-        closed = (QuadraticNumber(Fraction(x1), Fraction(-1), delta)
-                  / QuadraticNumber(Fraction(0), Fraction(x1), delta))
-        symbolic = f"(x1 - sqrt(x1^2-1))/(x1*sqrt(x1^2-1)) = {closed}"
+        closed = QuadraticNumber(x1, -1, delta) / QuadraticNumber(0, x1, delta)
+        symbol = "(x1 - sqrt(x1^2-1))/(x1*sqrt(x1^2-1))"
     else:  # pell_y2: y_{2k+1} = x_k y_{k+1} + y_k x_{k+1}, from s_k s_{k+1} in Z[sqrt(N)]
         terms = (Fraction(s.x * t.y + s.y * t.x, s.y ** 2 * t.y ** 2) for s, t in pairs)
-        closed = QuadraticNumber.rational(Fraction(1, y1 ** 3), delta)
-        symbolic = f"1/y1^3 = {closed}"
-    total, count = _sum_terms(terms, ctx)
-    return _report(family, total, closed.mpf(ctx.digits + 10), symbolic, count, ctx)
+        closed = QuadraticNumber(Fraction(1, y1 ** 3), 0, delta)
+        symbol = "1/y1^3"
+    return _report(family, terms, closed, symbol, ctx)
 
 
 def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None = None,
@@ -222,12 +225,7 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     ctx = ctx or PrecisionContext()
     if kind not in ZETA_KINDS:
         raise UsageError(f"unknown kind {kind!r}")
-    reduced = reduce(system)
-    if reduced.Bd1 == 0:
-        raise DivisionByZero("B_{d-1} = 0 makes every term and the target 0 (0 = 0)")
-    if reduced.delta <= 0:
-        raise HypothesisViolated("requires Delta > 0")
-    alpha, _ = roots(reduced)
+    reduced, (alpha, _) = _admissible(system, "B_{d-1} = 0 makes every term and the target 0 (0 = 0)")
     b1, (c, num, den, form) = reduced.Bd1, _ZETA[kind]
     symbolic = form.format(b=text(b1), root=f"sqrt({text(reduced.delta)})")
 
@@ -236,18 +234,16 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
         lin, const = c * sd, (1 if c > 0 else -1)
         target = num() * b1 / (den * sd)
 
-        # Roots big/D and const/big of D z^2 + lin z + const = 0, neither cancelling.
+        # Roots big/D and const/big of D z^2 + lin z + const = 0, neither cancelling; sum the smaller.
         disc = lin * lin - 4 * reduced.Dd * const
         if disc < 0:
             raise NoAdmissibleRoot("complex roots")
         big = -(lin + mpmath.sign(lin) * mpmath.sqrt(disc)) / 2
-        candidates = [big / reduced.Dd, const / big]
+        zeta = min(big / reduced.Dd, const / big, key=abs)
         abs_alpha = abs(alpha.mpf(ctx.digits))
-        admissible = [z for z in candidates if abs(z) < abs_alpha]
-        if not admissible:
+        if not abs(zeta) < abs_alpha:
             raise NoAdmissibleRoot(
                 f"no root of the {kind} quadratic has |zeta| < |alpha| = {abs_alpha}")
-        zeta = min(admissible, key=abs)
 
         def terms(z):
             odd = islice(stride(reduced.Cd, reduced.Dd, 0, b1), 1, None, 2)  # B_{(2k+1)d-1}
@@ -255,18 +251,18 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
                 term = mpmath.mpf(b) / (2 * k + 1) * z ** (2 * k + 1)
                 yield term if c < 0 and k % 2 else -term  # arctan: (-1)^(k+1); artanh: -1
 
-        extras = {"zeta": mpmath.nstr(zeta, ctx.digits)}
         if compare_zeta is not None:  # parsed first: a bad value is a UsageError at any cap
             try:
                 cz = mpmath.mpf(compare_zeta)
             except ValueError:
                 raise UsageError(f"compare_zeta must be a number, got {compare_zeta!r}") from None
-        total, count = _sum_terms(terms(zeta), ctx)
+        rep = _report(f"zeta_{kind}", terms(zeta), target, symbolic, ctx,
+                      extras={"zeta": mpmath.nstr(zeta, ctx.digits)})
         if compare_zeta is not None:
-            extras["compare_zeta"] = mpmath.nstr(cz, ctx.digits)
-            residual = abs(sum(islice(terms(cz), count)) - target)
-            extras["compare_residual"] = mpmath.nstr(residual, 10)
-        return _report(f"zeta_{kind}", total, target, symbolic, count, ctx, extras=extras)
+            rep.extras["compare_zeta"] = mpmath.nstr(cz, ctx.digits)
+            residual = abs(sum(islice(terms(cz), rep.terms)) - target)
+            rep.extras["compare_residual"] = mpmath.nstr(residual, 10)
+        return rep
 
 
 @dataclass(frozen=True)
@@ -287,23 +283,23 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     geometric: sum_{n=1..N} x^n B_{nd+r} against the closed form with
     denominator (x - alpha)(x - beta) = x^2 + (C/D) x - 1/D.
     binomial: sum_{n=1..N} C(N,n) (-1)^n (alpha+beta)^n B_{nd-1} = B_{2Nd-1}/D^N.
+    Either kind refuses r < -1.
     """
     if big_n < 1:
         raise UsageError("N must be >= 1")
-    head, m = period(system, (r + 1) % system.d)
+    if r < -1:
+        raise UsageError("r must be >= -1")
+    head, m = period(system, r + 1)  # T_{r+1} ... T_1, corner B_r
     reduced = ReducedRecurrence.of(m)
     C, D = reduced.Cd, reduced.Dd
     if reduced.Bd1 == 0 and (kind == "binomial" or (r + 1) % system.d == 0):
         raise DivisionByZero("B_{d-1} = 0 makes every B_{nd-1} and the closed form 0 (0 = 0)")
 
     if kind == "geometric":
-        if r < -1:
-            raise UsageError("r must be >= -1")
         xf = Fraction(x)
         denom = xf * xf + Fraction(C, D) * xf - Fraction(1, D)
         if denom == 0:
             raise PoleAtRoot(f"x = {xf} is a root of D x^2 - C x - 1")
-        head = mul(head, power(m, (r + 1) // system.d))  # T_{r+1} ... T_1, corner B_r
         B = list(islice(stride(C, D, head[1][0], mul(head, m)[1][0]), big_n + 2))  # B_{nd+r}
         lhs = sum((xf ** n) * B[n] for n in range(1, big_n + 1))
         numer = xf ** (big_n + 1) * (Fraction(B[big_n + 1], D) + xf * B[big_n]) \

@@ -14,7 +14,6 @@ from fractions import Fraction
 import mpmath
 
 from . import continuants, core, divisibility, pell, recurrence, series
-from .quadratic import QuadraticNumber
 from .systems import FIB, S8, PeriodicSystem
 
 # Sizes of the randomized rows; run_full_suite draws every case from one seed.

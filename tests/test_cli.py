@@ -164,6 +164,22 @@ def test_every_raise_in_the_package_is_typed():
     assert found == type_errors
 
 
+def test_every_imported_name_is_read():
+    # A module reads each name it imports; __init__.py imports to re-export.
+    for path in Path(contikit.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, (path.name, sorted(imported - read))
+
+
 def test_binet_verb(capsys):
     for nu, expect in ((7, "204"), (8, "985"), (-3, "-1")):
         code, out, _ = run(capsys, "binet", "--sqrt", "8", "--nu", str(nu), "--json")
@@ -535,6 +551,20 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"B_10 = {b_at(S8, 10)}\n"
+
+
+def test_a_closed_stdout_is_not_a_refused_input():
+    # The reader closed the pipe before the first line: no error line, the SIGPIPE status.
+    env = {**os.environ, "PYTHONPATH": str(Path(contikit.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-m", "contikit",
+                               "pseudoprime", "--sqrt", "8", "--range", "3:301"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_nonstrict_flag(capsys):

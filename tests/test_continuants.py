@@ -9,6 +9,7 @@ import contikit.continuants as continuants
 from contikit import (
     FIB,
     S8,
+    DivisionByZero,
     IdentityReport,
     IndexOutOfRange,
     InvalidSystem,
@@ -92,6 +93,14 @@ def test_convergent_matches_quotient():
         nu = rng.randint(0, 8)
         a, b = continuant_pair(system, nu)
         assert convergent(system, nu) == Fraction(a, b)
+
+
+def test_convergent_names_a_zero_denominator():
+    # b_1 = 0 makes B_1 = 0; A_1/B_1 was a bare ZeroDivisionError from Fraction.
+    system = PeriodicSystem(d=2, a=(1, 1), b=(0, 3), strict=False)
+    with pytest.raises(DivisionByZero, match=r"B_\{1,0\} = 0"):
+        convergent(system, 1)
+    assert convergent(system, 2) == Fraction(*continuant_pair(system, 2))
 
 
 def test_convergents_approach_sqrt8():

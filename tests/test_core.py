@@ -425,7 +425,7 @@ def test_core_refuses_negative_indices(system, k):
     red, mat = z_reduction(system), period_matrix(system)
     reads = [lambda: lucas(red.Cd, red.Dd, k), lambda: lucas(red.Cd, red.Dd, k, 7), lambda: power(mat, k),
              lambda: core.steps(system, 0, k, core.IDENTITY), lambda: transfer(system, k),
-             lambda: core.period(system, k), lambda: b_at(system, k - 1),
+             lambda: core.period(system, k), lambda: b_at(system, k - 1), lambda: walk(system, k - 1),
              lambda: binet(system, k, 0), lambda: binet_negative(system, k, 0)]
     for read in reads:
         with pytest.raises(IndexOutOfRange):

@@ -32,6 +32,7 @@ from contikit import (
     weighted_sum_exact,
     zeta_series,
 )
+from contikit import recurrence
 from contikit.suite import random_strict_system
 from oracles import b_values, backward_sequence
 
@@ -139,6 +140,22 @@ def test_gf_verify_s8():
     assert rep.numerator == (1, 1, -1, 0)
 
 
+def test_gf_verify_judges_every_coefficient(monkeypatch):
+    # One wrong B_nu anywhere in B_0 .. B_N fails the check; B_9 .. B_12 of S8 at N = 12 were never judged.
+    for nu in range(13):
+        def corrupted(system, nu_max, lam=0, nu=nu):
+            seq = b_sequence(system, nu_max, lam)
+            seq[nu + 1] += 1  # index i holds B_{i-1}
+            return seq
+
+        monkeypatch.setattr(recurrence, "b_sequence", corrupted)
+        assert not gf_verify(S8, 12).equal, nu
+    monkeypatch.undo()
+    rep = gf_verify(S8, 12)
+    assert rep.equal and rep.degree_checked == 12
+    assert rep.product == rep.numerator + (0,) * 9
+
+
 def test_gf_verify_random():
     rng = random.Random(43)
     for _ in range(20):
@@ -206,7 +223,7 @@ def test_limit_ratio_follows_the_root_larger_in_size_when_c_d_is_negative():
     system = PeriodicSystem(d=2, a=(2, 4), b=(-4, 3), strict=False)
     limits = [limit_ratio(system, mode, r) for mode, r in
               (("consecutive_periods", -1), ("consecutive_terms", 0), ("consecutive_terms", 1))]
-    assert limits == [QuadraticNumber.rational(x, 4) for x in (-4, Fraction(3, 2), Fraction(-8, 3))]
+    assert limits == [QuadraticNumber(x, 0, 4) for x in (-4, Fraction(3, 2), Fraction(-8, 3))]
 
 
 def test_limit_ratio_says_why_a_term_ratio_diverges():

@@ -20,6 +20,7 @@ from contikit import (
     PrecisionContext,
     PrecisionExhausted,
     QuadraticNumber,
+    UsageError,
     b_sequence,
     expand_sqrt,
     reduce,
@@ -160,7 +161,7 @@ def test_huge_closed_forms_build_under_the_default_digit_limit():
         zeta = zeta_series(system, "pi_over_6", PrecisionContext(50, 100))
         set_digits(0)
         reduced = reduce(system)
-        closed = roots(reduced)[0] / QuadraticNumber.rational(reduced.Bd1 ** 2, reduced.delta)
+        closed = roots(reduced)[0] / QuadraticNumber(reduced.Bd1 ** 2, 0, reduced.delta)
         sign = "+" if closed.q > 0 else "-"
         expected = f"alpha/B_(d-1)^2 = {closed.p} {sign} {abs(closed.q)}*sqrt({closed.delta})"
     finally:
@@ -302,6 +303,13 @@ def test_weighted_sum_pole():
         weighted_sum_exact(system, "geometric", x=Fraction(1, 2), big_n=3)
     with pytest.raises(PoleAtRoot):
         weighted_sum_exact(system, "geometric", x=-1, big_n=3)
+
+
+def test_weighted_sums_refuse_r_below_minus_one():
+    # Either kind, before any walk; the binomial sum, which does not read r, used to accept it.
+    for kind in ("geometric", "binomial"):
+        with pytest.raises(UsageError, match="r must be >= -1"):
+            weighted_sum_exact(S8, kind, x=1, big_n=2, r=-2)
 
 
 def test_unknown_family_rejected():
