@@ -8,7 +8,6 @@ reads its sequence values from one integer core, contikit.core.
 from .continuants import (
     IDENTITIES,
     IdentityReport,
-    b_sequence,
     continuant_determinant,
     continuant_pair,
     convergent,

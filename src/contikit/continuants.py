@@ -39,11 +39,6 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
     return system.coeff_b(lam) * b_nu + e_nu, b_nu
 
 
-def b_sequence(system: PeriodicSystem, nu_max: int, lam: int = 0) -> list[int]:
-    """B_{-1,lam} .. B_{nu_max,lam} as a list (index i holds B_{i-1,lam})."""
-    return walk(system, nu_max, lam)
-
-
 def _bareiss_det(mat: list[list[int]]) -> int:
     """Exact determinant via fraction-free Gaussian elimination."""
     n = len(mat)

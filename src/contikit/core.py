@@ -119,11 +119,6 @@ def transfer(system: PeriodicSystem, nu: int, lam: int = 0) -> Matrix:
     return period(system, nu, lam)[0]
 
 
-def b_at(system: PeriodicSystem, nu: int) -> int:
-    """B_nu for nu >= -1."""
-    return transfer(system, nu + 1)[1][0]
-
-
 def residues(system: PeriodicSystem, m: int) -> tuple[tuple[int, int, int], Callable[[int], int]]:
     """((C_d, D_d, B_{d-1}) mod m, nu -> B_nu mod m for nu >= -1) from walks mod m.
 

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continuants import b_sequence
-from .core import Matrix, b_at, lucas, mul, period, power
+from .continuants import continuant_pair
+from .core import Matrix, lucas, mul, period, power, walk
 from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare, UsageError
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
@@ -62,10 +62,10 @@ def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]
 
 
 def binet(system: PeriodicSystem, n: int, r: int) -> int:
-    """B_{nd+r} over Z from one core.b_at read (a walk, or one period walk and the ladder); any Delta."""
+    """B_{nd+r} over Z, one continuant_pair read (a walk, or one period walk and the ladder); any Delta."""
     if n < 0 or r < -1:
         raise IndexOutOfRange("requires n >= 0, r >= -1")
-    return b_at(system, n * system.d + r)
+    return continuant_pair(system, n * system.d + r)[1]
 
 
 def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
@@ -102,7 +102,7 @@ def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
     if n_terms < 2 * d:
         raise IndexOutOfRange(f"need N >= 2d = {2 * d}, got {n_terms}")
     reduced = reduce(system)
-    seq = b_sequence(system, n_terms)[1:]  # B_0 .. B_N
+    seq = walk(system, n_terms)[1:]  # B_0 .. B_N
     prod = list(seq)
     for i, bn in enumerate(seq):
         if i + d <= n_terms:

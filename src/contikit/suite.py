@@ -50,7 +50,7 @@ def _row(name: str, passed: bool, detail: str = "") -> SuiteRow:
 
 def check_sqrt8_sequence() -> SuiteRow:
     expected = [1, 1, 5, 6, 29, 35, 169, 204, 985]
-    raw = continuants.b_sequence(S8, 8)[1:]
+    raw = core.walk(S8, 8)[1:]
     reduced = recurrence.reduce(S8)
     d = S8.d
     via_reduced = all(raw[nu] == reduced.Cd * raw[nu - d] + reduced.Dd * raw[nu - 2 * d]
@@ -98,7 +98,7 @@ def check_identity_sweeps(rng: random.Random) -> SuiteRow:
 
 
 def check_millin() -> SuiteRow:
-    seq = continuants.b_sequence(S8, 2 ** 5)
+    seq = core.walk(S8, 2 ** 5)
     terms = [mpmath.mpf(1) / int(seq[2 ** (n + 1)]) for n in range(1, 5)]
     with mpmath.workdps(50):
         closed = 3 - 2 * mpmath.sqrt(2)
@@ -136,7 +136,7 @@ def check_pell_sums() -> SuiteRow:
 
 def check_arctan_artanh() -> SuiteRow:
     system = pell.to_system(pell.expand_sqrt(2))
-    seq = continuants.b_sequence(system, 70)
+    seq = core.walk(system, 70)
     B = lambda nu: seq[nu + 1]
     with mpmath.workdps(50):
         at = mpmath.fsum(mpmath.atan(mpmath.mpf(B(1)) / B(2 * n + 1 - 1)) for n in range(1, 16))
@@ -154,7 +154,7 @@ def check_arctan_artanh() -> SuiteRow:
 def check_zeta_series(digits: int = 50) -> SuiteRow:
     # pi_over_6 on S8 (D_d = -1, Delta = 32, B_1 = 1) sums at the small root of
     # z^2 + sqrt(96) z + 1 = 0, sqrt(23) - 2 sqrt(6); the paper prints 2 sqrt(6) - 5.
-    odd = continuants.b_sequence(S8, 157)[2::4]  # B_{(2k+1)d-1} = B_{4k+1}, k < 40
+    odd = core.walk(S8, 157)[2::4]  # B_{(2k+1)d-1} = B_{4k+1}, k < 40
     with mpmath.workdps(digits + 10):
         partial = lambda z: mpmath.fsum((-1) ** (k + 1) * mpmath.mpf(b) / (2 * k + 1)
                                         * z ** (2 * k + 1) for k, b in enumerate(odd))
@@ -193,7 +193,7 @@ def check_congruences(rng: random.Random) -> SuiteRow:
     c3 = divisibility.congruence_suite(S8, 3, range(-1, 7))
     c7 = divisibility.congruence_suite(S8, 7, range(-1, 7))
     ok = c3.all_pass and c7.all_pass
-    seq = continuants.b_sequence(S8, 24)
+    seq = core.walk(S8, 24)
     B = lambda nu: seq[nu + 1]
     for r in range(-1, 7):
         ok = ok and (B(r + 8) - B(r)) % 3 == 0
@@ -239,8 +239,8 @@ def check_pisano(rng: random.Random) -> SuiteRow:
                 continue
             pi, _ = divisibility.pisano(system, p)
             # pi is a period: the 2d values that pin B mod p repeat, read over Z.
-            ok = ok and all((core.b_at(system, pi + nu) - core.b_at(system, nu)) % p == 0
-                            for nu in range(-1, 2 * system.d - 1))
+            ok = ok and all((continuants.continuant_pair(system, pi + nu)[1] - b) % p == 0
+                            for nu, b in enumerate(core.walk(system, 2 * system.d - 2), -1))
             tested += 1
     return _row("pisano-periods", ok,
                 f"sqrt8: pi(3)={pi3}, pi(7)={pi7} dividing bounds {b3}/{b7}; {tested} bounds checked")

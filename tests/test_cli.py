@@ -13,10 +13,9 @@ import mpmath
 import pytest
 
 import contikit
-from contikit import HypothesisViolated, PeriodicSystem, S8
+from contikit import HypothesisViolated, PeriodicSystem, S8, continuant_pair
 from contikit import divisibility, errors, recurrence, suite
 from contikit.cli import main
-from contikit.core import b_at
 
 # sha256 of `contikit paper` stdout at the default seed 20240801 and 50 digits.
 PAPER_TEXT_SHA256 = "684fd09d3dd6a784ab0adfa0f91dc06bc5a12e8398db8d3407b7e5a04d29c1b6"
@@ -204,7 +203,7 @@ def test_binet_past_the_int_str_digit_limit(capsys):
         code, out, err = run(capsys, "binet", "--sqrt", "8", "--nu", "100000", *extra)
         assert code == 0, err
         value = json.loads(out)["B"] if extra else out.strip().removeprefix("B_100000 = ")
-        assert value == str(b_at(S8, 100000))
+        assert value == str(continuant_pair(S8, 100000)[1])
 
 
 def test_binet_converts_its_value_to_decimal_once(capsys, monkeypatch):
@@ -550,7 +549,7 @@ def test_python_dash_m_runs_the_cli():
                            "binet", "--sqrt", "8", "--nu", "10"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"B_10 = {b_at(S8, 10)}\n"
+    assert done.stdout == f"B_10 = {continuant_pair(S8, 10)[1]}\n"
 
 
 def test_a_closed_stdout_is_not_a_refused_input():

@@ -14,13 +14,13 @@ from contikit import (
     IndexOutOfRange,
     InvalidSystem,
     PeriodicSystem,
-    b_sequence,
     continuant_determinant,
     continuant_pair,
     convergent,
     identity_failures,
     verify_identity,
 )
+from contikit.core import walk
 from contikit.suite import random_strict_system
 
 S8_B = [1, 1, 5, 6, 29, 35, 169, 204, 985]
@@ -28,7 +28,7 @@ S8_A = [2, 3, 14, 17, 82, 99, 478, 577]
 
 
 def test_s8_b_values():
-    assert b_sequence(S8, 8)[1:] == S8_B
+    assert walk(S8, 8)[1:] == S8_B
 
 
 def test_s8_a_values():
@@ -36,7 +36,7 @@ def test_s8_a_values():
 
 
 def test_fib_is_fibonacci():
-    seq = b_sequence(FIB, 12)[1:]
+    seq = walk(FIB, 12)[1:]
     fib = [1, 1]
     while len(fib) < len(seq):
         fib.append(fib[-1] + fib[-2])

@@ -26,7 +26,6 @@ from contikit import (
     PrimalityUndecided,
     ReducedRecurrence,
     UsageError,
-    b_sequence,
     binet,
     binet_negative,
     congruence_suite,
@@ -55,7 +54,7 @@ from contikit import (
 )
 from contikit import core, divisibility, recurrence
 from contikit.cli import main
-from contikit.core import WALK_BELOW, b_at, lucas, power, residues, stride, transfer, walk
+from contikit.core import WALK_BELOW, lucas, power, residues, stride, transfer, walk
 from contikit.divisibility import PSI_12, _is_prime
 import oracles
 
@@ -130,7 +129,7 @@ def test_stride_matches_linear(system):
     (p, q), (t, s) = period_matrix(system)
     c, dd = p + s, q * t - p * s
     for r in range(-1, 2 * d + 1):
-        got = list(islice(stride(c, dd, b_at(system, r), b_at(system, d + r)), 41))
+        got = list(islice(stride(c, dd, continuant_pair(system, r)[1], continuant_pair(system, d + r)[1]), 41))
         assert got == [full[n * d + r + 1] for n in range(41)], r
     red = reduce(system)
     assert red == ReducedRecurrence(c, dd, full[d])
@@ -325,9 +324,8 @@ def test_convergent_matches_bottom_up_walk(system, nu, lam):
 @given(systems(), NU, st.integers(0, 10))
 def test_b_values_match_linear(system, nu, lam):
     full = oracles.b_values(system, nu + 1, lam)
-    assert b_sequence(system, nu, lam) == full[:-1]
     assert walk(system, nu, lam) == full[:-1]
-    assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
+    assert continuant_pair(system, nu)[1] == oracles.b_values(system, nu)[-1]
     (p, _), (r, _) = transfer(system, nu + 1, lam)
     assert (p, r) == (full[-1], full[-2])  # (B_{nu+1,lam}, B_{nu,lam})
 
@@ -389,9 +387,9 @@ def test_binet_negative_matches_backward(system, n, r):
 # Up to about 12 ladder bits: a slip in a high bit of the doubling shows here.
 @settings(max_examples=60)
 @given(systems(), st.integers(-1, 3000), st.integers(0, 10))
-def test_continuant_pair_and_b_at_at_large_index(system, nu, lam):
+def test_continuant_pair_at_large_index(system, nu, lam):
     assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
-    assert b_at(system, nu) == oracles.b_values(system, nu)[-1]
+    assert continuant_pair(system, nu)[1] == oracles.b_values(system, nu)[-1]
 
 
 # Delta = 0: the double root 1 gives B_nu = nu + 1, and the double root 3 gives B_nu = (nu + 1) 3^nu.
@@ -417,7 +415,7 @@ def test_closed_forms_match_the_walks_at_any_delta(system, n, r):
 
 @settings(max_examples=60)
 @given(systems(), st.integers(-40, -1))
-@example(S8, -1)  # boundary(-1) gave 1 for B_{-3} = -1, b_at(S8, -3) gave 0
+@example(S8, -1)  # boundary(-1) gave 1 for B_{-3} = -1
 @example(S8, -2)  # boundary(-2) gave 6 for B_{-5} = -6, power(x, -2) gave x^2
 @example(ZERO_CORNER, -3)
 def test_core_refuses_negative_indices(system, k):
@@ -425,7 +423,7 @@ def test_core_refuses_negative_indices(system, k):
     red, mat = z_reduction(system), period_matrix(system)
     reads = [lambda: lucas(red.Cd, red.Dd, k), lambda: lucas(red.Cd, red.Dd, k, 7), lambda: power(mat, k),
              lambda: core.steps(system, 0, k, core.IDENTITY), lambda: transfer(system, k),
-             lambda: core.period(system, k), lambda: b_at(system, k - 1), lambda: walk(system, k - 1),
+             lambda: core.period(system, k), lambda: continuant_pair(system, k - 1), lambda: walk(system, k - 1),
              lambda: binet(system, k, 0), lambda: binet_negative(system, k, 0)]
     for read in reads:
         with pytest.raises(IndexOutOfRange):

@@ -13,7 +13,6 @@ from contikit import (
     IndexOutOfRange,
     InputTooLarge,
     PeriodicSystem,
-    b_sequence,
     congruence_suite,
     expand_sqrt,
     divisibility_check,
@@ -27,7 +26,7 @@ from contikit import (
     strong_gcd_check,
     to_system,
 )
-from contikit.core import residues, transfer
+from contikit.core import residues, transfer, walk
 from contikit import core, divisibility, recurrence, series
 from contikit.divisibility import _is_prime, _mult_order, _prime_factors
 from contikit.suite import random_strict_system, run_full_suite
@@ -72,7 +71,7 @@ def test_divisibility_sequence():
 
 
 def test_strong_gcd():
-    seq = b_sequence(FIB, 20)
+    seq = walk(FIB, 20)
     assert math.gcd(seq[12], seq[18]) == 8  # gcd(F_12, F_18) = F_6 = 8
     assert strong_gcd_check(FIB, 12, 18)
     assert math.gcd(6, 35) == 1
@@ -224,7 +223,7 @@ def test_pisano_s8():
     assert pisano(S8, 3) == (8, 8)
     assert pisano(S8, 7) == (6, 12)
     # The catalogued mod-7 congruence B_(r+12) = B_r holds (12 = 2 * 6).
-    seq = [x % 7 for x in b_sequence(S8, 40)]
+    seq = [x % 7 for x in walk(S8, 40)]
     assert all(seq[i + 12] == seq[i] for i in range(len(seq) - 12))
 
 

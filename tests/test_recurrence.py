@@ -16,7 +16,6 @@ from contikit import (
     PeriodicSystem,
     QuadraticNumber,
     ReducedRecurrence,
-    b_sequence,
     binet,
     binet_negative,
     gf_verify,
@@ -33,6 +32,7 @@ from contikit import (
     zeta_series,
 )
 from contikit import recurrence
+from contikit.core import walk
 from contikit.suite import random_strict_system
 from oracles import b_values, backward_sequence
 
@@ -53,7 +53,7 @@ def test_reduce_alternative_form():
     for _ in range(40):
         system = random_strict_system(rng)
         red = reduce(system)
-        seq = b_sequence(system, 2 * system.d)
+        seq = walk(system, 2 * system.d)
         assert seq[2 * system.d] == red.Cd * seq[system.d]
 
 
@@ -75,7 +75,7 @@ def test_binet_matches_recurrence():
     rng = random.Random(31)
     for _ in range(15):
         system = random_strict_system(rng)
-        seq = b_sequence(system, 61)
+        seq = walk(system, 61)
         for nu in range(-1, 61):
             n, r = divmod(nu + 1, system.d)
             r -= 1
@@ -123,7 +123,7 @@ def test_negative_index_reflection():
     for _ in range(15):
         system = random_strict_system(rng)
         red = reduce(system)
-        seq = b_sequence(system, 4 * system.d)
+        seq = walk(system, 4 * system.d)
         for n in range(1, 5):
             lhs = (-red.Dd) ** n * binet_negative(system, n, -1)
             assert lhs == -seq[n * system.d]
@@ -144,11 +144,11 @@ def test_gf_verify_judges_every_coefficient(monkeypatch):
     # One wrong B_nu anywhere in B_0 .. B_N fails the check; B_9 .. B_12 of S8 at N = 12 were never judged.
     for nu in range(13):
         def corrupted(system, nu_max, lam=0, nu=nu):
-            seq = b_sequence(system, nu_max, lam)
+            seq = walk(system, nu_max, lam)
             seq[nu + 1] += 1  # index i holds B_{i-1}
             return seq
 
-        monkeypatch.setattr(recurrence, "b_sequence", corrupted)
+        monkeypatch.setattr(recurrence, "walk", corrupted)
         assert not gf_verify(S8, 12).equal, nu
     monkeypatch.undo()
     rep = gf_verify(S8, 12)
@@ -199,7 +199,7 @@ def test_limit_ratio_numeric():
         red = reduce(system)
         if red.delta <= 0 or red.Cd == 0:
             continue
-        seq = b_sequence(system, 21 * system.d)
+        seq = walk(system, 21 * system.d)
         B = lambda nu: seq[nu + 1]
         with mpmath.workdps(60):
             lim = limit_ratio(system, "consecutive_periods", -1).mpf(60)
@@ -213,7 +213,7 @@ def test_limit_ratio_numeric():
 def test_limit_ratio_consecutive_terms():
     with mpmath.workdps(50):
         lim = limit_ratio(S8, "consecutive_terms", 0).mpf(50)
-        seq = b_sequence(S8, 60)
+        seq = walk(S8, 60)
         obs = mpmath.mpf(seq[51]) / seq[50]  # B_50 / B_49, r = 0 slot
         assert abs(lim - obs) < mpmath.mpf("1e-30")
 
@@ -256,7 +256,7 @@ def test_remark_identities_random():
 def test_reduce_accepts_zero_bd_and_only_readers_dividing_by_it_refuse():
     # The reduction divides by nothing, so B_(d-1) = 0 has one.
     degenerate = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
-    assert b_sequence(degenerate, 1)[2] == 0  # B_(d-1) = b_1 = 0
+    assert walk(degenerate, 1)[2] == 0  # B_(d-1) = b_1 = 0
     assert reduce(degenerate) == ReducedRecurrence(2, -1, 0)
     rep = law_of_repetition_check(degenerate, 3, 3, 1, 1)  # reads W_k = k, not B
     assert (rep.e, rep.observed, rep.holds) == (1, 2, True)

@@ -21,7 +21,6 @@ from contikit import (
     PrecisionExhausted,
     QuadraticNumber,
     UsageError,
-    b_sequence,
     expand_sqrt,
     reduce,
     roots,
@@ -31,6 +30,7 @@ from contikit import (
     zeta_series,
 )
 from contikit import pell, series
+from contikit.core import walk
 from contikit.series import TELESCOPING_FAMILIES, ZETA_KINDS
 from contikit.suite import random_strict_system
 
@@ -40,7 +40,7 @@ SQRT_1000009 = to_system(expand_sqrt(1000009))  # period d = 743, D_d = 1
 
 def test_millin_s8_exact_partial():
     # 1/6 + 1/204 + 1/235416 against the exact rational partial.
-    seq = b_sequence(S8, 16)
+    seq = walk(S8, 16)
     assert seq[4] == 6 and seq[8] == 204 and seq[16] == 235416
     rep = telescoping_sum(S8, "millin")
     assert rep.converged
