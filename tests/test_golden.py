@@ -19,10 +19,7 @@ def record(argv: list[str]) -> dict:
     """The record of one command, as main gives it in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses before main's own handler
-            code = exc.code
+        code = main(argv)
     return {"argv": argv, "exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr": err.getvalue()}
 

@@ -8,12 +8,12 @@ from pathlib import Path
 from contikit.cli import main
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
-BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
+BLOCKS = re.findall(r"^```\w*\n(.*?)^```$", README, re.M | re.S)
 
 
 def examples():
     """(argv, lines shown) for each `$ contikit` line; the lines run to the next `$` or blank line."""
-    for lang, body in BLOCKS:
+    for body in BLOCKS:
         for chunk in re.split(r"^(?=\$ )", body, flags=re.M):
             if chunk.startswith("$ contikit "):
                 command, *shown = chunk.split("\n\n")[0].splitlines()
@@ -37,7 +37,7 @@ def test_every_cli_example_prints_what_it_shows(capsys):
 
 
 def test_the_library_snippet_runs_as_shown():
-    (snippet,) = [body for lang, body in BLOCKS if body.startswith(">>> ")]
+    (snippet,) = [body for body in BLOCKS if body.startswith(">>> ")]
     test = doctest.DocTestParser().get_doctest(snippet, {}, "README.md", "README.md", 0)
     result = doctest.DocTestRunner().run(test)
     assert result.failed == 0 and result.attempted >= 8
