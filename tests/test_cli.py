@@ -13,8 +13,8 @@ import mpmath
 import pytest
 
 import contikit
-from contikit import HypothesisViolated, PeriodicSystem, S8, continuant_pair
-from contikit import divisibility, errors, recurrence, suite
+from contikit import CongruenceCase, HypothesisViolated, IdentityReport, PeriodicSystem, S8, SeriesReport
+from contikit import cli, continuant_pair, divisibility, errors, recurrence, series, suite
 from contikit.cli import main
 
 # sha256 of `contikit paper` stdout at the default seed 20240801 and 50 digits.
@@ -540,6 +540,49 @@ def test_paper_passes_at_the_benchmark_seeds(capsys, seed):
     rows = json.loads(out)["rows"]
     assert code == 0
     assert len(rows) == 13 and all(row["passed"] for row in rows)
+
+
+FAILED_SERIES = SeriesReport("millin", "0.17", "0.18", "1/(b1*beta)", "1.0e-2", 6, False)
+FAILED_ZETA = SeriesReport("pi_over_6", "0.5", "0.6", "pi/6", "1.0e-1", 9, False,
+                           extras={"zeta": "0.3", "compare_zeta": "0.1", "compare_residual": "0.2"})
+FAILED_VERDICTS = [  # (module, name, fake result, argv, text stdout, --json stdout)
+    (suite, "run_full_suite", [suite.SuiteRow("cassini", True, "0 failures"), suite.SuiteRow("pell", False, "x=4")],
+     ("paper", "--seed", "1", "--digits", "20"),
+     "verification suite  seed=1 digits=20\n[PASS] cassini: 0 failures\n[FAIL] pell: x=4\n1/2 checks passed\n",
+     '{"seed": 1, "digits": 20, "rows": [{"name": "cassini", "passed": true, "detail": "0 failures"}, '
+     '{"name": "pell", "passed": false, "detail": "x=4"}]}\n'),
+    (divisibility, "congruence_suite", CongruenceCase(7, "QR", [("B_x", True), ("B_y", False)]),
+     ("check", "--sqrt", "8", "--congruence-p", "7"),
+     "p = 7  case: QR\n  [ok] B_x\n  [FAIL] B_y\n",
+     '{"p": 7, "case": "QR", "verified": [{"label": "B_x", "ok": true}, {"label": "B_y", "ok": false}], '
+     '"all_pass": false}\n'),
+    (cli, "verify_identity", IdentityReport("cassini_A", (1, 2, 3), (396,), (397,)),
+     ("check", "--sqrt", "8", "--identity", "cassini_A", "--params", "1,2,3"),
+     "cassini_A(1, 2, 3): lhs=(396,) rhs=(397,) equal=False\n",
+     '{"identity": "cassini_A", "params": [1, 2, 3], "lhs": ["396"], "rhs": ["397"], "equal": false}\n'),
+    (series, "telescoping_sum", FAILED_SERIES, ("series", "--sqrt", "8", "--family", "millin"),
+     "family      : millin\npartial sum : 0.17  (6 terms)\nclosed form : 0.18  [1/(b1*beta)]\n"
+     "abs error   : 1.0e-2\nconverged   : False\n",
+     '{"family": "millin", "partial": "0.17", "closed": "0.18", "closed_symbolic": "1/(b1*beta)", '
+     '"abs_error": "1.0e-2", "terms": 6, "converged": false}\n'),
+    (series, "zeta_series", FAILED_ZETA,
+     ("series", "--sqrt", "8", "--family", "pi_over_6", "--compare-zeta", "0.1"),
+     "family      : pi_over_6\npartial sum : 0.5  (9 terms)\nclosed form : 0.6  [pi/6]\n"
+     "abs error   : 1.0e-1\ncompare zeta: 0.1  (residual 0.2)\nconverged   : False\n",
+     '{"family": "pi_over_6", "partial": "0.5", "closed": "0.6", "closed_symbolic": "pi/6", '
+     '"abs_error": "1.0e-1", "terms": 9, "converged": false, "zeta": "0.3", "compare_zeta": "0.1", '
+     '"compare_residual": "0.2"}\n'),
+]
+
+
+@pytest.mark.parametrize("module, name, fake, argv, text, as_json", FAILED_VERDICTS,
+                         ids=["paper", "congruence", "identity", "series", "zeta"])
+def test_a_failed_verdict_exits_1_and_prints_its_rows(capsys, monkeypatch, module, name, fake, argv,
+                                                     text, as_json):
+    # No real input fails these checks, so the library call is patched to report a failure.
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: fake)
+    assert run(capsys, *argv) == (1, text, "")
+    assert run(capsys, *argv, "--json") == (1, as_json, "")
 
 
 def test_python_dash_m_runs_the_cli():
