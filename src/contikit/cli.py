@@ -10,6 +10,7 @@ quietly with 141, the status of a process killed by SIGPIPE.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,9 +45,13 @@ def _ints(flag, text, form="comma-separated integers", sep=",", count=None) -> t
     raise UsageError(f"{flag} takes {form}, got {text!r}")
 
 
-def _system_from_args(args) -> PeriodicSystem:
+def _one_source(args) -> None:
     if sum(x is not None for x in (args.system, args.sqrt, args.d)) != 1:
         raise UsageError("give exactly one of --system, --sqrt, or --d/--a/--b")
+
+
+def _system_from_args(args) -> PeriodicSystem:
+    _one_source(args)
     if args.system is not None:
         with open(args.system, "rb") as fh:
             return PeriodicSystem.from_json(fh.read())
@@ -58,48 +63,41 @@ def _system_from_args(args) -> PeriodicSystem:
     return PeriodicSystem(d=args.d, a=a, b=b, b0=args.b0, strict=not args.non_strict)
 
 
-def cmd_expand(args) -> int:
+def _tuple(items) -> str:
+    """A tuple's repr, from its items' decimal strings."""
+    return f"({', '.join(items)}{',' * (len(items) == 1)})"
+
+
+def cmd_expand(args, emit) -> int:
     exp = pell.expand_sqrt(args.n)
-    print(json.dumps({"n": str(exp.n), "a0": str(exp.a0),
-                      "period": [str(x) for x in exp.period], "d": exp.d})
-          if args.json else str(exp))
+    rec = {"n": str(exp.n), "a0": str(exp.a0), "period": [str(x) for x in exp.period], "d": exp.d}
+    emit(rec, "sqrt({n}) = [{a0}; ({block})] period d={d}".format(block=",".join(rec["period"]), **rec))
     return 0
 
 
-def cmd_pell(args) -> int:
-    sols = pell.pell_solutions(args.n, args.count)
-    if args.json:
-        print(json.dumps([{"n": str(s.n), "x": str(s.x), "y": str(s.y)} for s in sols]))
-    else:
-        for k, s in enumerate(sols, start=1):
-            print(f"k={k}: x={s.x} y={s.y}  ({s.x}^2 - {s.n}*{s.y}^2 = 1)")
+def cmd_pell(args, emit) -> int:
+    rec = [{"n": str(s.n), "x": str(s.x), "y": str(s.y)} for s in pell.pell_solutions(args.n, args.count)]
+    emit(rec, *("k={k}: x={x} y={y}  ({x}^2 - {n}*{y}^2 = 1)".format(k=k, **s) for k, s in enumerate(rec, 1)))
     return 0
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args, emit) -> int:
+    red = recurrence.reduce(_system_from_args(args))
+    rec = {"C_d": str(red.Cd), "D_d": str(red.Dd), "Delta": str(red.delta)}
+    emit(rec, "C_d = {C_d}, D_d = {D_d}, Delta = {Delta}".format_map(rec))
+    return 0
+
+
+def cmd_binet(args, emit) -> int:
     system = _system_from_args(args)
-    red = recurrence.reduce(system)
-    print(json.dumps({"C_d": str(red.Cd), "D_d": str(red.Dd), "Delta": str(red.delta)}) if args.json
-          else f"C_d = {red.Cd}, D_d = {red.Dd}, Delta = {red.delta}")
+    n, r = divmod(args.nu + 1, system.d)
+    value = recurrence.binet(system, n, r - 1) if n >= 0 else recurrence.binet_negative(system, -n, r - 1)
+    rec = {"nu": str(args.nu), "B": str(value)}  # the one decimal conversion of a B of any size
+    emit(rec, "B_{nu} = {B}".format_map(rec))
     return 0
 
 
-def cmd_binet(args) -> int:
-    system = _system_from_args(args)
-    nu = args.nu
-    d = system.d
-    n, r = divmod(nu + 1, d)
-    r -= 1
-    if n >= 0:
-        value = recurrence.binet(system, n, r)
-    else:
-        value = recurrence.binet_negative(system, -n, r)
-    # Converting a huge B to decimal dominates the run, so only the printed form is built.
-    print(json.dumps({"nu": str(nu), "B": str(value)}) if args.json else f"B_{nu} = {value}")
-    return 0
-
-
-def cmd_series(args) -> int:
+def cmd_series(args, emit) -> int:
     ctx = series.PrecisionContext(args.digits, args.terms)
     if args.family in series.ZETA_KINDS:
         system = _system_from_args(args)
@@ -109,48 +107,43 @@ def cmd_series(args) -> int:
     elif args.family.startswith("pell_"):
         if args.sqrt is None:
             raise UsageError(f"{args.family} needs --sqrt N")
+        _one_source(args)  # the sum reads N alone, but a second source is still refused
         rep = series.telescoping_sum(args.sqrt, args.family, ctx)
     else:
-        system = _system_from_args(args)
-        rep = series.telescoping_sum(system, args.family, ctx)
-    if args.json:
-        print(json.dumps(rep.to_dict()))
-    else:
-        print(f"family      : {rep.family}")
-        print(f"partial sum : {rep.partial_sum}  ({rep.terms} terms)")
-        print(f"closed form : {rep.closed_form}  [{rep.closed_symbolic}]")
-        print(f"abs error   : {rep.abs_error}")
-        if args.compare_zeta is not None:
-            print(f"compare zeta: {rep.extras['compare_zeta']}  (residual {rep.extras['compare_residual']})")
-        print(f"converged   : {rep.converged}")
+        rep = series.telescoping_sum(_system_from_args(args), args.family, ctx)
+    rec = {"family": rep.family, "partial": rep.partial_sum, "closed": rep.closed_form,
+           "closed_symbolic": rep.closed_symbolic, "abs_error": rep.abs_error, "terms": rep.terms,
+           "converged": rep.converged, **rep.extras}
+    lines = ["family      : {family}", "partial sum : {partial}  ({terms} terms)",
+             "closed form : {closed}  [{closed_symbolic}]", "abs error   : {abs_error}"]
+    if args.compare_zeta is not None:
+        lines.append("compare zeta: {compare_zeta}  (residual {compare_residual})")
+    emit(rec, *(line.format_map(rec) for line in lines + ["converged   : {converged}"]))
     return 0 if rep.converged else 1
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, emit) -> int:
     system = _system_from_args(args)
+    if args.identity is not None and args.congruence_p is not None:
+        raise UsageError("give --identity or --congruence-p, not both")
     if args.identity is not None:
         rep = verify_identity(system, args.identity, _ints("--params", args.params))
-        print(json.dumps({"identity": rep.identity, "params": list(rep.params),
-                          "lhs": [str(v) for v in rep.lhs],
-                          "rhs": [str(v) for v in rep.rhs], "equal": rep.equal}) if args.json
-              else f"{rep.identity}{rep.params}: lhs={rep.lhs} rhs={rep.rhs} equal={rep.equal}")
+        rec = {"identity": rep.identity, "params": list(rep.params), "lhs": [str(v) for v in rep.lhs],
+               "rhs": [str(v) for v in rep.rhs], "equal": rep.equal}
+        emit(rec, f"{rec['identity']}{tuple(rec['params'])}: lhs={_tuple(rec['lhs'])} "
+                  f"rhs={_tuple(rec['rhs'])} equal={rec['equal']}")
         return 0 if rep.equal else 1
     if args.congruence_p is not None:
         case = divisibility.congruence_suite(system, args.congruence_p)
-        if args.json:
-            print(json.dumps({"p": case.p, "case": case.case_tag,
-                              "verified": [{"label": lbl, "ok": ok}
-                                           for lbl, ok in case.verified],
-                              "all_pass": case.all_pass}))
-        else:
-            print(f"p = {case.p}  case: {case.case_tag}")
-            for lbl, ok in case.verified:
-                print(f"  [{'ok' if ok else 'FAIL'}] {lbl}")
+        rec = {"p": case.p, "case": case.case_tag,
+               "verified": [{"label": lbl, "ok": ok} for lbl, ok in case.verified], "all_pass": case.all_pass}
+        emit(rec, "p = {p}  case: {case}".format_map(rec),
+             *(f"  [{'ok' if v['ok'] else 'FAIL'}] {v['label']}" for v in rec["verified"]))
         return 0 if case.all_pass else 1
     raise UsageError("check needs --identity or --congruence-p")
 
 
-def cmd_pseudoprime(args) -> int:
+def cmd_pseudoprime(args, emit) -> int:
     system = _system_from_args(args)
     if args.candidate is not None:
         candidates = [args.candidate]
@@ -161,62 +154,53 @@ def cmd_pseudoprime(args) -> int:
         candidates = range(max(lo, 3) | 1, hi + 1, 2)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    tail = " (epsilon = {0.epsilon}, tested B index {0.tested_index})" if args.range is None else ""
+    tail = " (epsilon = {epsilon}, tested B index {index})" if args.range is None else ""
     for v in divisibility.pseudoprime_scan(system, candidates):  # each printed once ready
-        print(json.dumps(v.to_dict()) if args.json else f"n = {v.n}: {v.verdict}" + tail.format(v))
+        rec = {"n": str(v.n), "epsilon": v.epsilon, "index": str(v.tested_index), "verdict": v.verdict}
+        emit(rec, ("n = {n}: {verdict}" + tail).format_map(rec))
     return 0
 
 
-def cmd_pisano(args) -> int:
-    system = _system_from_args(args)
-    pi, bound = divisibility.pisano(system, args.p)
-    print(json.dumps({"p": str(args.p), "pi": str(pi), "bound": str(bound)}) if args.json
-          else f"pi({args.p}) = {pi}  (divisor bound {bound})")
+def cmd_pisano(args, emit) -> int:
+    pi, bound = divisibility.pisano(_system_from_args(args), args.p)
+    rec = {"p": str(args.p), "pi": str(pi), "bound": str(bound)}
+    emit(rec, "pi({p}) = {pi}  (divisor bound {bound})".format_map(rec))
     return 0
 
 
-def cmd_paper(args) -> int:
-    rows = suite.run_full_suite(args.seed, args.digits)
-    if args.json:
-        print(json.dumps({"seed": args.seed, "digits": args.digits,
-                          "rows": [r.to_dict() for r in rows]}))
-    else:
-        print(f"verification suite  seed={args.seed} digits={args.digits}")
-        for r in rows:
-            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-        n_fail = sum(not r.passed for r in rows)
-        print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
-    return 0 if all(r.passed for r in rows) else 1
+def cmd_paper(args, emit) -> int:
+    rows = [{"name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in suite.run_full_suite(args.seed, args.digits)]
+    rec = {"seed": args.seed, "digits": args.digits, "rows": rows}
+    passed = sum(r["passed"] for r in rows)
+    emit(rec, "verification suite  seed={seed} digits={digits}".format_map(rec),
+         *(f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}: {r['detail']}" for r in rows),
+         f"{passed}/{len(rows)} checks passed")
+    return 0 if passed == len(rows) else 1
 
 
+@functools.cache  # once per process, on the first main call: building it at import slows every import
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="contikit",
                                  description="exact continuant/Pell/series toolkit")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
     p = sub.add_parser("expand", help="continued fraction of sqrt(N)")
     p.add_argument("--n", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("pell", help="solutions of x^2 - N y^2 = 1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
-    common(p)
     p.set_defaults(func=cmd_pell)
 
     p = sub.add_parser("reduce", help="C_d, D_d, Delta of a system")
     _add_system_args(p)
-    common(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("binet", help="B_nu by the closed form (any integer nu)")
     _add_system_args(p)
     p.add_argument("--nu", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_binet)
 
     p = sub.add_parser("series", help="verify a series closed form")
@@ -227,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=60)
     p.add_argument("--compare-zeta", type=str, default=None,
                    help="zeta kinds only: also sum as many terms at this root value")
-    common(p)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("check", help="verify a continuant identity or congruence suite")
@@ -235,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", choices=IDENTITIES)
     p.add_argument("--params", default="0,3", help="comma-separated identity parameters")
     p.add_argument("--congruence-p", type=int, default=None)
-    common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pseudoprime", help="Lucas-style compositeness test")
@@ -246,21 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and has no effect: the scan reduces the system once "
                         "and runs in one process")
-    common(p)
     p.set_defaults(func=cmd_pseudoprime)
 
     p = sub.add_parser("pisano", help="period of B mod p")
     _add_system_args(p)
     p.add_argument("--p", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_pisano)
 
     p = sub.add_parser("paper", help="run the full deterministic verification suite")
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--digits", type=int, default=50)
-    common(p)
     p.set_defaults(func=cmd_paper)
 
+    for p in sub.choices.values():  # last in every verb's help
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return ap
 
 
@@ -270,8 +251,13 @@ def main(argv=None) -> int:
     if set_digits is not None:
         set_digits(0)
     args = build_parser().parse_args(argv)
+
+    def emit(record, *text_lines):
+        """The one writer of command output: the record under --json, else its text lines."""
+        print(json.dumps(record) if args.json else "\n".join(text_lines))
+
     try:
-        code = args.func(args)
+        code = args.func(args, emit)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
         return code
     except BrokenPipeError:  # the Python docs' SIGPIPE recipe: that last flush goes to devnull

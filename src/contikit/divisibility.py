@@ -321,14 +321,6 @@ class PseudoprimeVerdict:
     tested_index: int
     verdict: str  # composite_proven | probable_prime | inapplicable
 
-    def to_dict(self) -> dict:
-        return {
-            "n": str(self.n),
-            "epsilon": self.epsilon,
-            "index": str(self.tested_index),
-            "verdict": self.verdict,
-        }
-
 
 def pseudoprime_scan(system: PeriodicSystem, candidates: Iterable[int]) -> Iterator[PseudoprimeVerdict]:
     """Lazily, the Lucas-style test B_{(n - eps(n))d - 1} mod n of each candidate n,

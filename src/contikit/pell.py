@@ -29,10 +29,6 @@ class SqrtExpansion:
     def d(self) -> int:
         return len(self.period)
 
-    def __str__(self) -> str:
-        block = ",".join(str(x) for x in self.period)
-        return f"sqrt({self.n}) = [{self.a0}; ({block})] period d={self.d}"
-
 
 @dataclass(frozen=True)
 class PellSolution:

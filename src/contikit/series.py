@@ -58,19 +58,6 @@ class SeriesReport:
     partial_exact: Fraction | None = None
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "partial": self.partial_sum,
-            "closed": self.closed_form,
-            "closed_symbolic": self.closed_symbolic,
-            "abs_error": self.abs_error,
-            "terms": self.terms,
-            "converged": self.converged,
-        }
-        out.update(self.extras)
-        return out
-
 
 TELESCOPING_FAMILIES = (
     "millin", "period_reciprocal", "pell_y", "pell_x", "pell_y2", "arctan", "artanh",

@@ -29,9 +29,6 @@ class SuiteRow:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 def random_strict_system(rng: random.Random, d_max: int = 4, coeff_max: int = 9) -> PeriodicSystem:
     d = rng.randint(1, d_max)

@@ -43,7 +43,8 @@ def commands() -> list[list[str]]:
         grid += [["pisano", *system, "--p", p] for p in ("3", "13")]
     for n in SQRTS:
         grid += [["series", "--sqrt", n, "--family", f] for f in ("pell_x", "pell_y", "pell_y2")]
-    grid += [["paper", "--seed", seed] for seed in ("1", "2", "3")] + [["paper", "--digits", "20"]]
+    grid += [["paper", "--seed", seed] for seed in ("1", "2", "3")]
+    grid += [["paper", "--digits", digits] for digits in ("20", "21", "22", "23")]
     grid += [  # one refusal of each kind that the grid above may not reach
         ["check", "--sqrt", "8"],  # UsageError
         ["pisano", "--sqrt", "8", "--p", "2199258138047"],  # InputTooLarge

@@ -105,7 +105,13 @@ USAGE_ERRORS = (
     (("reduce", "--d", "2", "--a", "1,1"), "--d requires --a and --b"),
     (("series", "--d", "2", "--a", "1,1", "--b", "1,4", "--family", "pell_y"),
      "pell_y needs --sqrt N"),
+    (("series", "--sqrt", "8", "--family", "pell_y", "--system", "no-such-file.json"),
+     "give exactly one of --system, --sqrt, or --d/--a/--b"),
+    (("series", "--sqrt", "8", "--family", "pell_x", "--d", "2", "--a", "1,1", "--b", "1,4"),
+     "give exactly one of --system, --sqrt, or --d/--a/--b"),
     (("check", "--sqrt", "8"), "check needs --identity or --congruence-p"),
+    (("check", "--sqrt", "8", "--identity", "catalan", "--params", "1,2", "--congruence-p", "3"),
+     "give --identity or --congruence-p, not both"),
     (("pseudoprime", "--sqrt", "8"), "pseudoprime needs --candidate or --range lo:hi"),
     (("pseudoprime", "--sqrt", "8", "--range", "3:4:5"), "--range takes LO:HI, got '3:4:5'"),
     (("pseudoprime", "--sqrt", "8", "--range", "5"), "--range takes LO:HI, got '5'"),
@@ -525,21 +531,6 @@ def test_paper_verb_deterministic(capsys):
     code, doc, _ = run(capsys, "paper", "--json")
     assert code == 0
     assert sha256(doc) == PAPER_JSON_SHA256
-
-
-@pytest.mark.parametrize("digits", ["20", "21", "22", "23"])
-def test_paper_passes_at_few_digits(capsys, digits):
-    # The zeta row sums its own 40 terms; the library's sum once stopped short of them here.
-    code, out, _ = run(capsys, "paper", "--digits", digits)
-    assert code == 0 and out.splitlines()[-1] == "13/13 checks passed"
-
-
-@pytest.mark.parametrize("seed", ["1", "2"])
-def test_paper_passes_at_the_benchmark_seeds(capsys, seed):
-    code, out, _ = run(capsys, "paper", "--seed", seed, "--json")
-    rows = json.loads(out)["rows"]
-    assert code == 0
-    assert len(rows) == 13 and all(row["passed"] for row in rows)
 
 
 FAILED_SERIES = SeriesReport("millin", "0.17", "0.18", "1/(b1*beta)", "1.0e-2", 6, False)

@@ -37,6 +37,13 @@ def test_every_command_gives_its_recorded_output():
     assert not changed, f"{len(changed)} commands changed:\n" + "\n".join(changed)
 
 
+def test_the_corpus_holds_the_regenerate_grid_in_order(monkeypatch):
+    # A grid edited but never regenerated fails here; no command runs.
+    monkeypatch.syspath_prepend(str(CORPUS.parent))
+    import regenerate
+    assert [r["argv"] for r in load()] == regenerate.commands()
+
+
 def test_the_corpus_covers_every_verb_output_mode_and_refusal():
     records = load()
     verbs = {r["argv"][0] for r in records}

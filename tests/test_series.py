@@ -30,6 +30,7 @@ from contikit import (
     zeta_series,
 )
 from contikit import pell, series
+from contikit.cli import main
 from contikit.core import walk
 from contikit.series import TELESCOPING_FAMILIES, ZETA_KINDS
 from contikit.suite import random_strict_system
@@ -263,13 +264,14 @@ def test_zeta_fib():
         assert abs(mpmath.mpf(rep.extras["zeta"]) - want) < mpmath.mpf("1e-25")
 
 
-def test_series_report_json():
+def test_series_report_json(capsys):
+    # The CLI writes a report as one record of its fields, under these JSON keys.
     rep = telescoping_sum(S8, "millin")
-    doc = rep.to_dict()
-    for key in ("family", "partial", "closed", "closed_symbolic",
-                "abs_error", "terms", "converged"):
-        assert key in doc
-    assert json.loads(json.dumps(doc)) == doc
+    assert main(["series", "--sqrt", "8", "--family", "millin", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "family": rep.family, "partial": rep.partial_sum, "closed": rep.closed_form,
+        "closed_symbolic": rep.closed_symbolic, "abs_error": rep.abs_error, "terms": rep.terms,
+        "converged": rep.converged}
 
 
 def test_weighted_sums_s8():
