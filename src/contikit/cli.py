@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification fails (a failed check, a
 proven-composite verdict being the exception: that is still a successful
-run), 2 on a ContikitError (bad input or a violated hypothesis) or an OSError,
-printed as `error: <type>: <message>`; any other exception is a bug (a traceback).
+run), 2 on a ContikitError (a refused argv, bad input or a violated
+hypothesis) or an OSError, printed as `error: <type>: <message>`; any other
+exception is a bug (a traceback).
 A stdout closed by its reader (`| head`) is not a refused input: the run stops
 quietly with 141, the status of a process killed by SIGPIPE.
 """
@@ -21,11 +22,17 @@ from .errors import ContikitError, UsageError
 from .systems import PeriodicSystem
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a refused argv takes main's one handler: one stderr line, exit 2
+        raise UsageError(message)
+
+
 def _add_system_args(p: argparse.ArgumentParser):
-    p.add_argument("--system", metavar="FILE", help="JSON file describing the system")
-    p.add_argument("--sqrt", type=int, metavar="N",
-                   help="use the continued-fraction system of sqrt(N)")
-    p.add_argument("--d", type=int, help="period length")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--system", metavar="FILE", help="JSON file describing the system")
+    source.add_argument("--sqrt", type=int, metavar="N",
+                        help="use the continued-fraction system of sqrt(N)")
+    source.add_argument("--d", type=int, help="period length")
     p.add_argument("--a", help="comma-separated a_1..a_d; write a list that starts "
                                "with a minus sign as --a=-1,2")
     p.add_argument("--b", help="comma-separated b_1..b_d; write a list that starts "
@@ -45,13 +52,7 @@ def _ints(flag, text, form="comma-separated integers", sep=",", count=None) -> t
     raise UsageError(f"{flag} takes {form}, got {text!r}")
 
 
-def _one_source(args) -> None:
-    if sum(x is not None for x in (args.system, args.sqrt, args.d)) != 1:
-        raise UsageError("give exactly one of --system, --sqrt, or --d/--a/--b")
-
-
 def _system_from_args(args) -> PeriodicSystem:
-    _one_source(args)
     if args.system is not None:
         with open(args.system, "rb") as fh:
             return PeriodicSystem.from_json(fh.read())
@@ -107,7 +108,6 @@ def cmd_series(args, emit) -> int:
     elif args.family.startswith("pell_"):
         if args.sqrt is None:
             raise UsageError(f"{args.family} needs --sqrt N")
-        _one_source(args)  # the sum reads N alone, but a second source is still refused
         rep = series.telescoping_sum(args.sqrt, args.family, ctx)
     else:
         rep = series.telescoping_sum(_system_from_args(args), args.family, ctx)
@@ -124,8 +124,6 @@ def cmd_series(args, emit) -> int:
 
 def cmd_check(args, emit) -> int:
     system = _system_from_args(args)
-    if args.identity is not None and args.congruence_p is not None:
-        raise UsageError("give --identity or --congruence-p, not both")
     if args.identity is not None:
         rep = verify_identity(system, args.identity, _ints("--params", args.params))
         rec = {"identity": rep.identity, "params": list(rep.params), "lhs": [str(v) for v in rep.lhs],
@@ -133,22 +131,18 @@ def cmd_check(args, emit) -> int:
         emit(rec, f"{rec['identity']}{tuple(rec['params'])}: lhs={_tuple(rec['lhs'])} "
                   f"rhs={_tuple(rec['rhs'])} equal={rec['equal']}")
         return 0 if rep.equal else 1
-    if args.congruence_p is not None:
-        case = divisibility.congruence_suite(system, args.congruence_p)
-        rec = {"p": case.p, "case": case.case_tag,
-               "verified": [{"label": lbl, "ok": ok} for lbl, ok in case.verified], "all_pass": case.all_pass}
-        emit(rec, "p = {p}  case: {case}".format_map(rec),
-             *(f"  [{'ok' if v['ok'] else 'FAIL'}] {v['label']}" for v in rec["verified"]))
-        return 0 if case.all_pass else 1
-    raise UsageError("check needs --identity or --congruence-p")
+    case = divisibility.congruence_suite(system, args.congruence_p)
+    rec = {"p": str(case.p), "case": case.case_tag,
+           "verified": [{"label": lbl, "ok": ok} for lbl, ok in case.verified], "all_pass": case.all_pass}
+    emit(rec, "p = {p}  case: {case}".format_map(rec),
+         *(f"  [{'ok' if v['ok'] else 'FAIL'}] {v['label']}" for v in rec["verified"]))
+    return 0 if case.all_pass else 1
 
 
 def cmd_pseudoprime(args, emit) -> int:
     system = _system_from_args(args)
     if args.candidate is not None:
         candidates = [args.candidate]
-    elif args.range is None:
-        raise UsageError("pseudoprime needs --candidate or --range lo:hi")
     else:
         lo, hi = _ints("--range", args.range, "LO:HI", ":", 2)
         candidates = range(max(lo, 3) | 1, hi + 1, 2)
@@ -181,8 +175,7 @@ def cmd_paper(args, emit) -> int:
 
 @functools.cache  # once per process, on the first main call: building it at import slows every import
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="contikit",
-                                 description="exact continuant/Pell/series toolkit")
+    ap = _Parser(prog="contikit", description="exact continuant/Pell/series toolkit")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("expand", help="continued fraction of sqrt(N)")
@@ -215,16 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a continuant identity or congruence suite")
     _add_system_args(p)
-    p.add_argument("--identity", choices=IDENTITIES)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--identity", choices=IDENTITIES)
+    mode.add_argument("--congruence-p", type=int)
     p.add_argument("--params", default="0,3", help="comma-separated identity parameters")
-    p.add_argument("--congruence-p", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pseudoprime", help="Lucas-style compositeness test")
     _add_system_args(p)
-    one_or_many = p.add_mutually_exclusive_group()
-    one_or_many.add_argument("--candidate", type=int, default=None)
-    one_or_many.add_argument("--range", default=None, metavar="LO:HI")
+    one_or_many = p.add_mutually_exclusive_group(required=True)
+    one_or_many.add_argument("--candidate", type=int)
+    one_or_many.add_argument("--range", metavar="LO:HI")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and has no effect: the scan reduces the system once "
                         "and runs in one process")
@@ -250,13 +244,13 @@ def main(argv=None) -> int:
     set_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_digits is not None:
         set_digits(0)
-    args = build_parser().parse_args(argv)
 
     def emit(record, *text_lines):
         """The one writer of command output: the record under --json, else its text lines."""
         print(json.dumps(record) if args.json else "\n".join(text_lines))
 
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, emit)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
         return code

@@ -154,16 +154,15 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         if system.d != 2:
             raise HypothesisViolated("millin analogue requires d = 2")
         a1a2 = system.a[0] * system.a[1]
-        # The B index doubles per term, so cap the term count below max_terms.
-        n_cap = min(ctx.max_terms, 14)
+        # The B index doubles per term, so the stream ends after 14 terms whatever max_terms is.
         terms = (Fraction(a1a2) ** (2 ** (n - 1)) / reduced.boundary(2 ** n)  # B_{2^(n+1)-1}
-                 for n in range(1, n_cap + 1))
+                 for n in range(1, 15))
         return _report(family, terms, 1 / (system.b[0] * beta), "1/(b1*beta)", ctx)
 
     B = lambda: stride(reduced.Cd, reduced.Dd, 0, reduced.Bd1)  # B_{nd-1} at n = 0, 1, ...
     if family == "period_reciprocal":
         terms = (Fraction((-reduced.Dd) ** n, lo * hi)
-                 for n, (lo, hi) in zip(range(ctx.max_terms), pairwise(islice(B(), 1, None))))
+                 for n, (lo, hi) in enumerate(pairwise(islice(B(), 1, None))))
         return _report(family, terms, alpha / reduced.Bd1 ** 2, "alpha/B_(d-1)^2", ctx)
 
     if reduced.Dd != 1:
@@ -174,7 +173,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
                             else (mpmath.atanh, b3, 4, "ln(({0}+{1})/({0}-{1}))/2"))
     with mpmath.workdps(ctx.digits + 10):
         closed = fn(mpmath.mpf(b1) / den)
-    terms = (fn(mpmath.mpf(b2) / b) for b in islice(B(), start, 2 * ctx.max_terms + start - 1, 2))
+    terms = (fn(mpmath.mpf(b2) / b) for b in islice(B(), start, None, 2))
     return _report(family, terms, closed, form.format(text(den), text(b1)), ctx)
 
 
@@ -184,7 +183,7 @@ def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
         raise HypothesisViolated(f"{family} requires an even period; sqrt({n}) has d={expansion.d}")
     first = next(sols := _solutions(expansion))
     x1, y1 = first.x, first.y
-    pairs = islice(pairwise(chain([first], sols)), ctx.max_terms)  # (s_k, s_{k+1}), k >= 1
+    pairs = pairwise(chain([first], sols))  # (s_k, s_{k+1}), k >= 1
     delta = x1 * x1 - 1  # = N * y1^2
 
     if family == "pell_y":

@@ -72,12 +72,14 @@ class PeriodicSystem:
             raise InvalidSystem(f"system is missing {', '.join(missing)}")
         if not all(isinstance(obj[key], (list, tuple)) for key in ("a", "b")):
             raise InvalidSystem("system entries a and b must be lists")
+        if not isinstance(strict := obj.get("strict", True), bool):
+            raise InvalidSystem(f"system entry strict must be true or false, got {strict!r}")
         return cls(
             d=_integer(obj["d"]),
             a=tuple(map(_integer, obj["a"])),
             b=tuple(map(_integer, obj["b"])),
             b0=_integer(obj.get("b0", 1)),
-            strict=bool(obj.get("strict", True)),
+            strict=strict,
         )
 
     @classmethod

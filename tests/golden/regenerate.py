@@ -43,12 +43,24 @@ def commands() -> list[list[str]]:
         grid += [["pisano", *system, "--p", p] for p in ("3", "13")]
     for n in SQRTS:
         grid += [["series", "--sqrt", n, "--family", f] for f in ("pell_x", "pell_y", "pell_y2")]
+    grid += [  # closed forms that once cancelled on long periods (d = 743 and 6524)
+        ["series", "--sqrt", "1000009", "--family", "artanh"],
+        ["series", "--sqrt", "100000007", "--family", "period_reciprocal", "--digits", "50"],
+    ]
     grid += [["paper", "--seed", seed] for seed in ("1", "2", "3")]
     grid += [["paper", "--digits", digits] for digits in ("20", "21", "22", "23")]
     grid += [  # one refusal of each kind that the grid above may not reach
         ["check", "--sqrt", "8"],  # UsageError
         ["pisano", "--sqrt", "8", "--p", "2199258138047"],  # InputTooLarge
         ["series", "--sqrt", "8", "--family", "pi_over_6", "--terms", "10"],  # PrecisionExhausted
+    ]
+    grid += [  # argparse's refusals, each a UsageError through the same handler
+        ["reduce", "--sqrt", "8", "--no-such-option"],
+        ["reduce", "--sqrt", "x"],
+        ["pisano", "--sqrt", "8"],
+        ["reduce", "--sqrt", "8", "--d", "2", "--a", "1,1", "--b", "1,4"],
+        ["pseudoprime", "--sqrt", "8", "--candidate", "35", "--range", "3:40"],
+        ["check", "--sqrt", "8", "--identity", "catalan", "--params", "1,2", "--congruence-p", "3"],
     ]
     return [argv + json_flag for argv in grid for json_flag in ([], ["--json"])]
 

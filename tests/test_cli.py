@@ -101,18 +101,19 @@ def test_malformed_system_file_exit2(tmp_path, capsys, doc, message):
 
 USAGE_ERRORS = (
     (("reduce", "--sqrt", "8", "--d", "2", "--a", "1,1", "--b", "1,4"),
-     "give exactly one of --system, --sqrt, or --d/--a/--b"),
+     "argument --d: not allowed with argument --sqrt"),
+    (("reduce", "--a", "1,1", "--b", "1,4"), "one of the arguments --system --sqrt --d is required"),
     (("reduce", "--d", "2", "--a", "1,1"), "--d requires --a and --b"),
     (("series", "--d", "2", "--a", "1,1", "--b", "1,4", "--family", "pell_y"),
      "pell_y needs --sqrt N"),
     (("series", "--sqrt", "8", "--family", "pell_y", "--system", "no-such-file.json"),
-     "give exactly one of --system, --sqrt, or --d/--a/--b"),
+     "argument --system: not allowed with argument --sqrt"),
     (("series", "--sqrt", "8", "--family", "pell_x", "--d", "2", "--a", "1,1", "--b", "1,4"),
-     "give exactly one of --system, --sqrt, or --d/--a/--b"),
-    (("check", "--sqrt", "8"), "check needs --identity or --congruence-p"),
+     "argument --d: not allowed with argument --sqrt"),
+    (("check", "--sqrt", "8"), "one of the arguments --identity --congruence-p is required"),
     (("check", "--sqrt", "8", "--identity", "catalan", "--params", "1,2", "--congruence-p", "3"),
-     "give --identity or --congruence-p, not both"),
-    (("pseudoprime", "--sqrt", "8"), "pseudoprime needs --candidate or --range lo:hi"),
+     "argument --congruence-p: not allowed with argument --identity"),
+    (("pseudoprime", "--sqrt", "8"), "one of the arguments --candidate --range is required"),
     (("pseudoprime", "--sqrt", "8", "--range", "3:4:5"), "--range takes LO:HI, got '3:4:5'"),
     (("pseudoprime", "--sqrt", "8", "--range", "5"), "--range takes LO:HI, got '5'"),
     (("pseudoprime", "--sqrt", "8", "--range", "3:x"), "--range takes LO:HI, got '3:x'"),
@@ -127,12 +128,20 @@ USAGE_ERRORS = (
 
 
 def test_system_sources_are_exclusive(capsys):
-    # Every usage error found after argparse exits 2 with one typed stderr line.
+    # Every usage error, argparse's own included, exits 2 with one typed stderr line.
     for argv, message in USAGE_ERRORS:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err == f"error: UsageError: {message}\n"
+
+
+def test_argparse_refuses_through_the_one_handler_and_help_still_exits_0(capsys):
+    assert run(capsys) == (2, "", "error: UsageError: the following arguments are required: verb\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: contikit [-h]")
 
 
 def test_a_value_error_from_a_bug_escapes_main(capsys, monkeypatch):
@@ -272,11 +281,8 @@ def test_pseudoprime_range_output_is_pinned_for_every_jobs(capsys):
 
 
 def test_pseudoprime_candidate_and_range_exclude_each_other(capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(["pseudoprime", "--sqrt", "8", "--candidate", "35", "--range", "3:40"])
-    assert exit_.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        "error: argument --range: not allowed with argument --candidate\n")
+    assert run(capsys, "pseudoprime", "--sqrt", "8", "--candidate", "35", "--range", "3:40") == (
+        2, "", "error: UsageError: argument --range: not allowed with argument --candidate\n")
 
 
 def test_pseudoprime_jobs_below_one_exit2(capsys):
@@ -402,6 +408,7 @@ def test_check_congruence(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_pass"] is True and doc["case"] == "QR"
+    assert doc["p"] == "7"  # a decimal string, as pisano --json writes its p
 
 
 def test_check_congruence_composite_exit2(capsys):
@@ -545,7 +552,7 @@ FAILED_VERDICTS = [  # (module, name, fake result, argv, text stdout, --json std
     (divisibility, "congruence_suite", CongruenceCase(7, "QR", [("B_x", True), ("B_y", False)]),
      ("check", "--sqrt", "8", "--congruence-p", "7"),
      "p = 7  case: QR\n  [ok] B_x\n  [FAIL] B_y\n",
-     '{"p": 7, "case": "QR", "verified": [{"label": "B_x", "ok": true}, {"label": "B_y", "ok": false}], '
+     '{"p": "7", "case": "QR", "verified": [{"label": "B_x", "ok": true}, {"label": "B_y", "ok": false}], '
      '"all_pass": false}\n'),
     (cli, "verify_identity", IdentityReport("cassini_A", (1, 2, 3), (396,), (397,)),
      ("check", "--sqrt", "8", "--identity", "cassini_A", "--params", "1,2,3"),

@@ -201,6 +201,9 @@ def test_system_json_roundtrip_big_ints():
     ({"d": 2, "a": [1, 1], "b": [1, "x"]}, "system entries must be integers, got 'x'"),
     ({"d": 2, "a": [1, 1], "b": [1, 4], "b0": None}, "system entries must be integers, got None"),
     ({"d": True, "a": [1], "b": [1]}, "system entries must be integers, got True"),
+    ({"d": 1, "a": [-1], "b": [1], "strict": "false"}, "system entry strict must be true or false, got 'false'"),
+    ({"d": 1, "a": [-1], "b": [1], "strict": "no"}, "system entry strict must be true or false, got 'no'"),
+    ({"d": 1, "a": [1], "b": [1], "strict": 0}, "system entry strict must be true or false, got 0"),
 ])
 def test_system_from_dict_rejects_malformed(doc, message):
     with pytest.raises(InvalidSystem) as exc:

@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 from contikit.cli import main
@@ -52,4 +53,7 @@ def test_the_corpus_covers_every_verb_output_mode_and_refusal():
         modes = {"--json" in r["argv"] for r in records if r["argv"][0] == verb}
         assert modes == {False, True}, verb
     refused = {r["stderr"].split(":")[1].strip() for r in records if r["exit"] == 2}
+    for r in records:  # argparse's refusals included: one typed line, never a usage synopsis
+        if r["exit"] == 2:
+            assert re.fullmatch(r"error: [A-Za-z]+: [^\n]+\n", r["stderr"]), r["argv"]
     assert refused >= {"UsageError", "DivisionByZero", "HypothesisViolated", "PrecisionExhausted", "InputTooLarge"}
