@@ -47,7 +47,7 @@ from .errors import (
     PrimalityUndecided,
     UsageError,
 )
-from .pell import PellSolution, SqrtExpansion, expand_sqrt, pell_fundamental, pell_solutions, to_system
+from .pell import PellSolution, expand_sqrt, pell_fundamental, pell_solutions
 from .quadratic import QuadraticNumber
 from .recurrence import (
     GFReport,

@@ -37,9 +37,8 @@ def _add_system_args(p: argparse.ArgumentParser):
                                "with a minus sign as --a=-1,2")
     p.add_argument("--b", help="comma-separated b_1..b_d; write a list that starts "
                                "with a minus sign as --b=-1,2")
-    p.add_argument("--b0", type=int, default=1, help="leading b_0 (default 1)")
-    p.add_argument("--non-strict", action="store_true",
-                   help="allow non-positive coefficients")
+    p.add_argument("--b0", type=int, help="leading b_0 (default 1)")
+    p.add_argument("--non-strict", action="store_true", default=None, help="allow non-positive coefficients")
 
 
 def _ints(flag, text, form="comma-separated integers", sep=",", count=None) -> tuple[int, ...]:
@@ -52,16 +51,24 @@ def _ints(flag, text, form="comma-separated integers", sep=",", count=None) -> t
     raise UsageError(f"{flag} takes {form}, got {text!r}")
 
 
+def _refuse_coefficients_without_d(args):
+    """--a, --b, --b0 and --non-strict describe a --d system; no other source reads them."""
+    for flag in ("a", "b", "b0", "non_strict"):
+        if args.d is None and getattr(args, flag) is not None:
+            raise UsageError(f"argument --{flag.replace('_', '-')}: not allowed without argument --d")
+
+
 def _system_from_args(args) -> PeriodicSystem:
+    _refuse_coefficients_without_d(args)
     if args.system is not None:
         with open(args.system, "rb") as fh:
             return PeriodicSystem.from_json(fh.read())
     if args.sqrt is not None:
-        return pell.to_system(pell.expand_sqrt(args.sqrt))
+        return pell.expand_sqrt(args.sqrt)
     if args.a is None or args.b is None:
         raise UsageError("--d requires --a and --b")
     a, b = _ints("--a", args.a), _ints("--b", args.b)
-    return PeriodicSystem(d=args.d, a=a, b=b, b0=args.b0, strict=not args.non_strict)
+    return PeriodicSystem(args.d, a, b, 1 if args.b0 is None else args.b0, strict=not args.non_strict)
 
 
 def _tuple(items) -> str:
@@ -70,8 +77,8 @@ def _tuple(items) -> str:
 
 
 def cmd_expand(args, emit) -> int:
-    exp = pell.expand_sqrt(args.n)
-    rec = {"n": str(exp.n), "a0": str(exp.a0), "period": [str(x) for x in exp.period], "d": exp.d}
+    system = pell.expand_sqrt(args.n)
+    rec = {"n": str(args.n), "a0": str(system.b0), "period": [str(x) for x in system.b], "d": system.d}
     emit(rec, "sqrt({n}) = [{a0}; ({block})] period d={d}".format(block=",".join(rec["period"]), **rec))
     return 0
 
@@ -108,6 +115,7 @@ def cmd_series(args, emit) -> int:
     elif args.family.startswith("pell_"):
         if args.sqrt is None:
             raise UsageError(f"{args.family} needs --sqrt N")
+        _refuse_coefficients_without_d(args)
         rep = series.telescoping_sum(args.sqrt, args.family, ctx)
     else:
         rep = series.telescoping_sum(_system_from_args(args), args.family, ctx)
@@ -123,9 +131,12 @@ def cmd_series(args, emit) -> int:
 
 
 def cmd_check(args, emit) -> int:
+    if args.congruence_p is not None and args.params is not None:
+        raise UsageError("argument --params: not allowed with argument --congruence-p")
     system = _system_from_args(args)
     if args.identity is not None:
-        rep = verify_identity(system, args.identity, _ints("--params", args.params))
+        params = _ints("--params", "0,3" if args.params is None else args.params)
+        rep = verify_identity(system, args.identity, params)
         rec = {"identity": rep.identity, "params": list(rep.params), "lhs": [str(v) for v in rep.lhs],
                "rhs": [str(v) for v in rep.rhs], "equal": rep.equal}
         emit(rec, f"{rec['identity']}{tuple(rec['params'])}: lhs={_tuple(rec['lhs'])} "
@@ -211,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--identity", choices=IDENTITIES)
     mode.add_argument("--congruence-p", type=int)
-    p.add_argument("--params", default="0,3", help="comma-separated identity parameters")
+    p.add_argument("--params", help="comma-separated identity parameters (default 0,3)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pseudoprime", help="Lucas-style compositeness test")
@@ -240,16 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Exact results can run to any number of digits; print them all.
-    set_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_digits is not None:
-        set_digits(0)
+    # Exact results can run to any number of digits: print them all, then restore the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: a Python with no limit
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
     def emit(record, *text_lines):
         """The one writer of command output: the record under --json, else its text lines."""
         print(json.dumps(record) if args.json else "\n".join(text_lines))
 
     try:
+        set_limit(0)
         args = build_parser().parse_args(argv)
         code = args.func(args, emit)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
@@ -260,6 +271,8 @@ def main(argv=None) -> int:
     except (ContikitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .core import lucas, residues
 from .errors import (DivisionByZero, HypothesisViolated, IndexOutOfRange, InputTooLarge,
                      InvariantViolated, PrimalityUndecided, UsageError)
+from .quadratic import text
 from .recurrence import ReducedRecurrence, reduce
 from .systems import PeriodicSystem
 
@@ -28,7 +29,7 @@ from .systems import PeriodicSystem
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a | n) for odd n >= 1, by the standard binary algorithm."""
     if n <= 0 or n % 2 == 0:
-        raise UsageError(f"Jacobi symbol needs odd n >= 1, got {n}")
+        raise UsageError(f"Jacobi symbol needs odd n >= 1, got {text(n)}")
     a %= n
     result = 1
     while a != 0:
@@ -74,13 +75,13 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     if n >= PSI_12:
-        raise PrimalityUndecided(f"cannot decide whether {n} >= {PSI_12} is prime")
+        raise PrimalityUndecided(f"cannot decide whether {text(n)} >= {PSI_12} is prime")
     return True
 
 
 def _require_prime(p: int):
     if not _is_prime(p):
-        raise UsageError(f"{p} is not prime")
+        raise UsageError(f"{text(p)} is not prime")
 
 
 def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callable[[int], int]]:
@@ -93,7 +94,7 @@ def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callabl
 def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
     """B_{md-1} | B_{nd-1} whenever m | n; B_{nd-1} is read mod B_{md-1} unless that is 0."""
     if m < 1 or n < 1 or n % m != 0:
-        raise UsageError(f"need positive m | n, got m={m}, n={n}")
+        raise UsageError(f"need positive m | n, got m={text(m)}, n={text(n)}")
     B = reduce(system).boundary
     return B(n, abs(B(m)) or None) == 0
 

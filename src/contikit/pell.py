@@ -20,17 +20,6 @@ from .systems import PeriodicSystem
 
 
 @dataclass(frozen=True)
-class SqrtExpansion:
-    n: int
-    a0: int
-    period: tuple[int, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.period)
-
-
-@dataclass(frozen=True)
 class PellSolution:
     x: int
     y: int
@@ -41,8 +30,9 @@ class PellSolution:
             raise InvariantViolated(f"{self.x}^2 - {self.n}*{self.y}^2 != 1")
 
 
-def expand_sqrt(n: int) -> SqrtExpansion:
-    """Minimal-period continued fraction expansion of sqrt(n)."""
+def expand_sqrt(n: int) -> PeriodicSystem:
+    """sqrt(n) = [a0; (a_1, ..., a_d)] with minimal period, as its convergent-denominator
+    system: b0 = a0, b = the period, every partial numerator 1."""
     if n < 2:
         raise PerfectSquare(f"need N >= 2, got {n}")
     a0 = math.isqrt(n)
@@ -60,32 +50,26 @@ def expand_sqrt(n: int) -> SqrtExpansion:
             break
     if period[-1] != 2 * a0:
         raise InvariantViolated(f"sqrt({n}) period does not end with 2*a0 = {2 * a0}")
-    return SqrtExpansion(n, a0, tuple(period))
+    return PeriodicSystem(len(period), (1,) * len(period), tuple(period), a0, strict=True)
 
 
-def to_system(expansion: SqrtExpansion) -> PeriodicSystem:
-    """The convergent-denominator system of sqrt(N): a_i = 1, b periodic."""
-    d = expansion.d
-    return PeriodicSystem(d=d, a=(1,) * d, b=expansion.period, b0=expansion.a0, strict=True)
-
-
-def _solutions(expansion: SqrtExpansion) -> Iterator[PellSolution]:
-    """Every solution in order for the N that was expanded: (x1, y1) is the continuant pair
+def _solutions(system: PeriodicSystem, n: int) -> Iterator[PellSolution]:
+    """Every solution in order, from system = expand_sqrt(n): (x1, y1) is the continuant pair
     at the end of the (doubled, when d is odd) period, and x_k + y_k sqrt(N) is its k-th
     power, a root of t^2 - 2 x1 t + 1: X_{k+1} = 2 x1 X_k - X_{k-1} for X = x, y."""
-    d = expansion.d
-    x1, y1 = continuant_pair(to_system(expansion), d - 1 if d % 2 == 0 else 2 * d - 1)
+    d = system.d
+    x1, y1 = continuant_pair(system, d - 1 if d % 2 == 0 else 2 * d - 1)
     t = 2 * x1  # (x_2, y_2) = (t x1 - x_0, t y1 - y_0) with (x_0, y_0) = (1, 0)
-    return map(PellSolution, stride(t, -1, x1, t * x1 - 1), stride(t, -1, y1, t * y1), repeat(expansion.n))
+    return map(PellSolution, stride(t, -1, x1, t * x1 - 1), stride(t, -1, y1, t * y1), repeat(n))
 
 
 def pell_fundamental(n: int) -> PellSolution:
     """Minimal (x, y) with x^2 - N y^2 = 1, from the period-boundary convergent."""
-    return next(_solutions(expand_sqrt(n)))
+    return next(_solutions(expand_sqrt(n), n))
 
 
 def pell_solutions(n: int, count: int) -> list[PellSolution]:
     """The first `count` solutions."""
     if count < 1:
         raise UsageError("count must be >= 1")
-    return list(islice(_solutions(expand_sqrt(n)), count))
+    return list(islice(_solutions(expand_sqrt(n), n), count))

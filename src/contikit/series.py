@@ -178,10 +178,10 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
 
 
 def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
-    expansion = expand_sqrt(n)
-    if expansion.d % 2 != 0:
-        raise HypothesisViolated(f"{family} requires an even period; sqrt({n}) has d={expansion.d}")
-    first = next(sols := _solutions(expansion))
+    system = expand_sqrt(n)
+    if system.d % 2 != 0:
+        raise HypothesisViolated(f"{family} requires an even period; sqrt({n}) has d={system.d}")
+    first = next(sols := _solutions(system, n))
     x1, y1 = first.x, first.y
     pairs = pairwise(chain([first], sols))  # (s_k, s_{k+1}), k >= 1
     delta = x1 * x1 - 1  # = N * y1^2

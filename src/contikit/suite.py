@@ -132,7 +132,7 @@ def check_pell_sums() -> SuiteRow:
 
 
 def check_arctan_artanh() -> SuiteRow:
-    system = pell.to_system(pell.expand_sqrt(2))
+    system = pell.expand_sqrt(2)
     seq = core.walk(system, 70)
     B = lambda nu: seq[nu + 1]
     with mpmath.workdps(50):

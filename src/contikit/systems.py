@@ -25,10 +25,11 @@ class PeriodicSystem:
     strict: bool = True
 
     def __post_init__(self):
-        a, b = tuple(map(int, self.a)), tuple(map(int, self.b))
+        a, b = tuple(map(_integer, self.a)), tuple(map(_integer, self.b))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if self.d < 1:
+        _integer(self.b0, decimal=False)  # refuses a b0 that is not an int
+        if _integer(self.d, decimal=False) < 1:
             raise InvalidSystem(f"period d must be >= 1, got {self.d}")
         if len(a) != self.d or len(b) != self.d:
             raise InvalidSystem(f"need {self.d} coefficients, got {len(a)} a's and {len(b)} b's")
@@ -91,11 +92,11 @@ class PeriodicSystem:
         return cls.from_dict(obj)
 
 
-def _integer(x) -> int:
-    """A JSON integer, or the decimal string that to_dict writes for a large one."""
+def _integer(x, decimal=True) -> int:
+    """An int but not a bool, or if decimal the decimal string that to_dict writes for a large one."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if isinstance(x, str):
+    if decimal and isinstance(x, str):
         try:
             return int(x)
         except ValueError:

@@ -62,6 +62,11 @@ def commands() -> list[list[str]]:
         ["pseudoprime", "--sqrt", "8", "--candidate", "35", "--range", "3:40"],
         ["check", "--sqrt", "8", "--identity", "catalan", "--params", "1,2", "--congruence-p", "3"],
     ]
+    grid += [  # options that the chosen source or mode never reads
+        ["reduce", "--sqrt", "8", "--a", "5,5", "--b0", "9", "--non-strict"],
+        ["check", "--sqrt", "8", "--congruence-p", "7", "--params", "9,9"],
+        ["series", "--sqrt", "8", "--family", "pell_y", "--b0", "3"],
+    ]
     return [argv + json_flag for argv in grid for json_flag in ([], ["--json"])]
 
 

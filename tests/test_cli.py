@@ -16,6 +16,7 @@ import contikit
 from contikit import CongruenceCase, HypothesisViolated, IdentityReport, PeriodicSystem, S8, SeriesReport
 from contikit import cli, continuant_pair, divisibility, errors, recurrence, series, suite
 from contikit.cli import main
+from contikit.quadratic import text
 
 # sha256 of `contikit paper` stdout at the default seed 20240801 and 50 digits.
 PAPER_TEXT_SHA256 = "684fd09d3dd6a784ab0adfa0f91dc06bc5a12e8398db8d3407b7e5a04d29c1b6"
@@ -124,6 +125,14 @@ USAGE_ERRORS = (
      "compare_zeta must be a number, got 'abc'"),
     (("pell", "--n", "8", "--count", "0"), "count must be >= 1"),
     (("pisano", "--sqrt", "8", "--p", "9"), "9 is not prime"),
+    (("reduce", "--sqrt", "8", "--a", "5,5", "--b0", "9", "--non-strict"),
+     "argument --a: not allowed without argument --d"),
+    (("check", "--sqrt", "8", "--congruence-p", "7", "--params", "9,9"),
+     "argument --params: not allowed with argument --congruence-p"),
+    (("series", "--sqrt", "8", "--family", "pell_y", "--b0", "3"),
+     "argument --b0: not allowed without argument --d"),
+    (("pisano", "--system", "no-such-file.json", "--p", "7", "--non-strict"),
+     "argument --non-strict: not allowed without argument --d"),
 )
 
 
@@ -218,7 +227,7 @@ def test_binet_past_the_int_str_digit_limit(capsys):
         code, out, err = run(capsys, "binet", "--sqrt", "8", "--nu", "100000", *extra)
         assert code == 0, err
         value = json.loads(out)["B"] if extra else out.strip().removeprefix("B_100000 = ")
-        assert value == str(continuant_pair(S8, 100000)[1])
+        assert value == text(continuant_pair(S8, 100000)[1])
 
 
 def test_binet_converts_its_value_to_decimal_once(capsys, monkeypatch):

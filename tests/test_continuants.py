@@ -174,6 +174,13 @@ def test_system_validation():
         (dict(d=2, a=(-1, 0), b=(1, 2)), "partial numerators a_i must be nonzero"),
         (dict(d=1, a=(-1,), b=(1,)), "strict mode requires a_i >= 1 and b_i >= 1"),
         (dict(d=2, a=(1, 1), b=(1, 0)), "strict mode requires a_i >= 1 and b_i >= 1"),
+        (dict(d=1, a=(1.7,), b=(1,)), "system entries must be integers, got 1.7"),
+        (dict(d=1, a=(1,), b=(True,)), "system entries must be integers, got True"),
+        (dict(d=2.0, a=(1, 1), b=(1, 4)), "system entries must be integers, got 2.0"),
+        (dict(d="2", a=(1, 1), b=(1, 4)), "system entries must be integers, got '2'"),
+        (dict(d=True, a=(1,), b=(1,)), "system entries must be integers, got True"),
+        (dict(d=2, a=(1, 1), b=(1, 4), b0="2"), "system entries must be integers, got '2'"),
+        (dict(d=2, a=(1, 1), b=(1, 4), b0=2.0), "system entries must be integers, got 2.0"),
     ]:
         with pytest.raises(InvalidSystem) as exc:
             PeriodicSystem(**kwargs)

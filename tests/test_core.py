@@ -48,7 +48,6 @@ from contikit import (
     sqrt_step,
     strong_gcd_check,
     telescoping_sum,
-    to_system,
     verify_identity,
     weighted_sum_exact,
 )
@@ -228,7 +227,7 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
     monkeypatch.setattr(core, "steps", lambda s, lam, n, x: taken.append(n) or steps(s, lam, n, x))
     monkeypatch.setattr(core, "walk", lambda s, n, lam=0, m=None:
                         (taken if m is None else modular).append(n) or walk_(s, n, lam, m))
-    system, odd = to_system(expand_sqrt(1000003)), to_system(expand_sqrt(1000009))
+    system, odd = expand_sqrt(1000003), expand_sqrt(1000009)
     d = system.d
     assert (d, odd.d) == (458, 743)
     calls = {
@@ -714,7 +713,7 @@ def test_pell_solutions_match_continuants(n, count):
     if math.isqrt(n) ** 2 == n:
         return
     sols = pell_solutions(n, count)
-    system = to_system(expand_sqrt(n))
+    system = expand_sqrt(n)
     step = system.d if system.d % 2 == 0 else 2 * system.d
     assert [(s.x, s.y) for s in sols] == [
         oracles.continuant_pair(system, k * step - 1) for k in range(1, count + 1)]

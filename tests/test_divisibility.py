@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -13,6 +14,7 @@ from contikit import (
     IndexOutOfRange,
     InputTooLarge,
     PeriodicSystem,
+    UsageError,
     congruence_suite,
     expand_sqrt,
     divisibility_check,
@@ -24,8 +26,8 @@ from contikit import (
     rank_of_apparition,
     reduce,
     strong_gcd_check,
-    to_system,
 )
+from contikit.quadratic import text
 from contikit.core import residues, transfer, walk
 from contikit import core, divisibility, recurrence, series
 from contikit.divisibility import _is_prime, _mult_order, _prime_factors
@@ -126,7 +128,7 @@ def test_congruence_suite_with_no_r_checks_the_r_free_clauses():
 def test_prime_modulus_entry_points_take_no_period_product_over_z(monkeypatch):
     # b_1 = 0: B = 0, 1, 0, 1, ... has B_{d-1} = 0, which none of these divides by.
     zero_corner = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
-    systems = [S8, to_system(expand_sqrt(1000003)), zero_corner]
+    systems = [S8, expand_sqrt(1000003), zero_corner]
 
     def refuse(name):
         def call(*args, **kwargs):
@@ -170,6 +172,27 @@ def test_congruence_suite_lists_nothing():
 def test_congruence_rejects_composite():
     with pytest.raises(ValueError):
         congruence_suite(S8, 15)
+
+
+def test_a_refused_modulus_past_the_int_str_digit_limit_is_a_usage_error():
+    # str() of an int above 4300 digits raises ValueError by default; the messages use text().
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        pytest.skip("this Python has no int -> str digit limit")
+    huge, old = 10 ** 5000 + 1, sys.get_int_max_str_digits()
+    set_digits(4300)
+    try:
+        for call, message in [
+            (lambda: congruence_suite(S8, huge), f"{text(huge)} is not prime"),
+            (lambda: pisano(S8, huge), f"{text(huge)} is not prime"),
+            (lambda: jacobi(3, huge - 1), f"Jacobi symbol needs odd n >= 1, got {text(huge - 1)}"),
+            (lambda: divisibility_check(S8, huge, 3), f"need positive m | n, got m={text(huge)}, n=3"),
+        ]:
+            with pytest.raises(UsageError) as exc:
+                call()
+            assert str(exc.value) == message
+    finally:
+        set_digits(old)
 
 
 def test_fermat_little_theorem_reduction():
@@ -304,7 +327,7 @@ def peak_bytes(call):
 
 
 def test_rank_of_apparition_on_a_long_period_lists_nothing():
-    system = to_system(expand_sqrt(1000000007))
+    system = expand_sqrt(1000000007)
     d = system.d  # 12 352
     rep, peak = peak_bytes(lambda: rank_of_apparition(system, 7))
     assert peak < 10 ** 6
@@ -312,7 +335,7 @@ def test_rank_of_apparition_on_a_long_period_lists_nothing():
     least = next((k for k in range(1, rep.bound + 1) if residues_7[k * d] == 0), None)
     assert (rep.omega, rep.clause_holds) == (least, True)
     # d = 124 134: a period product over Z here peaked at gigabytes; walks mod p keep O(d) residues.
-    system = to_system(expand_sqrt(10000000019))
+    system = expand_sqrt(10000000019)
     d = system.d
     assert d == 124134
     rep, peak = peak_bytes(lambda: rank_of_apparition(system, 7))

@@ -7,22 +7,21 @@ from contikit import (
     expand_sqrt,
     pell_fundamental,
     pell_solutions,
-    to_system,
 )
 from contikit.suite import brute_force_pell
 
 
 def test_expand_sqrt8():
-    exp = expand_sqrt(8)
-    assert (exp.a0, exp.period, exp.d) == (2, (1, 4), 2)
+    system = expand_sqrt(8)
+    assert (system.b0, system.b, system.d) == (2, (1, 4), 2)
 
 
 def test_expand_sqrt2_and_13():
-    assert expand_sqrt(2).period == (2,)
-    exp13 = expand_sqrt(13)
-    assert exp13.a0 == 3
-    assert exp13.period == (1, 1, 1, 1, 6)
-    assert exp13.d == 5
+    assert expand_sqrt(2).b == (2,)
+    sqrt13 = expand_sqrt(13)
+    assert sqrt13.b0 == 3
+    assert sqrt13.b == (1, 1, 1, 1, 6)
+    assert sqrt13.d == 5
 
 
 def test_expand_rejects_squares():
@@ -35,17 +34,16 @@ def test_period_ends_with_2a0():
     for n in range(2, 121):
         if math.isqrt(n) ** 2 == n:
             continue
-        exp = expand_sqrt(n)
-        assert exp.period[-1] == 2 * exp.a0
-        assert all(q >= 1 for q in exp.period)
+        system = expand_sqrt(n)
+        assert system.b[-1] == 2 * system.b0
+        assert all(q >= 1 for q in system.b)
 
 
-def test_to_system_matches_convergents():
+def test_expand_sqrt_is_the_convergent_denominator_system():
     from contikit import continuant_pair
-    exp = expand_sqrt(7)
-    system = to_system(exp)
-    assert system.b0 == exp.a0
-    assert system.b == exp.period
+    # sqrt(7) = [2; (1, 1, 1, 4)]: b0 = a0, b = the period, every partial numerator 1.
+    system = expand_sqrt(7)
+    assert (system.a, system.b0, system.b, system.strict) == ((1, 1, 1, 1), 2, (1, 1, 1, 4), True)
     # Convergent A/B must satisfy the Pell identity at index d-1 (even d).
     a, b = continuant_pair(system, system.d - 1)
     assert a * a - 7 * b * b in (1, -1)

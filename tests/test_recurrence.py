@@ -164,9 +164,9 @@ def test_gf_verify_random():
 
 
 def test_sqrt_step_sqrt_systems():
-    from contikit import expand_sqrt, to_system
+    from contikit import expand_sqrt
     for n in (2, 3, 5, 8, 13):
-        system = to_system(expand_sqrt(n))
+        system = expand_sqrt(n)
         seq = b_values(system, 8 * system.d)
         for k in range(1, 8):
             assert sqrt_step(system, k) == seq[(k + 1) * system.d]

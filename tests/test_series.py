@@ -25,7 +25,6 @@ from contikit import (
     reduce,
     roots,
     telescoping_sum,
-    to_system,
     weighted_sum_exact,
     zeta_series,
 )
@@ -35,8 +34,8 @@ from contikit.core import walk
 from contikit.series import TELESCOPING_FAMILIES, ZETA_KINDS
 from contikit.suite import random_strict_system
 
-SQRT2 = to_system(expand_sqrt(2))
-SQRT_1000009 = to_system(expand_sqrt(1000009))  # period d = 743, D_d = 1
+SQRT2 = expand_sqrt(2)
+SQRT_1000009 = expand_sqrt(1000009)  # period d = 743, D_d = 1
 
 
 def test_millin_s8_exact_partial():
@@ -149,12 +148,12 @@ def test_sums_read_only_the_terms_they_name(call):
 
 def test_huge_closed_forms_build_under_the_default_digit_limit():
     # Python refuses str() of an int above 4300 digits by default.  The CLI lifts that
-    # limit for its whole process (so an earlier CLI test may have), and a library call
-    # must not need it: B_{d-1}^2 of sqrt(100000007), d = 6524, has 6658 digits.
+    # limit only while main runs, and a library call must not need it: B_{d-1}^2 of
+    # sqrt(100000007), d = 6524, has 6658 digits.
     set_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_digits is None:
         pytest.skip("this Python has no int -> str digit limit")
-    system, old = to_system(expand_sqrt(100000007)), sys.get_int_max_str_digits()
+    system, old = expand_sqrt(100000007), sys.get_int_max_str_digits()
     set_digits(4300)
     try:
         rep = telescoping_sum(system, "period_reciprocal")
