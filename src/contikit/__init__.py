@@ -20,7 +20,6 @@ from .divisibility import (
     PseudoprimeVerdict,
     RepetitionReport,
     congruence_suite,
-    divisibility_check,
     jacobi,
     law_of_repetition_check,
     lucas_pseudoprime_test,
@@ -28,7 +27,6 @@ from .divisibility import (
     pisano_period,
     pseudoprime_scan,
     rank_of_apparition,
-    strong_gcd_check,
 )
 from .errors import (
     ContikitError,
@@ -40,7 +38,6 @@ from .errors import (
     InvalidSystem,
     InvariantViolated,
     NoAdmissibleRoot,
-    NotAPerfectSquare,
     PerfectSquare,
     PoleAtRoot,
     PrecisionExhausted,
@@ -52,15 +49,12 @@ from .quadratic import QuadraticNumber
 from .recurrence import (
     GFReport,
     ReducedRecurrence,
-    RemarkReport,
     binet,
     binet_negative,
     gf_verify,
     limit_ratio,
     reduce,
-    remark_identities,
     roots,
-    sqrt_step,
 )
 from .series import (
     TELESCOPING_FAMILIES,

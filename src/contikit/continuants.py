@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .core import transfer, walk
 from .errors import DivisionByZero, IndexOutOfRange, UsageError
+from .quadratic import text
 from .systems import PeriodicSystem
 
 
@@ -30,9 +31,9 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
     X_{k,lam} = b_{lam+k} X_{k-1,lam} + a_{lam+k} X_{k-2,lam}.
     """
     if nu < -1:
-        raise IndexOutOfRange(f"nu must be >= -1, got {nu}")
+        raise IndexOutOfRange(f"nu must be >= -1, got {text(nu)}")
     if lam < 0:
-        raise IndexOutOfRange(f"lambda must be >= 0, got {lam}")
+        raise IndexOutOfRange(f"lambda must be >= 0, got {text(lam)}")
     if nu == -1:
         return 1, 0
     (b_nu, e_nu), _ = transfer(system, nu, lam)
@@ -92,10 +93,11 @@ def continuant_determinant(system: PeriodicSystem, nu: int) -> tuple[int, int]:
 def convergent(system: PeriodicSystem, nu: int, lam: int = 0) -> Fraction:
     """Depth-nu convergent A_{nu,lam}/B_{nu,lam}; DivisionByZero where B_{nu,lam} = 0."""
     if nu < 0:
-        raise IndexOutOfRange(f"nu must be >= 0, got {nu}")
+        raise IndexOutOfRange(f"nu must be >= 0, got {text(nu)}")
     a, b = continuant_pair(system, nu, lam)
     if b == 0:
-        raise DivisionByZero(f"B_{{{nu},{lam}}} = 0, the denominator of the depth-{nu} convergent")
+        raise DivisionByZero(f"B_{{{text(nu)},{text(lam)}}} = 0, "
+                             f"the denominator of the depth-{text(nu)} convergent")
     return Fraction(a, b)
 
 

@@ -91,23 +91,6 @@ def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callabl
     return ReducedRecurrence(*values), read
 
 
-def divisibility_check(system: PeriodicSystem, m: int, n: int) -> bool:
-    """B_{md-1} | B_{nd-1} whenever m | n; B_{nd-1} is read mod B_{md-1} unless that is 0."""
-    if m < 1 or n < 1 or n % m != 0:
-        raise UsageError(f"need positive m | n, got m={text(m)}, n={text(n)}")
-    B = reduce(system).boundary
-    return B(n, abs(B(m)) or None) == 0
-
-
-def strong_gcd_check(system: PeriodicSystem, m: int, n: int) -> bool:
-    """gcd(B_{md-1}, B_{nd-1}) == |B_{gcd(m,n)d-1}|, the larger index read mod the smaller's B."""
-    if m < 1 or n < 1:
-        raise UsageError("m, n must be >= 1")
-    B = reduce(system).boundary
-    lo = B(min(m, n))
-    return math.gcd(lo, B(max(m, n), abs(lo) or None)) == abs(B(math.gcd(m, n)))
-
-
 @dataclass
 class CongruenceCase:
     p: int

@@ -29,10 +29,6 @@ class PerfectSquare(ContikitError):
     """sqrt(N) requested for a perfect square N."""
 
 
-class NotAPerfectSquare(ContikitError):
-    """An integer square root check failed where a perfect square was required."""
-
-
 class HypothesisViolated(ContikitError):
     """A theorem's hypothesis (period parity, D_d = 1, ...) is not met."""
 

@@ -16,6 +16,7 @@ from itertools import islice, repeat
 from .continuants import continuant_pair
 from .core import stride
 from .errors import InvariantViolated, PerfectSquare, UsageError
+from .quadratic import text
 from .systems import PeriodicSystem
 
 
@@ -34,10 +35,10 @@ def expand_sqrt(n: int) -> PeriodicSystem:
     """sqrt(n) = [a0; (a_1, ..., a_d)] with minimal period, as its convergent-denominator
     system: b0 = a0, b = the period, every partial numerator 1."""
     if n < 2:
-        raise PerfectSquare(f"need N >= 2, got {n}")
+        raise PerfectSquare(f"need N >= 2, got {text(n)}")
     a0 = math.isqrt(n)
     if a0 * a0 == n:
-        raise PerfectSquare(f"{n} is a perfect square")
+        raise PerfectSquare(f"{text(n)} is a perfect square")
     period = []
     m, q = a0, n - a0 * a0  # state after emitting a0
     first = (m, q)
@@ -70,6 +71,8 @@ def pell_fundamental(n: int) -> PellSolution:
 
 def pell_solutions(n: int, count: int) -> list[PellSolution]:
     """The first `count` solutions."""
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise UsageError(f"count must be an int, got {count!r}")
     if count < 1:
         raise UsageError("count must be >= 1")
     return list(islice(_solutions(expand_sqrt(n), n), count))

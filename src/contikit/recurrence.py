@@ -5,7 +5,7 @@ D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
 (Cayley-Hamilton), so B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of
 (C_d, D_d) (ReducedRecurrence.boundary), which divides by nothing; plus exact values at
 positive and negative indices through powers of M and its adjugate, at any Delta, roots in
-Q(sqrt(Delta)), the generating-function check, ratio limits and square-root stepping.
+Q(sqrt(Delta)), the generating-function check and ratio limits.
 A reader refuses B_{d-1} = 0 (DivisionByZero) where its answer divides by it, or is 0 = 0 or
 (limit_ratio) no root's ratio, and Delta = 0 (DegenerateDiscriminant) only where it takes a root.
 """
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .continuants import continuant_pair
 from .core import Matrix, lucas, mul, period, power, walk
-from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, NotAPerfectSquare, UsageError
+from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, UsageError
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
 
@@ -112,30 +112,6 @@ def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
     return GFReport(tuple(prod[: 2 * d]), tuple(prod), n_terms)
 
 
-def sqrt_step(system: PeriodicSystem, n: int) -> int:
-    """B_{(n+1)d-1} from B_{nd-1} via the square-root identity.
-
-    radicand = Delta B_{nd-1}^2 + 4 (-D_d)^n B_{d-1}^2 must be a perfect
-    square; NotAPerfectSquare is raised (never rounded) otherwise.
-    """
-    if n < 1:
-        raise IndexOutOfRange("requires n >= 1")
-    if not system.strict:
-        raise IndexOutOfRange("square-root stepping assumes a strict system")
-    reduced = reduce(system)
-    b_nd = reduced.boundary(n)
-    radicand = reduced.delta * b_nd ** 2 + 4 * (-reduced.Dd) ** n * reduced.Bd1 ** 2
-    if radicand < 0:
-        raise NotAPerfectSquare(f"negative radicand {radicand}")
-    root = math.isqrt(radicand)
-    if root * root != radicand:
-        raise NotAPerfectSquare(f"radicand {radicand} is not a perfect square")
-    value, rem = divmod(reduced.Cd * b_nd + root, 2)
-    if rem != 0:
-        raise NotAPerfectSquare("numerator is odd")
-    return value
-
-
 def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}, from B_{nd+r} = u lam^n + v mu^n."""
     x, m = period(system, r % system.d)  # first column (B_r, B_{r-1}) up to whole periods
@@ -163,51 +139,3 @@ def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
             raise IndexOutOfRange("consecutive_periods requires r >= -1")
         return lam if u(0).norm() else reduced.Cd - lam  # mu where B_{nd+r} has no lam part
     raise UsageError(f"unknown mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class RemarkReport:
-    """Exact evaluations of the two squared-ratio identities.
-
-    identity1 must hold.  identity2 is reported in both the printed form
-    (squared right-hand side) and the corrected form; only the corrected
-    form is expected to hold.
-    """
-    identity1_lhs: Fraction
-    identity1_rhs: Fraction
-    identity2_lhs: Fraction
-    identity2_rhs_printed: Fraction
-    identity2_rhs_corrected: Fraction
-
-    @property
-    def identity1_holds(self) -> bool:
-        return self.identity1_lhs == self.identity1_rhs
-
-    @property
-    def identity2_corrected_holds(self) -> bool:
-        return self.identity2_lhs == self.identity2_rhs_corrected
-
-    @property
-    def identity2_printed_holds(self) -> bool:
-        return self.identity2_lhs == self.identity2_rhs_printed
-
-
-def remark_identities(system: PeriodicSystem, n: int) -> RemarkReport:
-    if n < 1:
-        raise IndexOutOfRange("requires n >= 1")
-    d = system.d
-    reduced = reduce(system)
-    bn, b2n, b4n = (reduced.boundary(k * n) for k in (1, 2, 4))
-    for idx, value in ((n * d - 1, bn), (2 * n * d - 1, b2n)):
-        if value == 0:
-            raise DivisionByZero(f"B_{idx} = 0; the identities divide by it")
-    sq = lambda x: Fraction(x) * x
-    t1 = sq(b2n) / sq(bn)
-    t2 = reduced.delta * sq(bn) / sq(reduced.Bd1)
-    return RemarkReport(
-        identity1_lhs=t1 - t2,
-        identity1_rhs=Fraction(4 * (-reduced.Dd) ** n),
-        identity2_lhs=t1 + t2,
-        identity2_rhs_printed=2 * sq(b4n) / sq(b2n),
-        identity2_rhs_corrected=2 * Fraction(b4n) / b2n,
-    )

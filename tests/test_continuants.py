@@ -14,6 +14,7 @@ from contikit import (
     IndexOutOfRange,
     InvalidSystem,
     PeriodicSystem,
+    UsageError,
     continuant_determinant,
     continuant_pair,
     convergent,
@@ -134,7 +135,7 @@ def test_identity_reports_cross_check():
 
 
 def test_unknown_identity_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         verify_identity(S8, "nope", (0, 1))
 
 

@@ -32,7 +32,6 @@ from contikit import (
     expand_sqrt,
     continuant_pair,
     convergent,
-    divisibility_check,
     law_of_repetition_check,
     limit_ratio,
     lucas_pseudoprime_test,
@@ -43,15 +42,12 @@ from contikit import (
     pseudoprime_scan,
     rank_of_apparition,
     reduce,
-    remark_identities,
     identity_failures,
-    sqrt_step,
-    strong_gcd_check,
     telescoping_sum,
     verify_identity,
     weighted_sum_exact,
 )
-from contikit import core, divisibility, recurrence
+from contikit import core, recurrence
 from contikit.cli import main
 from contikit.core import WALK_BELOW, lucas, power, residues, stride, transfer, walk
 from contikit.divisibility import PSI_12, _is_prime
@@ -91,8 +87,7 @@ def z_reduction(system):
 
 
 # b_1 = 0 gives B = 0, 1, 0, 1, ...: B_{d-1} = 0.  `reduce` gives (C_d, D_d) = (2, -1) and
-# Delta = 0; only readers that divide by B_{d-1} (the series sums, the pseudoprime test,
-# remark_identities) refuse it.
+# Delta = 0; only readers that divide by B_{d-1} (the series sums, the pseudoprime test) refuse it.
 ZERO_CORNER = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
 # The same B = 0, 1, 0, 1, ... with (C_d, D_d) = (3, -2) and Delta = 1, so the closed forms apply.
 SPLIT_ZERO_CORNER = PeriodicSystem(d=2, a=(2, 1), b=(0, 3), strict=False)
@@ -157,30 +152,53 @@ def test_boundary_matches_linear(system, m):
 @example(ZERO_TRACE, 2, 6)  # B_{md-1} = 0 with m | n: B_{nd-1} is read over Z
 @example(ZERO_TRACE, 2, 3)  # gcd(0, B_{3d-1}) = 3 against |B_{d-1}| = 1
 def test_divisibility_checks_match_z_values(system, m, n):
-    # Each check reads B at the larger index mod B at the smaller one; the Z values decide here.
+    # B_{md-1} | B_{mnd-1} and gcd(B_{md-1}, B_{nd-1}) = |B_{gcd(m,n)d-1}| read on the ladder, the
+    # larger index mod the value at the smaller one (over Z where that is 0), against the Z values.
     d = system.d
     full = oracles.b_values(system, m * n * d - 1)  # index kd holds B_{kd-1}
-    B = lambda k: full[k * d]
-    assert divisibility_check(system, m, m * n) == (B(m * n) == 0 if B(m) == 0 else B(m * n) % B(m) == 0)
-    assert strong_gcd_check(system, m, n) == (math.gcd(B(m), B(n)) == abs(B(math.gcd(m, n))))
+    Z, B = lambda k: full[k * d], reduce(system).boundary
+    divides = B(m * n, abs(B(m)) or None) == 0
+    assert divides == (Z(m * n) == 0 if Z(m) == 0 else Z(m * n) % Z(m) == 0)
+    lo, hi = sorted((m, n))
+    strong = math.gcd(B(lo), B(hi, abs(B(lo)) or None)) == abs(B(math.gcd(m, n)))
+    assert strong == (math.gcd(Z(m), Z(n)) == abs(Z(math.gcd(m, n))))
 
 
 def test_divisibility_checks_at_a_huge_index_answer_at_once():
-    # B_{nd-1} has millions of digits at these n; over Z the two calls took 14 s and 6 s.
-    for call in (lambda: divisibility_check(S8, 7, 7 * 10 ** 6), lambda: strong_gcd_check(S8, 6, 4 * 10 ** 6)):
+    # B_{nd-1} has millions of digits at these n; over Z the two reads took 14 s and 6 s.
+    reads = (lambda B: B(7 * 10 ** 6, abs(B(7)) or None) == 0,  # 7 | 7*10^6
+             lambda B: math.gcd(B(6), B(4 * 10 ** 6, abs(B(6)) or None)) == abs(B(2)))  # gcd(6, 4*10^6) = 2
+    for read in reads:
         start = time.perf_counter()
-        assert call()
+        assert read(reduce(S8).boundary)
         assert time.perf_counter() - start < 0.5
 
 
 def test_zero_corner_divisibility_checks_take_no_ladder(monkeypatch):
     # B_{d-1} = 0 makes every B_{kd-1} 0, so W_n is never needed: over Z at n = 4*10^6 it took seconds.
     ladders = []
-    for module in (recurrence, divisibility):
-        monkeypatch.setattr(module, "lucas", lambda *args: ladders.append(args) or lucas(*args))
-    n = 4 * 10 ** 6
-    assert divisibility_check(SPLIT_ZERO_CORNER, 1, n) and strong_gcd_check(SPLIT_ZERO_CORNER, 1, n)
+    monkeypatch.setattr(recurrence, "lucas", lambda *args: ladders.append(args) or lucas(*args))
+    n, B = 4 * 10 ** 6, reduce(SPLIT_ZERO_CORNER).boundary
+    assert B(n, abs(B(1)) or None) == 0 and math.gcd(B(1), B(n, abs(B(1)) or None)) == abs(B(1))
     assert ladders == []
+
+
+@settings(max_examples=150)
+@given(systems())
+@example(expand_sqrt(2))
+@example(expand_sqrt(3))
+@example(expand_sqrt(5))
+@example(expand_sqrt(8))
+@example(expand_sqrt(13))
+def test_square_root_identity(system):
+    # (2 B_{(n+1)d-1} - C_d B_{nd-1})^2 = Delta B_{nd-1}^2 + 4 (-D_d)^n B_{d-1}^2 on signed systems too;
+    # on a strict one the left root is the nonnegative one, so it steps B_{nd-1} to B_{(n+1)d-1}.
+    red = reduce(system)
+    B = red.boundary
+    for n in range(1, 8):
+        root = 2 * B(n + 1) - red.Cd * B(n)
+        assert root ** 2 == red.delta * B(n) ** 2 + 4 * (-red.Dd) ** n * red.Bd1 ** 2
+        assert root >= 0 or not system.strict
 
 
 # C_d = -6 < 0, D_d = -8: the roots are -4 and -2, and -4 is the larger in size.
@@ -231,8 +249,6 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
     d = system.d
     assert (d, odd.d) == (458, 743)
     calls = {
-        "sqrt_step": lambda: sqrt_step(system, 3),
-        "remark_identities": lambda: remark_identities(system, 2),
         "rank_of_apparition": lambda: rank_of_apparition(system, 7),
         "lucas_pseudoprime_test": lambda: lucas_pseudoprime_test(system, 1000033),
         "binomial": lambda: weighted_sum_exact(system, "binomial", big_n=3),
@@ -241,8 +257,6 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
         "binet_negative": lambda: binet_negative(system, 3, 2),
         "limit_ratio": lambda: limit_ratio(system, "consecutive_terms", d + 5),
         "geometric": lambda: weighted_sum_exact(system, "geometric", x=Fraction(1, 7), big_n=3, r=4),
-        "divisibility_check": lambda: divisibility_check(system, 2, 6),
-        "strong_gcd_check": lambda: strong_gcd_check(system, 4, 6),
         "pell_solutions even d": lambda: pell_solutions(1000003, 2),
         "pell_solutions odd d": lambda: pell_solutions(1000009, 2),
         # q = 0 inside and at the end of the first period, then q >= 1.
@@ -699,7 +713,7 @@ def test_law_of_repetition_matches_exact_quotients(system, p, n, m, f):
     try:
         e, v = oracles.law_of_repetition(system, p, n, m, f)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
+        with pytest.raises(UsageError, match=str(exc)):
             law_of_repetition_check(system, p, n, m, f)
         return
     rep = law_of_repetition_check(system, p, n, m, f)
@@ -739,3 +753,22 @@ def test_invariant_raised_under_optimize():
     env = {**os.environ, "PYTHONPATH": str(Path(contikit.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert done.returncode == 0
+
+
+def test_the_public_names_are_pinned():
+    # Each name added to or removed from the package shows up as a diff of this list; the
+    # submodules are here too, cli and suite because this module imports contikit.cli.
+    assert sorted(n for n in dir(contikit) if not n.startswith("_")) == [
+        "ApparitionReport", "CongruenceCase", "ContikitError", "DegenerateDiscriminant", "DivisionByZero",
+        "ExactSumReport", "FIB", "GFReport", "HypothesisViolated", "IDENTITIES", "IdentityReport",
+        "IndexOutOfRange", "InputTooLarge", "InvalidSystem", "InvariantViolated", "NoAdmissibleRoot",
+        "PellSolution", "PerfectSquare", "PeriodicSystem", "PoleAtRoot", "PrecisionContext",
+        "PrecisionExhausted", "PrimalityUndecided", "PseudoprimeVerdict", "QuadraticNumber",
+        "ReducedRecurrence", "RepetitionReport", "S8", "SeriesReport", "TELESCOPING_FAMILIES", "UsageError",
+        "ZETA_KINDS", "binet", "binet_negative", "cli", "congruence_suite", "continuant_determinant",
+        "continuant_pair", "continuants", "convergent", "core", "divisibility", "errors", "expand_sqrt",
+        "gf_verify", "identity_failures", "jacobi", "law_of_repetition_check", "limit_ratio",
+        "lucas_pseudoprime_test", "pell", "pell_fundamental", "pell_solutions", "pisano", "pisano_period",
+        "pseudoprime_scan", "quadratic", "rank_of_apparition", "recurrence", "reduce", "roots", "series",
+        "suite", "systems", "telescoping_sum", "verify_identity", "weighted_sum_exact", "zeta_series",
+    ]

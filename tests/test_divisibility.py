@@ -10,22 +10,25 @@ from contikit import (
     FIB,
     S8,
     ContikitError,
+    DivisionByZero,
     HypothesisViolated,
     IndexOutOfRange,
     InputTooLarge,
+    PerfectSquare,
     PeriodicSystem,
     UsageError,
     congruence_suite,
+    continuant_pair,
+    convergent,
     expand_sqrt,
-    divisibility_check,
     jacobi,
     law_of_repetition_check,
     lucas_pseudoprime_test,
+    pell_solutions,
     pisano,
     pisano_period,
     rank_of_apparition,
     reduce,
-    strong_gcd_check,
 )
 from contikit.quadratic import text
 from contikit.core import residues, transfer, walk
@@ -42,7 +45,7 @@ def test_jacobi_examples():
     assert jacobi(32, 7) == 1
     assert jacobi(1, 9) == 1
     assert jacobi(0, 5) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         jacobi(3, 8)
 
 
@@ -64,33 +67,34 @@ def test_jacobi_multiplicative():
 
 
 def test_divisibility_sequence():
+    # B_{md-1} | B_{nd-1} for m | n: B_{nd-1} read mod |B_{md-1}|, over Z where that is 0.
     rng = random.Random(73)
     for _ in range(20):
-        system = random_strict_system(rng)
+        B = reduce(random_strict_system(rng)).boundary
         for m in range(1, 7):
             for mult in range(2, 5):
-                assert divisibility_check(system, m, m * mult)
+                assert B(m * mult, abs(B(m)) or None) == 0
 
 
 def test_strong_gcd():
     seq = walk(FIB, 20)
     assert math.gcd(seq[12], seq[18]) == 8  # gcd(F_12, F_18) = F_6 = 8
-    assert strong_gcd_check(FIB, 12, 18)
     assert math.gcd(6, 35) == 1
-    assert strong_gcd_check(S8, 2, 3)
     # Strong divisibility needs gcd(C_d, D_d) = 1, exactly as for classical
     # Lucas sequences; e.g. d=4, a=(3,2,6,1), b=(4,2,8,5), b0=3 has
     # gcd(C, D) = 4 and gcd(B'_7, B'_8) = 64 * B'_1.
     rng = random.Random(79)
-    checked = 0
-    while checked < 20:
+    cases = [(FIB, 12, 18), (S8, 2, 3)]
+    while len(cases) < 22:
         system = random_strict_system(rng)
         red = reduce(system)
-        if math.gcd(red.Cd, red.Dd) != 1:
-            continue
-        m, n = rng.randint(1, 12), rng.randint(1, 12)
-        assert strong_gcd_check(system, m, n)
-        checked += 1
+        if math.gcd(red.Cd, red.Dd) == 1:
+            cases.append((system, rng.randint(1, 12), rng.randint(1, 12)))
+    for system, m, n in cases:
+        # gcd(B_{md-1}, B_{nd-1}) = |B_{gcd(m,n)d-1}|, the larger index read mod the smaller's value.
+        B = reduce(system).boundary
+        lo, hi = sorted((m, n))
+        assert math.gcd(B(lo), B(hi, abs(B(lo)) or None)) == abs(B(math.gcd(m, n))), (system, m, n)
 
 
 def test_congruence_suite_s8():
@@ -170,25 +174,31 @@ def test_congruence_suite_lists_nothing():
 
 
 def test_congruence_rejects_composite():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         congruence_suite(S8, 15)
 
 
 def test_a_refused_modulus_past_the_int_str_digit_limit_is_a_usage_error():
-    # str() of an int above 4300 digits raises ValueError by default; the messages use text().
+    # str() of an int above 4300 digits raises an untyped ValueError by default; each refusal
+    # that names a caller's int formats it with text(), so the typed error and its message come out.
     set_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_digits is None:
         pytest.skip("this Python has no int -> str digit limit")
     huge, old = 10 ** 5000 + 1, sys.get_int_max_str_digits()
+    zero_corner = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)  # B_{1,lam} = b_{lam+1} = 0 at even lam
     set_digits(4300)
     try:
-        for call, message in [
-            (lambda: congruence_suite(S8, huge), f"{text(huge)} is not prime"),
-            (lambda: pisano(S8, huge), f"{text(huge)} is not prime"),
-            (lambda: jacobi(3, huge - 1), f"Jacobi symbol needs odd n >= 1, got {text(huge - 1)}"),
-            (lambda: divisibility_check(S8, huge, 3), f"need positive m | n, got m={text(huge)}, n=3"),
+        for call, error, message in [
+            (lambda: congruence_suite(S8, huge), UsageError, f"{text(huge)} is not prime"),
+            (lambda: pisano(S8, huge), UsageError, f"{text(huge)} is not prime"),
+            (lambda: jacobi(3, huge - 1), UsageError, f"Jacobi symbol needs odd n >= 1, got {text(huge - 1)}"),
+            (lambda: expand_sqrt(huge - 1), PerfectSquare, f"{text(huge - 1)} is a perfect square"),
+            (lambda: pell_solutions(huge - 1, 1), PerfectSquare, f"{text(huge - 1)} is a perfect square"),
+            (lambda: continuant_pair(S8, -huge), IndexOutOfRange, f"nu must be >= -1, got {text(-huge)}"),
+            (lambda: convergent(zero_corner, 1, huge - 1), DivisionByZero,
+             f"B_{{1,{text(huge - 1)}}} = 0, the denominator of the depth-1 convergent"),
         ]:
-            with pytest.raises(UsageError) as exc:
+            with pytest.raises(error) as exc:
                 call()
             assert str(exc.value) == message
     finally:
@@ -302,7 +312,7 @@ def test_mult_order_matches_brute_force():
             while acc != 1:
                 acc, k = acc * x % p, k + 1
             assert _mult_order(x, p) == k, (x, p)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         _mult_order(7, 7)
 
 
@@ -356,7 +366,7 @@ def test_pisano_bound_refuses_a_non_prime_modulus(monkeypatch):
 
     monkeypatch.setattr(divisibility, "_mult_order", no_order)
     for system, p in ((PeriodicSystem(d=1, a=(3,), b=(3,)), 9), (FIB, 0)):
-        with pytest.raises(ValueError, match="is not prime"):
+        with pytest.raises(UsageError, match="is not prime"):
             pisano(system, p)
 
 
@@ -423,7 +433,7 @@ def test_law_of_repetition():
 
 
 def test_law_of_repetition_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         law_of_repetition_check(FIB, 5, 5, 5, 1)  # p | m
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         law_of_repetition_check(FIB, 5, 4, 1, 1)  # 5 does not divide F_4 = 3

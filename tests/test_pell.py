@@ -4,6 +4,7 @@ import pytest
 
 from contikit import (
     PerfectSquare,
+    UsageError,
     expand_sqrt,
     pell_fundamental,
     pell_solutions,
@@ -28,6 +29,13 @@ def test_expand_rejects_squares():
     for n in (0, 1, 4, 9, 49, 10000):
         with pytest.raises(PerfectSquare):
             expand_sqrt(n)
+
+
+@pytest.mark.parametrize("count", [0, 1.5, True])
+def test_pell_solutions_refuses_a_count_that_is_not_a_positive_int(count):
+    # 1.5 used to leak islice's own ValueError, and True was taken as 1.
+    with pytest.raises(UsageError, match="^count must be "):
+        pell_solutions(7, count)
 
 
 def test_period_ends_with_2a0():

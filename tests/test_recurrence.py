@@ -12,7 +12,6 @@ from contikit import (
     DivisionByZero,
     HypothesisViolated,
     IndexOutOfRange,
-    NotAPerfectSquare,
     PeriodicSystem,
     QuadraticNumber,
     ReducedRecurrence,
@@ -24,9 +23,7 @@ from contikit import (
     lucas_pseudoprime_test,
     pseudoprime_scan,
     reduce,
-    remark_identities,
     roots,
-    sqrt_step,
     telescoping_sum,
     weighted_sum_exact,
     zeta_series,
@@ -163,34 +160,6 @@ def test_gf_verify_random():
         assert gf_verify(system, 4 * system.d + 4).equal
 
 
-def test_sqrt_step_sqrt_systems():
-    from contikit import expand_sqrt
-    for n in (2, 3, 5, 8, 13):
-        system = expand_sqrt(n)
-        seq = b_values(system, 8 * system.d)
-        for k in range(1, 8):
-            assert sqrt_step(system, k) == seq[(k + 1) * system.d]
-
-
-def test_sqrt_step_random_strict():
-    # For every valid strict system the radicand is a perfect square and the
-    # result equals the recurrence value.
-    rng = random.Random(59)
-    for _ in range(15):
-        system = random_strict_system(rng)
-        seq = b_values(system, 6 * system.d)
-        for n in range(1, 6):
-            assert sqrt_step(system, n) == seq[(n + 1) * system.d]
-
-
-def test_sqrt_step_rejects_bad_input():
-    with pytest.raises(IndexOutOfRange):
-        sqrt_step(S8, 0)
-    loose = PeriodicSystem(d=1, a=(-2,), b=(3,), strict=False)
-    with pytest.raises(IndexOutOfRange):
-        sqrt_step(loose, 1)
-
-
 def test_limit_ratio_numeric():
     rng = random.Random(47)
     checked = 0
@@ -235,22 +204,28 @@ def test_limit_ratio_says_why_a_term_ratio_diverges():
         limit_ratio(system, "consecutive_terms", 1)
 
 
-def test_remark_identities_s8():
-    rep = remark_identities(S8, 1)
-    # 204^2/35^2 - 32*35^2/1^2 vs 4(-D)^n: 36 - 32 = 4 at n=1 scale
-    assert rep.identity1_holds
-    assert rep.identity2_corrected_holds
-    assert not rep.identity2_printed_holds
-    assert rep.identity2_lhs == 2 * Fraction(204, 6)
+def test_printed_second_squared_ratio_identity_fails_on_s8():
+    # With t1 = B_{2nd-1}^2/B_{nd-1}^2 and t2 = Delta B_{nd-1}^2/B_{d-1}^2 the paper prints
+    # t1 - t2 = 4(-D_d)^n and t1 + t2 = 2 B_{4nd-1}^2/B_{2nd-1}^2; the second holds as 2 B_{4nd-1}/B_{2nd-1}.
+    red = reduce(S8)
+    B = red.boundary
+    assert [B(k) for k in (1, 2, 4)] == [1, 6, 204]  # B_1, B_3, B_7 at n = 1
+    t1, t2 = Fraction(B(2), B(1)) ** 2, red.delta * Fraction(B(1), red.Bd1) ** 2
+    assert (t1, t2) == (36, 32)
+    assert t1 - t2 == 4 * -red.Dd == 4
+    assert t1 + t2 == 2 * Fraction(B(4), B(2)) == 68
+    assert 2 * Fraction(B(4), B(2)) ** 2 == 2312 != t1 + t2
 
 
-def test_remark_identities_random():
+def test_squared_ratio_identities_random():
+    # The first identity and the corrected second one hold on every strict system.
     rng = random.Random(53)
     for _ in range(15):
         system = random_strict_system(rng)
-        rep = remark_identities(system, rng.randint(1, 3))
-        assert rep.identity1_holds
-        assert rep.identity2_corrected_holds
+        n, red = rng.randint(1, 3), reduce(system)
+        B = red.boundary
+        t1, t2 = Fraction(B(2 * n), B(n)) ** 2, red.delta * Fraction(B(n), red.Bd1) ** 2
+        assert (t1 - t2, t1 + t2) == (4 * (-red.Dd) ** n, 2 * Fraction(B(4 * n), B(2 * n)))
 
 
 def test_reduce_accepts_zero_bd_and_only_readers_dividing_by_it_refuse():
@@ -274,8 +249,7 @@ def test_reduce_accepts_zero_bd_and_only_readers_dividing_by_it_refuse():
                      for r in (-1, 0) for mode in ("consecutive_periods", "consecutive_terms")]
         refusals += [lambda: weighted_sum_exact(system, "binomial", big_n=3),
                      lambda: weighted_sum_exact(system, "geometric", x=Fraction(1, 7), big_n=3, r=-1)]
-        refusals += [lambda: next(pseudoprime_scan(system, []), None), lambda: lucas_pseudoprime_test(system, 7),
-                     lambda: remark_identities(system, 1)]
+        refusals += [lambda: next(pseudoprime_scan(system, []), None), lambda: lucas_pseudoprime_test(system, 7)]
         for call in refusals:
             with pytest.raises(DivisionByZero):
                 call()

@@ -314,8 +314,8 @@ def test_weighted_sums_refuse_r_below_minus_one():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         telescoping_sum(S8, "nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         zeta_series(S8, "nope")
     assert set(TELESCOPING_FAMILIES) >= {"millin", "pell_y", "arctan", "artanh"}
