@@ -185,11 +185,6 @@ def test_zero_corner_divisibility_checks_take_no_ladder(monkeypatch):
 
 @settings(max_examples=150)
 @given(systems())
-@example(expand_sqrt(2))
-@example(expand_sqrt(3))
-@example(expand_sqrt(5))
-@example(expand_sqrt(8))
-@example(expand_sqrt(13))
 def test_square_root_identity(system):
     # (2 B_{(n+1)d-1} - C_d B_{nd-1})^2 = Delta B_{nd-1}^2 + 4 (-D_d)^n B_{d-1}^2 on signed systems too;
     # on a strict one the left root is the nonnegative one, so it steps B_{nd-1} to B_{(n+1)d-1}.

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -158,6 +159,37 @@ def test_gf_verify_random():
     for _ in range(20):
         system = random_strict_system(rng)
         assert gf_verify(system, 4 * system.d + 4).equal
+
+
+def square_root_step(system, n):
+    # B_{(n+1)d-1} = (C_d B_{nd-1} + sqrt(Delta B_{nd-1}^2 + 4 (-D_d)^n B_{d-1}^2)) / 2, read over Z.
+    red = reduce(system)
+    radicand = red.delta * red.boundary(n) ** 2 + 4 * (-red.Dd) ** n * red.Bd1 ** 2
+    root = math.isqrt(radicand)
+    assert root * root == radicand
+    value, rem = divmod(red.Cd * red.boundary(n) + root, 2)
+    assert rem == 0
+    return value
+
+
+def test_sqrt_step_sqrt_systems():
+    from contikit import expand_sqrt
+    for n in (2, 3, 5, 8, 13):
+        system = expand_sqrt(n)
+        seq = b_values(system, 8 * system.d)
+        for k in range(1, 8):
+            assert square_root_step(system, k) == seq[(k + 1) * system.d]
+
+
+def test_sqrt_step_random_strict():
+    # For every valid strict system the radicand is a perfect square and the
+    # result equals the recurrence value.
+    rng = random.Random(59)
+    for _ in range(15):
+        system = random_strict_system(rng)
+        seq = b_values(system, 6 * system.d)
+        for n in range(1, 6):
+            assert square_root_step(system, n) == seq[(n + 1) * system.d]
 
 
 def test_limit_ratio_numeric():
