@@ -17,9 +17,8 @@ from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import transfer, walk
-from .errors import DivisionByZero, IndexOutOfRange, UsageError
-from .quadratic import text
+from .core import IDENTITY, period, steps, walk
+from .errors import DivisionByZero, IndexOutOfRange, UsageError, text
 from .systems import PeriodicSystem
 
 
@@ -28,7 +27,8 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
 
     Initial values: A_{-1,lam} = 1, A_{0,lam} = b_lam and
     B_{-1,lam} = 0, B_{0,lam} = 1; then
-    X_{k,lam} = b_{lam+k} X_{k-1,lam} + a_{lam+k} X_{k-2,lam}.
+    X_{k,lam} = b_{lam+k} X_{k-1,lam} + a_{lam+k} X_{k-2,lam}.  An index inside the first
+    period takes nu steps; a later one, P_r M^q, one walk of d steps and the ladder.
     """
     if nu < -1:
         raise IndexOutOfRange(f"nu must be >= -1, got {text(nu)}")
@@ -36,7 +36,7 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
         raise IndexOutOfRange(f"lambda must be >= 0, got {text(lam)}")
     if nu == -1:
         return 1, 0
-    (b_nu, e_nu), _ = transfer(system, nu, lam)
+    (b_nu, e_nu), _ = steps(system, lam, nu, IDENTITY) if nu < system.d else period(system, nu, lam)[0]
     return system.coeff_b(lam) * b_nu + e_nu, b_nu
 
 
@@ -84,7 +84,7 @@ def continuant_determinant(system: PeriodicSystem, nu: int) -> tuple[int, int]:
     three-term recurrence.
     """
     if nu < 0:
-        raise IndexOutOfRange(f"nu must be >= 0, got {nu}")
+        raise IndexOutOfRange(f"nu must be >= 0, got {text(nu)}")
     a_val = _bareiss_det(_tridiagonal(system, 0, nu))
     b_val = _bareiss_det(_tridiagonal(system, 1, nu)) if nu >= 1 else 1
     return a_val, b_val

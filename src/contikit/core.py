@@ -13,33 +13,26 @@ a stride that yields a second-order recurrence one value at a time, and a Lucas
 doubling ladder with three big products per bit (Joye and Quisquater, 1996), over Z
 or Z/m.  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I for a 2x2 matrix x
 with c = tr x, d = -det x and W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}.
-`residues`, the one source of values mod m, walks mod m and reads B on that ladder.
+`steps` multiplies transfer matrices over Z or mod m, so M, and with it C_d and D_d, comes
+from one walk in either ring; `residues`, the one reader of B mod m at any index, walks
+the first two periods mod m and reads the rest on the ladder of (C_d, D_d) mod m.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, text
 from .systems import PeriodicSystem
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Matrix = ((1, 0), (0, 1))
 
-# Single-index queries below this many steps, or below d, are walked; longer ones walk
-# one period and jump whole periods with the ladder.  Measured on random systems with
-# coefficients 1..9 and d = 1..4 (Python 3.11), the walk costs 0.7-0.8x the ladder at 8
-# steps and 2.2-2.7x at 32; they cross at 11-14 steps (16-20 against square-and-multiply).
-# The identity sweeps of `contikit paper` read one table of d walks per system instead,
-# one loop per identity's params (continuants.identity_failures).  Reads mod m go
-# through `residues` at every index, whose walks mod m never pass B_{2d-1}.
-WALK_BELOW = 12
-
 
 def walk(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None) -> list[int]:
     """[B_{-1,lam}, ..., B_{nu_max,lam}] for nu_max >= -1, reduced mod m at every step if m is given."""
     if nu_max < -1:
-        raise IndexOutOfRange(f"nu_max must be >= -1, got {nu_max}")
+        raise IndexOutOfRange(f"nu_max must be >= -1, got {text(nu_max)}")
     a, b, d = system.a, system.b, system.d
     seq = [0, 1 if m is None else 1 % m]
     prev, cur = seq
@@ -62,7 +55,7 @@ def stride(c: int, d: int, x: int, y: int) -> Iterator[int]:
 def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:
     """(W_k, W_{k+1}) (mod m) for W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}, k >= 0 only."""
     if k < 0:
-        raise IndexOutOfRange(f"the Lucas ladder reads W_k for k >= 0, got {k}")
+        raise IndexOutOfRange(f"the Lucas ladder reads W_k for k >= 0, got {text(k)}")
     if m is not None:
         c, d = c % m, d % m
     w, w1 = 0, 1
@@ -84,16 +77,21 @@ def power(x: Matrix, n: int) -> Matrix:
     return (w * p + e, w * q), (w * r, w * s + e)
 
 
-def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix) -> Matrix:
-    """T_{lam+count} ... T_{lam+1} * start over Z for count >= 0, one transfer step at a time."""
+def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix, m: int | None = None) -> Matrix:
+    """T_{lam+count} ... T_{lam+1} * start for count >= 0, one transfer step at a time, over Z
+    or, if m is given, mod m with every entry in [0, m)."""
     if count < 0:
-        raise IndexOutOfRange(f"a walk takes count >= 0 steps, got {count}")
+        raise IndexOutOfRange(f"a walk takes count >= 0 steps, got {text(count)}")
     a, b, d = system.a, system.b, system.d
     (p, q), (r, s) = start
+    if m is not None:
+        p, q, r, s = p % m, q % m, r % m, s % m
     for i in range(lam, lam + count):
         k = i % d
         bk, ak = b[k], a[k]
         p, q, r, s = bk * p + ak * r, bk * q + ak * s, p, q
+        if m is not None:
+            p, q = p % m, q % m
     return (p, q), (r, s)
 
 
@@ -112,33 +110,23 @@ def period(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[Matrix, Matri
     return (mul(prefix, power(m, q)) if q else prefix), m
 
 
-def transfer(system: PeriodicSystem, nu: int, lam: int = 0) -> Matrix:
-    """T_{lam+nu} ... T_{lam+1} for nu >= 0."""
-    if nu < WALK_BELOW or nu < system.d:
-        return steps(system, lam, nu, IDENTITY)
-    return period(system, nu, lam)[0]
+def residues(system: PeriodicSystem, c: int, dd: int, m: int) -> Callable[[int], int]:
+    """nu -> B_nu mod m for nu >= -1, given C_d and D_d mod m (`recurrence.reduce(system, m)`).
 
-
-def residues(system: PeriodicSystem, m: int) -> tuple[tuple[int, int, int], Callable[[int], int]]:
-    """((C_d, D_d, B_{d-1}) mod m, nu -> B_nu mod m for nu >= -1) from walks mod m.
-
-    M = T_d ... T_1 has columns (B_d, B_{d-1}) and a_1 (B_{d-1,1}, B_{d-2,1}), which
-    give C_d = tr M and D_d = -det M.  Every shift of B obeys the reduced recurrence
-    from nu = -1, so with nu + 1 = nd + k, 0 <= k < d, B_nu = W_n B_{d+k-1} +
-    D_d W_{n-1} B_{k-1} (Cayley-Hamilton on M^n).  The reader keeps B_{-1} .. B_{2d-1}
-    and one ladder pair mod m per period count n it has read: O(d) memory, O(log n) products.
+    Every shift of B obeys the reduced recurrence from nu = -1, so with nu + 1 = nd + k,
+    0 <= k < d, B_nu = W_n B_{d+k-1} + D_d W_{n-1} B_{k-1} (Cayley-Hamilton on M^n).  The
+    reader keeps B_{-1} .. B_{2d-2}, the values it reads, and one ladder pair mod m per period
+    count n it has read: O(d) memory, O(log n) products.
     """
-    d, a1 = system.d, system.a[0]
-    head = walk(system, 2 * d - 1, 0, m)  # B_{-1} .. B_{2d-1}
-    *_, u, v = walk(system, d - 1, 1, m)  # B_{d-2,1}, B_{d-1,1}
-    c, dd = (head[d + 1] + a1 * u) % m, a1 * (v * head[d] - u * head[d + 1]) % m
+    d = system.d
+    head = walk(system, 2 * d - 2, 0, m)  # B_{-1} .. B_{2d-2}
     pairs: dict[int, tuple[int, int]] = {}
 
     def read(nu: int) -> int:
         n, k = divmod(nu + 1, d)
         if n < 2:
             if n < 0:
-                raise IndexOutOfRange(f"B_nu is read for nu >= -1, got {nu}")
+                raise IndexOutOfRange(f"B_nu is read for nu >= -1, got {text(nu)}")
             return head[nu + 1]
         if n not in pairs:
             w, w1 = lucas(c, dd, n - 1, m)
@@ -146,4 +134,4 @@ def residues(system: PeriodicSystem, m: int) -> tuple[tuple[int, int, int], Call
         x, y = pairs[n]
         return (x * head[d + k] + y * head[k]) % m
 
-    return (c, dd, head[d]), read
+    return read

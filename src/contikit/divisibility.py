@@ -4,8 +4,10 @@ law of repetition and the Lucas-style pseudoprime test.
 Sequence values come from the integer core (contikit.core).  Reads at period
 boundaries go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1} for the
 Lucas sequence W of (C_d, D_d).  Congruences, apparition and Pisano periods read
-all they need mod p, C_d, D_d and B_{d-1} too, from core.residues' walks mod p;
-the suite reads only the indices its clauses name.  Only the pseudoprime scan
+all they need mod p: C_d, D_d and B_{d-1} from reduce(system, p), the period
+matrix walked mod p, and the values at other indices (congruences and Pisano
+periods only) from the core.residues reader; the suite reads only the indices
+its clauses name.  Only the pseudoprime scan
 refuses B_{d-1} = 0, which makes every tested value 0.  Orders, ranks of
 apparition and Pisano periods are each the least divisor of a known bound with
 some property, found by one search over the bound's prime factors (a factor that
@@ -15,13 +17,12 @@ takes a prime modulus p refuses one that is not.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .core import lucas, residues
 from .errors import (DivisionByZero, HypothesisViolated, IndexOutOfRange, InputTooLarge,
-                     InvariantViolated, PrimalityUndecided, UsageError)
-from .quadratic import text
+                     InvariantViolated, PrimalityUndecided, UsageError, text)
 from .recurrence import ReducedRecurrence, reduce
 from .systems import PeriodicSystem
 
@@ -84,13 +85,6 @@ def _require_prime(p: int):
         raise UsageError(f"{text(p)} is not prime")
 
 
-def _modular(system: PeriodicSystem, p: int) -> tuple[ReducedRecurrence, Callable[[int], int]]:
-    """(C_d, D_d, B_{d-1}) mod a prime p as a ReducedRecurrence, and the reader of B mod p."""
-    _require_prime(p)
-    values, read = residues(system, p)
-    return ReducedRecurrence(*values), read
-
-
 @dataclass
 class CongruenceCase:
     p: int
@@ -126,12 +120,14 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     the classified case with no congruences to check.
     """
     d = system.d
-    reduced, B = _modular(system, p)
+    _require_prime(p)
+    reduced = reduce(system, p)
+    B = residues(system, reduced.Cd, reduced.Dd, p)
     tag = classify_case(reduced, p)
     case = CongruenceCase(p, tag)
     r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
     if min(r_list, default=-1) < -1:
-        raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {min(r_list)}")
+        raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {text(min(r_list))}")
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta % p
 
     def check(label: str, lhs: int, rhs: int):
@@ -205,7 +201,8 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     B_{2d-1} = C_d B_{d-1} forces omega <= 2 whenever it exists; that (rather
     than the bare "omega = 1") is what is checked for the p|C,p|D case.
     """
-    reduced = _modular(system, p)[0]
+    _require_prime(p)
+    reduced = reduce(system, p)
     tag = classify_case(reduced, p)
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
     eps = -(C % 2) if p == 2 else jacobi(delta, p)
@@ -281,7 +278,9 @@ def _bound_parts(reduced: ReducedRecurrence, p: int, d: int) -> tuple[int, ...]:
 def pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
     """(pi, L) modulo a prime p coprime to 2 D_d: the least pi >= 1 with B_{nu+pi} = B_nu
     (mod p) for all nu >= -1, and the divisor bound L it divides, derived once."""
-    reduced, B = _modular(system, p)
+    _require_prime(p)
+    reduced = reduce(system, p)
+    B = residues(system, reduced.Cd, reduced.Dd, p)
     parts = _bound_parts(reduced, p, system.d)
     limit = math.prod(parts)
     # Every shift of B obeys the reduced recurrence from nu = -1, so 2d equal values pin it.

@@ -1,4 +1,14 @@
-"""Every refusal in the package raises one of these; the CLI exits 2 on a ContikitError or an OSError only."""
+"""Every refusal in the package raises one of these, naming its ints through `text`; the CLI
+exits 2 on a ContikitError or an OSError only."""
+from decimal import Decimal
+from fractions import Fraction
+
+
+def text(x: int | Fraction) -> str:
+    """str(x) at any size: unlike str() of an int, Decimal has no limit on its digits."""
+    if isinstance(x, Fraction):
+        return text(x.numerator) + ("" if x.denominator == 1 else "/" + text(x.denominator))
+    return str(Decimal(x))
 
 
 class ContikitError(Exception):

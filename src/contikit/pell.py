@@ -15,8 +15,7 @@ from itertools import islice, repeat
 
 from .continuants import continuant_pair
 from .core import stride
-from .errors import InvariantViolated, PerfectSquare, UsageError
-from .quadratic import text
+from .errors import InvariantViolated, PerfectSquare, UsageError, text
 from .systems import PeriodicSystem
 
 
@@ -28,7 +27,7 @@ class PellSolution:
 
     def __post_init__(self):
         if self.x * self.x - self.n * (self.y * self.y) != 1:
-            raise InvariantViolated(f"{self.x}^2 - {self.n}*{self.y}^2 != 1")
+            raise InvariantViolated(f"{text(self.x)}^2 - {text(self.n)}*{text(self.y)}^2 != 1")
 
 
 def expand_sqrt(n: int) -> PeriodicSystem:
@@ -50,7 +49,7 @@ def expand_sqrt(n: int) -> PeriodicSystem:
         if (m, q) == first:
             break
     if period[-1] != 2 * a0:
-        raise InvariantViolated(f"sqrt({n}) period does not end with 2*a0 = {2 * a0}")
+        raise InvariantViolated(f"sqrt({text(n)}) period does not end with 2*a0 = {text(2 * a0)}")
     return PeriodicSystem(len(period), (1,) * len(period), tuple(period), a0, strict=True)
 
 

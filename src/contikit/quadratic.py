@@ -7,19 +7,11 @@ expressions exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 
-from .errors import DivisionByZero, UsageError
-
-
-def text(x: int | Fraction) -> str:
-    """str(x) at any size: unlike str() of an int, Decimal has no limit on its digits."""
-    if isinstance(x, Fraction):
-        return text(x.numerator) + ("" if x.denominator == 1 else "/" + text(x.denominator))
-    return str(Decimal(x))
+from .errors import DivisionByZero, UsageError, text
 
 
 def _as_fraction(x) -> Fraction:
@@ -83,7 +75,7 @@ class QuadraticNumber:
         if not isinstance(other, QuadraticNumber):
             return QuadraticNumber(other, 0, self.delta)
         if self.delta != other.delta:
-            raise UsageError(f"mixed radicands: sqrt({self.delta}) vs sqrt({other.delta})")
+            raise UsageError(f"mixed radicands: sqrt({text(self.delta)}) vs sqrt({text(other.delta)})")
         return other
 
     def conjugate(self) -> "QuadraticNumber":

@@ -2,10 +2,10 @@
 
 B_{nu+2d} = C_d B_{nu+d} + D_d B_nu with C_d = tr M and
 D_d = -det M = (-1)^{d-1} a_1...a_d for the period matrix M of contikit.core
-(Cayley-Hamilton), so B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of
-(C_d, D_d) (ReducedRecurrence.boundary), which divides by nothing; plus exact values at
-positive and negative indices through powers of M and its adjugate, at any Delta, roots in
-Q(sqrt(Delta)), the generating-function check and ratio limits.
+(Cayley-Hamilton), in Z and in Z/m alike (reduce(system, m)), so B_{kd-1} = W_k B_{d-1}
+for the Lucas sequence W of (C_d, D_d) (ReducedRecurrence.boundary), which divides by
+nothing; plus exact values at positive and negative indices through powers of M and its
+adjugate, at any Delta, roots in Q(sqrt(Delta)), the generating-function check and ratio limits.
 A reader refuses B_{d-1} = 0 (DivisionByZero) where its answer divides by it, or is 0 = 0 or
 (limit_ratio) no root's ratio, and Delta = 0 (DegenerateDiscriminant) only where it takes a root.
 """
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import continuant_pair
-from .core import Matrix, lucas, mul, period, power, walk
-from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, UsageError
+from .core import IDENTITY, Matrix, lucas, mul, period, power, steps, walk
+from .errors import DegenerateDiscriminant, DivisionByZero, IndexOutOfRange, UsageError, text
 from .quadratic import QuadraticNumber
 from .systems import PeriodicSystem
 
@@ -33,10 +33,12 @@ class ReducedRecurrence:
         return self.Cd * self.Cd + 4 * self.Dd
 
     @classmethod
-    def of(cls, mat: Matrix) -> ReducedRecurrence:
-        """C_d, D_d and B_{d-1}: the trace, negated determinant and corner of the period matrix."""
+    def of(cls, mat: Matrix, m: int | None = None) -> ReducedRecurrence:
+        """C_d, D_d and B_{d-1}: the trace, negated determinant and corner of the period matrix,
+        in [0, m) if m is given."""
         (p, q), (r, s) = mat
-        return cls(p + s, q * r - p * s, r)
+        c, dd = p + s, q * r - p * s
+        return cls(c, dd, r) if m is None else cls(c % m, dd % m, r % m)
 
     def boundary(self, k: int, m: int | None = None) -> int:
         """B_{kd-1} (mod m) for k >= 0: W_k B_{d-1} on the Lucas ladder of (C_d, D_d), or 0 at once."""
@@ -44,9 +46,10 @@ class ReducedRecurrence:
         return b if m is None else b % m
 
 
-def reduce(system: PeriodicSystem) -> ReducedRecurrence:
-    """The reduction of the period matrix; it divides by nothing, so B_{d-1} = 0 is allowed."""
-    return ReducedRecurrence.of(period(system, 0)[1])
+def reduce(system: PeriodicSystem, m: int | None = None) -> ReducedRecurrence:
+    """The reduction of the period matrix, walked over Z or mod m; it divides by nothing, so
+    B_{d-1} = 0 is allowed."""
+    return ReducedRecurrence.of(steps(system, 0, system.d, IDENTITY, m), m)
 
 
 def roots(reduced: ReducedRecurrence) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -100,7 +103,7 @@ def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
     the numerator's (those below x^{2d}) or 0."""
     d = system.d
     if n_terms < 2 * d:
-        raise IndexOutOfRange(f"need N >= 2d = {2 * d}, got {n_terms}")
+        raise IndexOutOfRange(f"need N >= 2d = {text(2 * d)}, got {text(n_terms)}")
     reduced = reduce(system)
     seq = walk(system, n_terms)[1:]  # B_0 .. B_N
     prod = list(seq)
@@ -131,7 +134,7 @@ def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
         if r < 0:
             raise IndexOutOfRange("consecutive_terms requires r >= 0")
         if not u(1).norm():
-            raise DivisionByZero(f"at r = {r}, B_{{nd+r-1}} has no part in the larger root, "
+            raise DivisionByZero(f"at r = {text(r)}, B_{{nd+r-1}} has no part in the larger root, "
                                  "so B_{nd+r}/B_{nd+r-1} grows without bound")
         return u(0) / u(1)
     if mode == "consecutive_periods":

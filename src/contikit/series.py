@@ -22,9 +22,9 @@ import mpmath
 
 from .core import mul, period, stride
 from .errors import (DivisionByZero, HypothesisViolated, NoAdmissibleRoot, PoleAtRoot,
-                     PrecisionExhausted, UsageError)
+                     PrecisionExhausted, UsageError, text)
 from .pell import _solutions, expand_sqrt
-from .quadratic import QuadraticNumber, text
+from .quadratic import QuadraticNumber
 from .recurrence import ReducedRecurrence, reduce, roots
 from .systems import PeriodicSystem
 
@@ -122,8 +122,11 @@ def _sum_terms(terms_iter, ctx: PrecisionContext):
     raise PrecisionExhausted("term stream exhausted before reaching tolerance")
 
 
-def _admissible(system: PeriodicSystem, why: str):
-    """The reduction and roots (alpha, beta) of system; refuses B_{d-1} = 0 (saying why) and Delta <= 0."""
+def _admissible(system: PeriodicSystem, family: str, why: str):
+    """The reduction and roots (alpha, beta) of system; refuses a system that is not a PeriodicSystem,
+    B_{d-1} = 0 (saying why) and Delta <= 0."""
+    if not isinstance(system, PeriodicSystem):
+        raise HypothesisViolated(f"{family} expects a PeriodicSystem")
     reduced = reduce(system)
     if reduced.Bd1 == 0:
         raise DivisionByZero(why)
@@ -148,7 +151,8 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
         return _pell_sum(system_or_n, family, ctx)
 
     system: PeriodicSystem = system_or_n
-    reduced, (alpha, beta) = _admissible(system, "B_{d-1} = 0, so every B_{kd-1} the terms divide by is 0")
+    reduced, (alpha, beta) = _admissible(system, family,
+                                         "B_{d-1} = 0, so every B_{kd-1} the terms divide by is 0")
 
     if family == "millin":
         if system.d != 2:
@@ -180,7 +184,7 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
 def _pell_sum(n: int, family: str, ctx: PrecisionContext) -> SeriesReport:
     system = expand_sqrt(n)
     if system.d % 2 != 0:
-        raise HypothesisViolated(f"{family} requires an even period; sqrt({n}) has d={system.d}")
+        raise HypothesisViolated(f"{family} requires an even period; sqrt({text(n)}) has d={text(system.d)}")
     first = next(sols := _solutions(system, n))
     x1, y1 = first.x, first.y
     pairs = pairwise(chain([first], sols))  # (s_k, s_{k+1}), k >= 1
@@ -211,7 +215,8 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     ctx = ctx or PrecisionContext()
     if kind not in ZETA_KINDS:
         raise UsageError(f"unknown kind {kind!r}")
-    reduced, (alpha, _) = _admissible(system, "B_{d-1} = 0 makes every term and the target 0 (0 = 0)")
+    reduced, (alpha, _) = _admissible(system, f"zeta_{kind}",
+                                      "B_{d-1} = 0 makes every term and the target 0 (0 = 0)")
     b1, (c, num, den, form) = reduced.Bd1, _ZETA[kind]
     symbolic = form.format(b=text(b1), root=f"sqrt({text(reduced.delta)})")
 
@@ -275,6 +280,8 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         raise UsageError("N must be >= 1")
     if r < -1:
         raise UsageError("r must be >= -1")
+    if kind == "geometric" and x is None:
+        raise UsageError("the geometric sum needs x")
     head, m = period(system, r + 1)  # T_{r+1} ... T_1, corner B_r
     reduced = ReducedRecurrence.of(m)
     C, D = reduced.Cd, reduced.Dd
@@ -285,7 +292,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         xf = Fraction(x)
         denom = xf * xf + Fraction(C, D) * xf - Fraction(1, D)
         if denom == 0:
-            raise PoleAtRoot(f"x = {xf} is a root of D x^2 - C x - 1")
+            raise PoleAtRoot(f"x = {text(xf)} is a root of D x^2 - C x - 1")
         B = list(islice(stride(C, D, head[1][0], mul(head, m)[1][0]), big_n + 2))  # B_{nd+r}
         lhs = sum((xf ** n) * B[n] for n in range(1, big_n + 1))
         numer = xf ** (big_n + 1) * (Fraction(B[big_n + 1], D) + xf * B[big_n]) \

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidSystem
+from .errors import InvalidSystem, text
 
 # JSON integers above this magnitude are serialized as decimal strings.
 _JSON_INT_LIMIT = 2**53
@@ -30,9 +30,9 @@ class PeriodicSystem:
         object.__setattr__(self, "b", b)
         _integer(self.b0, decimal=False)  # refuses a b0 that is not an int
         if _integer(self.d, decimal=False) < 1:
-            raise InvalidSystem(f"period d must be >= 1, got {self.d}")
+            raise InvalidSystem(f"period d must be >= 1, got {text(self.d)}")
         if len(a) != self.d or len(b) != self.d:
-            raise InvalidSystem(f"need {self.d} coefficients, got {len(a)} a's and {len(b)} b's")
+            raise InvalidSystem(f"need {text(self.d)} coefficients, got {len(a)} a's and {len(b)} b's")
         if 0 in a:
             raise InvalidSystem("partial numerators a_i must be nonzero")
         if self.strict and (min(a) < 1 or min(b) < 1):

@@ -96,8 +96,8 @@ def test_criterion_13():
 
 
 def test_sqrt8_row_reads_a_third_path_on_the_lucas_ladder(monkeypatch):
-    # Below WALK_BELOW, binet is one walk like the other two paths; P_r M^q reads M^q on
-    # the ladder for each of B_1 .. B_8 (B_0 takes no whole period).
+    # The raw walk and the reduced recurrence take no ladder; P_r M^q reads M^q on the
+    # ladder for each of B_1 .. B_8 (B_0 takes no whole period).
     ladders, lucas = [], core.lucas
     monkeypatch.setattr(core, "lucas", lambda *args: ladders.append(args) or lucas(*args))
     row = suite.check_sqrt8_sequence()

@@ -505,14 +505,16 @@ def test_pisano_verb_answers_a_prime_near_10_9(capsys):
 
 
 def test_pisano_verb_derives_its_bound_once(capsys):
-    # One walk mod p gives the bound and the reader; nothing is reduced over Z.
+    # One reduction mod p gives the bound, and one reader the values; nothing is reduced over Z.
     with mock.patch.object(divisibility, "residues", wraps=divisibility.residues) as walks, \
             mock.patch.object(divisibility, "reduce", wraps=divisibility.reduce) as reduce, \
             mock.patch.object(recurrence, "reduce", wraps=recurrence.reduce) as z_reduce, \
             mock.patch.object(divisibility, "_mult_order", wraps=divisibility._mult_order) as order:
         code, out, _ = run(capsys, "pisano", "--d", "1", "--a", "3", "--b", "1", "--p", "109")
     assert (code, out) == (0, "pi(109) = 5940  (divisor bound 5940)\n")
-    assert (walks.call_count, reduce.call_count + z_reduce.call_count, order.call_count) == (1, 0, 1)
+    moduli = [call.args[1] if len(call.args) > 1 else call.kwargs.get("m")
+              for call in reduce.call_args_list + z_reduce.call_args_list]
+    assert (walks.call_count, moduli, order.call_count) == (1, [109], 1)
 
 
 def test_check_congruences_accepts_a_zero_corner(capsys):

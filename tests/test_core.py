@@ -47,14 +47,14 @@ from contikit import (
     verify_identity,
     weighted_sum_exact,
 )
-from contikit import core, recurrence
+from contikit import continuants, core, recurrence
 from contikit.cli import main
-from contikit.core import WALK_BELOW, lucas, power, residues, stride, transfer, walk
+from contikit.core import lucas, power, residues, stride, walk
 from contikit.divisibility import PSI_12, _is_prime
 import oracles
 
-# Indices reach past WALK_BELOW so that both the walk and the power path run.
-NU = st.integers(-1, max(60, 3 * WALK_BELOW))
+# Indices reach well past d so that both the walk and the power path run.
+NU = st.integers(-1, 60)
 
 
 @st.composite
@@ -234,10 +234,12 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
     # Each of these walks at most one period over Z, once: the reads at period
     # boundaries take the period product of their one reduce, and a read at any
     # other index, a closed form's too, takes its r-step prefix on the way to the
-    # period matrix M.  The rank of apparition walks only mod p.
+    # period matrix M.  The prime-modulus entry points walk only mod p.
     taken, modular = [], []
     steps, walk_ = core.steps, core.walk
-    monkeypatch.setattr(core, "steps", lambda s, lam, n, x: taken.append(n) or steps(s, lam, n, x))
+    for module in (core, continuants, recurrence):
+        monkeypatch.setattr(module, "steps", lambda s, lam, n, x, m=None:
+                            (taken if m is None else modular).append(n) or steps(s, lam, n, x, m))
     monkeypatch.setattr(core, "walk", lambda s, n, lam=0, m=None:
                         (taken if m is None else modular).append(n) or walk_(s, n, lam, m))
     system, odd = expand_sqrt(1000003), expand_sqrt(1000009)
@@ -245,6 +247,8 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
     assert (d, odd.d) == (458, 743)
     calls = {
         "rank_of_apparition": lambda: rank_of_apparition(system, 7),
+        "congruence_suite": lambda: congruence_suite(system, 7),
+        "pisano": lambda: pisano(system, 7),
         "lucas_pseudoprime_test": lambda: lucas_pseudoprime_test(system, 1000033),
         "binomial": lambda: weighted_sum_exact(system, "binomial", big_n=3),
         "millin": lambda: telescoping_sum(S8, "millin"),
@@ -256,42 +260,43 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
         "pell_solutions odd d": lambda: pell_solutions(1000009, 2),
         # q = 0 inside and at the end of the first period, then q >= 1.
         **{f"continuant_pair {nu}": lambda nu=nu: continuant_pair(system, nu)
-           for nu in (WALK_BELOW + 3, d - 1, d, d + 7, 10 * d + 3, 10 ** 5)},
+           for nu in (15, d - 1, d, d + 7, 10 * d + 3, 10 ** 5)},
     }
     for name, call in calls.items():
         taken.clear()
         modular.clear()
         result = call()
         assert getattr(result, "verdict", None) != "inapplicable"
-        budget = {"millin": S8.d, "pell_solutions odd d": odd.d, "rank_of_apparition": 0}.get(name, d)
+        modular_budget = {"rank_of_apparition": d, "congruence_suite": 3 * d - 2, "pisano": 3 * d - 2}
+        budget = {"millin": S8.d, "pell_solutions odd d": odd.d, **dict.fromkeys(modular_budget, 0)}.get(name, d)
         assert sum(taken) <= budget, (name, sum(taken))
-        # B_{-1} .. B_{2d-1} and B_{-1,1} .. B_{d-1,1}, both mod p.
-        assert sum(modular) == (3 * d - 2 if name == "rank_of_apparition" else 0), name
+        # M mod p in d steps, then for the reader B_{-1} .. B_{2d-2} mod p.
+        assert sum(modular) == modular_budget.get(name, 0), name
     taken.clear()
     pell_solutions(1000003, 2)
     assert sum(taken) == d - 1  # the even-period solution ends the first period
 
 
-# A period long enough that reads inside it reach past WALK_BELOW.
+# A period long enough that reads inside it take many steps.
 LONG = PeriodicSystem(d=30, a=tuple(range(1, 31)), b=tuple(k % 9 + 1 for k in range(30)), b0=3)
 
 
 @st.composite
 def long_period_reads(draw):
     """(system, nu, lam) with d up to 40, nu in [0, 3d + 2] and lam in [0, 2d]: every case
-    of nu = qd + r, from q = 0 with nu >= WALK_BELOW to q = 3."""
+    of nu = qd + r, from q = 0 to q = 3."""
     system = draw(systems(max_d=40))
     return system, draw(st.integers(0, 3 * system.d + 2)), draw(st.integers(0, 2 * system.d))
 
 
 @settings(max_examples=150)
 @given(long_period_reads())
-@example((LONG, 20, 7))  # q = 0, nu >= WALK_BELOW: the walk stops after nu steps
+@example((LONG, 20, 7))  # q = 0: the walk stops after nu steps
 @example((LONG, 30, 0))
 @example((LONG, 2 * 30 + 5, 31))
 def test_transfer_matches_stepwise_product(read):
     system, nu, lam = read
-    assert transfer(system, nu, lam) == oracles.transfer(system, nu, lam)
+    assert core.period(system, nu, lam)[0] == oracles.transfer(system, nu, lam)
     assert continuant_pair(system, nu, lam) == oracles.continuant_pair(system, nu, lam)
 
 
@@ -334,16 +339,22 @@ def test_b_values_match_linear(system, nu, lam):
     full = oracles.b_values(system, nu + 1, lam)
     assert walk(system, nu, lam) == full[:-1]
     assert continuant_pair(system, nu)[1] == oracles.b_values(system, nu)[-1]
-    (p, _), (r, _) = transfer(system, nu + 1, lam)
+    (p, _), (r, _) = core.period(system, nu + 1, lam)[0]
     assert (p, r) == (full[-1], full[-2])  # (B_{nu+1,lam}, B_{nu,lam})
 
 
 MODULI_FROM_1 = st.one_of(st.just(1), st.integers(2, 10 ** 6))
 
 
+def reader(system, m):
+    """The reader of B mod m on the system's reduction mod m."""
+    reduced = reduce(system, m)
+    return residues(system, reduced.Cd, reduced.Dd, m)
+
+
 @given(systems(), NU, MODULI_FROM_1)
 def test_residues_match_linear(system, nu, m):
-    _, read = residues(system, m)
+    read = reader(system, m)
     # Read backwards, so that later reads hit the ladder pairs kept by earlier ones.
     assert [read(k) for k in range(nu, -2, -1)] == [x % m for x in reversed(oracles.b_values(system, nu))]
     with pytest.raises(IndexOutOfRange):
@@ -353,18 +364,26 @@ def test_residues_match_linear(system, nu, m):
 @settings(max_examples=60)
 @given(systems(), st.integers(-1, 10 ** 6), MODULI_FROM_1)
 def test_residues_at_large_index(system, nu, m):
-    assert residues(system, m)[1](nu) == oracles.b_mod(system, nu, m)
+    assert reader(system, m)(nu) == oracles.b_mod(system, nu, m)
 
 
 @settings(max_examples=150)
-@given(systems(max_d=12), MODULI_FROM_1)
-@example(ZERO_CORNER, 7)
-@example(PeriodicSystem(d=1, a=(-3,), b=(0,), strict=False), 10 ** 6)
-def test_residues_reduction_matches_period_matrix(system, m):
-    # (C_d, D_d, B_{d-1}) mod m from walks mod m alone: the Z period matrix's trace,
-    # negated determinant and corner, reduced mod m.
-    red = z_reduction(system)
-    assert residues(system, m)[0] == (red.Cd % m, red.Dd % m, red.Bd1 % m)
+@given(systems(max_d=12), st.integers(0, 40), st.integers(0, 12),
+       st.one_of(st.integers(1, 100), st.integers(1, 10 ** 12)), st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
+@example(ZERO_CORNER, 2, 0, 7, (1, 0, 0, 1))
+@example(PeriodicSystem(d=1, a=(-3,), b=(0,), strict=False), 1, 0, 10 ** 6, (1, 0, 0, 1))
+@example(S8, 0, 0, 1, (1, 0, 0, 1))  # no step: the start alone, reduced mod 1
+@example(S8, 5, 3, 10 ** 12, (-5, 7, 10 ** 6, -1))
+def test_modular_steps_and_reduction_match_z(system, count, lam, m, start):
+    # Walked mod m, a product of transfer matrices is the Z product reduced mod m, every entry
+    # in [0, m); so the period matrix's trace, negated determinant and corner are too.
+    p, q, r, s = start
+    x, product = ((p, q), (r, s)), oracles.transfer(system, count, lam)
+    assert core.steps(system, lam, count, x) == oracles.mat_mul(product, x)
+    assert core.steps(system, lam, count, x, m) == oracles.mat_mul(product, x, m)
+    red = reduce(system)
+    assert red == z_reduction(system)
+    assert reduce(system, m) == ReducedRecurrence(red.Cd % m, red.Dd % m, red.Bd1 % m)
 
 
 @given(systems())
@@ -430,8 +449,9 @@ def test_core_refuses_negative_indices(system, k):
     # Ladder rungs and step counts are defined for k >= 0 only; a negative one used to read a wrong value.
     red, mat = z_reduction(system), period_matrix(system)
     reads = [lambda: lucas(red.Cd, red.Dd, k), lambda: lucas(red.Cd, red.Dd, k, 7), lambda: power(mat, k),
-             lambda: core.steps(system, 0, k, core.IDENTITY), lambda: transfer(system, k),
-             lambda: core.period(system, k), lambda: continuant_pair(system, k - 1), lambda: walk(system, k - 1),
+             lambda: core.steps(system, 0, k, core.IDENTITY),
+             lambda: core.steps(system, 0, k, core.IDENTITY, 7), lambda: core.period(system, k),
+             lambda: continuant_pair(system, k - 1), lambda: walk(system, k - 1),
              lambda: binet(system, k, 0), lambda: binet_negative(system, k, 0)]
     for read in reads:
         with pytest.raises(IndexOutOfRange):

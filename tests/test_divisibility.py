@@ -1,8 +1,10 @@
+import inspect
 import math
 import random
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -14,28 +16,36 @@ from contikit import (
     HypothesisViolated,
     IndexOutOfRange,
     InputTooLarge,
+    InvalidSystem,
     PerfectSquare,
     PeriodicSystem,
+    PoleAtRoot,
+    QuadraticNumber,
     UsageError,
     congruence_suite,
+    continuant_determinant,
     continuant_pair,
     convergent,
     expand_sqrt,
+    gf_verify,
     jacobi,
     law_of_repetition_check,
+    limit_ratio,
     lucas_pseudoprime_test,
     pell_solutions,
     pisano,
     pisano_period,
     rank_of_apparition,
     reduce,
+    telescoping_sum,
+    weighted_sum_exact,
 )
 from contikit.quadratic import text
-from contikit.core import residues, transfer, walk
-from contikit import core, divisibility, recurrence, series
+from contikit.core import residues, walk
+from contikit import continuants, core, divisibility, recurrence, series
 from contikit.divisibility import _is_prime, _mult_order, _prime_factors
 from contikit.suite import random_strict_system, run_full_suite
-from oracles import b_values, mat_pow
+from oracles import b_values, mat_pow, transfer
 
 PRIMES_50 = [p for p in range(2, 51) if _is_prime(p)]
 
@@ -134,14 +144,20 @@ def test_prime_modulus_entry_points_take_no_period_product_over_z(monkeypatch):
     zero_corner = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)
     systems = [S8, expand_sqrt(1000003), zero_corner]
 
-    def refuse(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"{name} ran")
-        return call
+    def mod_only(name, call):
+        """call, refused unless it is given a modulus m (period takes none)."""
+        signature = inspect.signature(call)
 
-    for module, name in ((core, "steps"), (core, "period"), (recurrence, "reduce"), (recurrence, "period"),
-                         (divisibility, "reduce")):
-        monkeypatch.setattr(module, name, refuse(f"{module.__name__}.{name}"))
+        def checked(*args, **kwargs):
+            if signature.bind(*args, **kwargs).arguments.get("m") is None:
+                raise AssertionError(f"{name} ran over Z")
+            return call(*args, **kwargs)
+        return checked
+
+    for module in (core, continuants, recurrence, divisibility, series):
+        for name in ("steps", "period", "reduce"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, mod_only(f"{module.__name__}.{name}", getattr(module, name)))
     for system in systems:
         assert congruence_suite(system, 7).all_pass
         assert rank_of_apparition(system, 7).clause_holds
@@ -154,7 +170,7 @@ def test_paper_suite_reduces_over_z_at_most_40_times(monkeypatch):
     # One reduction per pseudoprime scan and per closed-form check; none per prime modulus.
     calls = []
     reduce_ = recurrence.reduce
-    counted = lambda system: calls.append(system) or reduce_(system)
+    counted = lambda system, m=None: (m is None and calls.append(system)) or reduce_(system, m)
     for module in (recurrence, divisibility, series):
         monkeypatch.setattr(module, "reduce", counted)
     assert all(row.passed for row in run_full_suite())
@@ -186,6 +202,8 @@ def test_a_refused_modulus_past_the_int_str_digit_limit_is_a_usage_error():
         pytest.skip("this Python has no int -> str digit limit")
     huge, old = 10 ** 5000 + 1, sys.get_int_max_str_digits()
     zero_corner = PeriodicSystem(d=2, a=(1, 1), b=(0, 1), strict=False)  # B_{1,lam} = b_{lam+1} = 0 at even lam
+    signed = PeriodicSystem(2, (7, -1), (6, 0), strict=False)  # at odd r, B_{nd+r-1} has no part in the larger root
+    odd_period = (10 ** 2500) ** 2 + 1  # sqrt(k^2 + 1) = [k; 2k], d = 1
     set_digits(4300)
     try:
         for call, error, message in [
@@ -197,6 +215,31 @@ def test_a_refused_modulus_past_the_int_str_digit_limit_is_a_usage_error():
             (lambda: continuant_pair(S8, -huge), IndexOutOfRange, f"nu must be >= -1, got {text(-huge)}"),
             (lambda: convergent(zero_corner, 1, huge - 1), DivisionByZero,
              f"B_{{1,{text(huge - 1)}}} = 0, the denominator of the depth-1 convergent"),
+            (lambda: PeriodicSystem(huge, (1,), (1,)), InvalidSystem,
+             f"need {text(huge)} coefficients, got 1 a's and 1 b's"),
+            (lambda: PeriodicSystem(-huge, (1,), (1,)), InvalidSystem, f"period d must be >= 1, got {text(-huge)}"),
+            (lambda: walk(S8, -huge), IndexOutOfRange, f"nu_max must be >= -1, got {text(-huge)}"),
+            (lambda: core.lucas(1, 1, -huge), IndexOutOfRange,
+             f"the Lucas ladder reads W_k for k >= 0, got {text(-huge)}"),
+            (lambda: core.steps(S8, 0, -huge, core.IDENTITY), IndexOutOfRange,
+             f"a walk takes count >= 0 steps, got {text(-huge)}"),
+            (lambda: residues(S8, 6, 6, 7)(-huge), IndexOutOfRange, f"B_nu is read for nu >= -1, got {text(-huge)}"),
+            (lambda: reduce(S8).boundary(-huge), IndexOutOfRange,
+             f"the Lucas ladder reads W_k for k >= 0, got {text(-huge)}"),
+            (lambda: gf_verify(S8, -huge), IndexOutOfRange, f"need N >= 2d = 4, got {text(-huge)}"),
+            (lambda: limit_ratio(signed, "consecutive_terms", 2 * huge + 1), DivisionByZero,
+             f"at r = {text(2 * huge + 1)}, B_{{nd+r-1}} has no part in the larger root, "
+             "so B_{nd+r}/B_{nd+r-1} grows without bound"),
+            (lambda: continuant_determinant(S8, -huge), IndexOutOfRange, f"nu must be >= 0, got {text(-huge)}"),
+            (lambda: congruence_suite(S8, 7, [-huge]), IndexOutOfRange,
+             f"congruence_suite needs r >= -1, got {text(-huge)}"),
+            (lambda: telescoping_sum(odd_period, "pell_y"), HypothesisViolated,
+             f"pell_y requires an even period; sqrt({text(odd_period)}) has d=1"),
+            (lambda: QuadraticNumber(1, 1, huge) + QuadraticNumber(1, 1, 2), UsageError,
+             f"mixed radicands: sqrt({text(huge)}) vs sqrt(2)"),
+            # C_d = huge - 1 and D_d = huge put a pole of the geometric sum at x = 1/huge.
+            (lambda: weighted_sum_exact(PeriodicSystem(1, (huge,), (huge - 1,)), "geometric", x=Fraction(1, huge)),
+             PoleAtRoot, f"x = 1/{text(huge)} is a root of D x^2 - C x - 1"),
         ]:
             with pytest.raises(error) as exc:
                 call()
@@ -409,11 +452,12 @@ def test_modular_agrees_with_full():
         system = random_strict_system(rng)
         m = rng.randint(2, 1000)
         full = [x % m for x in b_values(system, 500)]
-        (c, dd, bd1), read = residues(system, m)
+        reduced = reduce(system, m)
+        read = residues(system, reduced.Cd, reduced.Dd, m)
         assert [read(nu) for nu in range(-1, 501)] == full
         period = transfer(system, system.d)
         (p, q), (r, s) = period
-        assert (c, dd, bd1) == ((p + s) % m, (q * r - p * s) % m, full[system.d])
+        assert (reduced.Cd, reduced.Dd, reduced.Bd1) == ((p + s) % m, (q * r - p * s) % m, full[system.d])
         for k in range(500 // system.d + 1):
             assert mat_pow(period, k, m)[1][0] == full[k * system.d]  # B_{kd-1}
 

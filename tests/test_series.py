@@ -313,6 +313,18 @@ def test_weighted_sums_refuse_r_below_minus_one():
             weighted_sum_exact(S8, kind, x=1, big_n=2, r=-2)
 
 
+def test_a_missing_x_or_a_system_family_without_a_system_is_refused():
+    # Fraction(None) raised TypeError, and 8.d AttributeError.
+    for call, error, message in [
+        (lambda: weighted_sum_exact(S8, "geometric"), UsageError, "the geometric sum needs x"),
+        (lambda: telescoping_sum(8, "millin"), HypothesisViolated, "millin expects a PeriodicSystem"),
+        (lambda: zeta_series(8, "ln2"), HypothesisViolated, "zeta_ln2 expects a PeriodicSystem"),
+    ]:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_unknown_family_rejected():
     with pytest.raises(UsageError):
         telescoping_sum(S8, "nope")
