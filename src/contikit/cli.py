@@ -18,7 +18,7 @@ import sys
 
 from . import divisibility, pell, recurrence, series, suite
 from .continuants import IDENTITIES, verify_identity
-from .errors import ContikitError, UsageError
+from .errors import ContikitError, UsageError, text
 from .systems import PeriodicSystem
 
 
@@ -158,7 +158,7 @@ def cmd_pseudoprime(args, emit) -> int:
         lo, hi = _ints("--range", args.range, "LO:HI", ":", 2)
         candidates = range(max(lo, 3) | 1, hi + 1, 2)
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        raise UsageError(f"--jobs must be >= 1, got {text(args.jobs)}")
     tail = " (epsilon = {epsilon}, tested B index {index})" if args.range is None else ""
     for v in divisibility.pseudoprime_scan(system, candidates):  # each printed once ready
         rec = {"n": str(v.n), "epsilon": v.epsilon, "index": str(v.tested_index), "verdict": v.verdict}

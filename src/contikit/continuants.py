@@ -195,13 +195,13 @@ IDENTITIES = tuple(_EVALUATORS)
 def _evaluate(system: PeriodicSystem, identity: str, rows, batch, every: bool = False) -> list:
     """The evaluator's triples; an unknown identity or a params of the wrong length raises."""
     if identity not in _EVALUATORS:
-        raise UsageError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
+        raise UsageError(f"unknown identity {identity!r}; expected one of {IDENTITIES!r}")
     try:
         return list(_EVALUATORS[identity](system, *rows, batch, every))
     except ValueError:  # only unpacking a params tuple of the wrong length raises it
         takes = "(lam, nu, mu)" if identity.startswith("cassini") else "(lam, nu)"
         bad = next(params for params in batch if len(params) != takes.count(",") + 1)
-        raise UsageError(f"{identity} takes {takes}, got {len(bad)} values") from None
+        raise UsageError(f"{identity} takes {takes}, got {text(len(bad))} values") from None
 
 
 class _Rows:

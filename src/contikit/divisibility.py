@@ -5,14 +5,14 @@ Sequence values come from the integer core (contikit.core).  Reads at period
 boundaries go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1} for the
 Lucas sequence W of (C_d, D_d).  Congruences, apparition and Pisano periods read
 all they need mod p: C_d, D_d and B_{d-1} from reduce(system, p), the period
-matrix walked mod p, and the values at other indices (congruences and Pisano
-periods only) from the core.residues reader; the suite reads only the indices
-its clauses name.  Only the pseudoprime scan
-refuses B_{d-1} = 0, which makes every tested value 0.  Orders, ranks of
-apparition and Pisano periods are each the least divisor of a known bound with
-some property, found by one search over the bound's prime factors (a factor that
-trial division below 2^20 cannot split is refused).  Every function here that
-takes a prime modulus p refuses one that is not.
+matrix walked mod p, the case and eps = (Delta|p) from classify_case, and the
+values at other indices (congruences and Pisano periods only) from the
+core.residues reader.  The rank of apparition divides L = p - eps, and the Pisano
+period divides d L times at most one multiplicative order.  Each is the least
+divisor of its bound with some property, found by one search over the bound's
+prime factors (a factor that trial division below 2^20 cannot split is refused).
+Only the pseudoprime scan refuses B_{d-1} = 0, which makes every tested value 0.
+Every function here that takes a prime modulus p refuses one that is not.
 """
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     if n >= PSI_12:
-        raise PrimalityUndecided(f"cannot decide whether {text(n)} >= {PSI_12} is prime")
+        raise PrimalityUndecided(f"cannot decide whether {text(n)} >= {text(PSI_12)} is prime")
     return True
 
 
@@ -96,20 +96,20 @@ class CongruenceCase:
         return all(ok for _, ok in self.verified)
 
 
-def classify_case(reduced: ReducedRecurrence, p: int) -> str:
-    c, dd, delta = reduced.Cd % p, reduced.Dd % p, reduced.delta % p
-    if c == 0 and dd == 0:
-        return "p|C,p|D"
-    if c == 0:
-        return "p|C,p~D"
-    if dd == 0:
-        return "p~C,p|D"
-    if delta == 0:
-        return "p|Delta"
-    if p == 2:
-        # C and D both odd; the quadratic-residue split does not apply.
-        return "p=2,odd"
-    return "QR" if jacobi(delta, p) == 1 else "nonQR"
+def classify_case(reduced: ReducedRecurrence, p: int) -> tuple[str, int]:
+    """(case, eps) at a prime p: the case of the prime-divisibility theorems, and
+    eps = (Delta|p), taken as -(C_d mod 2) at p = 2 (where Delta = C_d^2)."""
+    c, dd = reduced.Cd % p, reduced.Dd % p
+    eps = -(reduced.Cd % 2) if p == 2 else jacobi(reduced.delta, p)
+    if c == 0 or dd == 0:
+        tag = ("p|C," if c == 0 else "p~C,") + ("p|D" if dd == 0 else "p~D")
+    elif eps == 0:
+        tag = "p|Delta"
+    elif p == 2:  # C and D both odd; the quadratic-residue split does not apply.
+        tag = "p=2,odd"
+    else:
+        tag = "QR" if eps == 1 else "nonQR"
+    return tag, eps
 
 
 def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> CongruenceCase:
@@ -123,7 +123,7 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     _require_prime(p)
     reduced = reduce(system, p)
     B = residues(system, reduced.Cd, reduced.Dd, p)
-    tag = classify_case(reduced, p)
+    tag = classify_case(reduced, p)[0]
     case = CongruenceCase(p, tag)
     r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
     if min(r_list, default=-1) < -1:
@@ -195,7 +195,7 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     """Least k >= 1 with p | B_{kd-1}, or None if there is none.
 
     Unless p divides D_d but not B_{d-1}, omega is the least divisor of the
-    bound L = p - (Delta|p) that works ((Delta|2) = -(C_d mod 2)), or None,
+    bound L = p - eps that works, eps as classify_case reads it, or None,
     failing the clause, if p does not divide B_{Ld-1}.  Asserts the matching
     clause of the apparition theorem.  When p | C_d the identity
     B_{2d-1} = C_d B_{d-1} forces omega <= 2 whenever it exists; that (rather
@@ -203,9 +203,8 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     """
     _require_prime(p)
     reduced = reduce(system, p)
-    tag = classify_case(reduced, p)
-    C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
-    eps = -(C % 2) if p == 2 else jacobi(delta, p)
+    tag, eps = classify_case(reduced, p)
+    C, D = reduced.Cd, reduced.Dd
     divides = lambda k: reduced.boundary(k, p) == 0
     if D % p == 0 and not divides(1):
         omega = 2 if C % p == 0 else None
@@ -242,7 +241,7 @@ def _prime_factors(n: int) -> set[int]:
             n //= q
         q += 1 if q == 2 else 2
     if n > 1 and not _is_prime(n):
-        raise InputTooLarge(f"cannot factor {n}: it has no prime factor below 2^20")
+        raise InputTooLarge(f"cannot factor {text(n)}: it has no prime factor below 2^20")
     return primes if n == 1 else primes | {n}
 
 
@@ -263,32 +262,26 @@ def _mult_order(x: int, p: int) -> int:
     return _least_divisor(lambda k: pow(x, k, p) == 1, p - 1)
 
 
-def _bound_parts(reduced: ReducedRecurrence, p: int, d: int) -> tuple[int, ...]:
-    """Factors of the Pisano divisor bound of a period-d reduction mod a prime p coprime to 2 D_d."""
-    C, D, delta = reduced.Cd, reduced.Dd, reduced.delta
-    if p == 2 or D % p == 0:
-        raise HypothesisViolated("bound requires odd p coprime to D_d")
-    if delta % p == 0:
-        return p, d, _mult_order(C * pow(2, -1, p), p)
-    if jacobi(delta, p) == 1:
-        return p - 1, d
-    return p + 1, d, _mult_order(-D, p)
-
-
 def pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
-    """(pi, L) modulo a prime p coprime to 2 D_d: the least pi >= 1 with B_{nu+pi} = B_nu
-    (mod p) for all nu >= -1, and the divisor bound L it divides, derived once."""
+    """(pi, bound) modulo a prime p coprime to 2 D_d: the least pi >= 1 with B_{nu+pi} = B_nu
+    (mod p) for all nu >= -1, and the divisor bound it divides, derived once: d times the
+    apparition bound L = p - eps, times ord(C_d/2) if eps = 0 or ord(-D_d) if eps = -1."""
     _require_prime(p)
     reduced = reduce(system, p)
-    B = residues(system, reduced.Cd, reduced.Dd, p)
-    parts = _bound_parts(reduced, p, system.d)
+    C, D = reduced.Cd, reduced.Dd
+    if p == 2 or D % p == 0:
+        raise HypothesisViolated("bound requires odd p coprime to D_d")
+    eps = classify_case(reduced, p)[1]
+    order = () if eps == 1 else (_mult_order(-D if eps else C * pow(2, -1, p), p),)
+    parts = (p - eps, system.d, *order)
+    B = residues(system, C, D, p)
     limit = math.prod(parts)
     # Every shift of B obeys the reduced recurrence from nu = -1, so 2d equal values pin it.
     window = range(-1, 2 * system.d - 1)
     head = [B(nu) for nu in window]
     is_period = lambda k: all(B(k + nu) == b for nu, b in zip(window, head))
     if not is_period(limit):
-        raise InvariantViolated(f"the divisor bound {limit} is not a period of B mod {p}")
+        raise InvariantViolated(f"the divisor bound {text(limit)} is not a period of B mod {text(p)}")
     return _least_divisor(is_period, *parts), limit
 
 

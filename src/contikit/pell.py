@@ -9,6 +9,7 @@ its powers in Z[sqrt(N)], read one at a time from the core's stride.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -32,7 +33,8 @@ class PellSolution:
 
 def expand_sqrt(n: int) -> PeriodicSystem:
     """sqrt(n) = [a0; (a_1, ..., a_d)] with minimal period, as its convergent-denominator
-    system: b0 = a0, b = the period, every partial numerator 1."""
+    system: b0 = a0, b = the period, every partial numerator 1.  A non-int n is a TypeError."""
+    n = operator.index(n)
     if n < 2:
         raise PerfectSquare(f"need N >= 2, got {text(n)}")
     a0 = math.isqrt(n)

@@ -118,7 +118,7 @@ def _sum_terms(terms_iter, ctx: PrecisionContext):
                 return total, count
             if count >= ctx.max_terms:
                 raise PrecisionExhausted(
-                    f"{count} terms did not reach the tolerance 10^-{ctx.digits - 5}")
+                    f"{text(count)} terms did not reach the tolerance 10^-{text(ctx.digits - 5)}")
     raise PrecisionExhausted("term stream exhausted before reaching tolerance")
 
 

@@ -8,12 +8,16 @@ continuants.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import InvalidSystem, text
 
 # JSON integers above this magnitude are serialized as decimal strings.
 _JSON_INT_LIMIT = 2**53
+# The strings int() reads in base 10; Decimal reads them to the same value, at any length.
+_INT_SYNTAX = r"\s*[+-]?\d+(_\d+)*\s*"
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,8 @@ class PeriodicSystem:
         if _integer(self.d, decimal=False) < 1:
             raise InvalidSystem(f"period d must be >= 1, got {text(self.d)}")
         if len(a) != self.d or len(b) != self.d:
-            raise InvalidSystem(f"need {text(self.d)} coefficients, got {len(a)} a's and {len(b)} b's")
+            raise InvalidSystem(f"need {text(self.d)} coefficients, "
+                                f"got {text(len(a))} a's and {text(len(b))} b's")
         if 0 in a:
             raise InvalidSystem("partial numerators a_i must be nonzero")
         if self.strict and (min(a) < 1 or min(b) < 1):
@@ -53,7 +58,7 @@ class PeriodicSystem:
 
     def to_dict(self) -> dict:
         def enc(x: int):
-            return x if abs(x) < _JSON_INT_LIMIT else str(x)
+            return x if abs(x) < _JSON_INT_LIMIT else text(x)
 
         return {
             "d": self.d,
@@ -86,21 +91,19 @@ class PeriodicSystem:
     @classmethod
     def from_json(cls, text: str | bytes) -> "PeriodicSystem":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_int=_integer)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8, -16 or -32
             raise InvalidSystem(f"not a JSON document: {exc}") from None
         return cls.from_dict(obj)
 
 
 def _integer(x, decimal=True) -> int:
-    """An int but not a bool, or if decimal the decimal string that to_dict writes for a large one."""
+    """An int but not a bool, or if decimal the decimal string that to_dict writes for a large one,
+    read past the int-string digit limit."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if decimal and isinstance(x, str):
-        try:
-            return int(x)
-        except ValueError:
-            pass
+    if decimal and isinstance(x, str) and re.fullmatch(_INT_SYNTAX, x):
+        return int(Decimal(x))
     raise InvalidSystem(f"system entries must be integers, got {x!r}")
 
 

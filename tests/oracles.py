@@ -4,9 +4,12 @@ Each one steps the recurrence term by term, the way the package did before
 contikit.core: no matrix powers, no reduction shortcuts.  The exception is
 mat_pow, the square-and-multiply power the core used before its Lucas ladder,
 kept as the oracle that core.power is tested against; b_mod reads B mod p from
-it at indices too large to step.
+it at indices too large to step.  tilings steps nothing: it sums Benjamin, Su and
+Quinn's weighted tilings, a definition of a continuant that shares no recurrence
+with the core.
 """
 from fractions import Fraction
+from itertools import combinations
 
 from contikit import PeriodicSystem
 from contikit.divisibility import CongruenceCase, classify_case
@@ -58,6 +61,24 @@ def continuant_pair(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[int,
         a_prev, a_cur = a_cur, bk * a_cur + ak * a_prev
         b_prev, b_cur = b_cur, bk * b_cur + ak * b_prev
     return a_cur, b_cur
+
+
+def tilings(system: PeriodicSystem, nu: int, lam: int = 0) -> int:
+    """B_{nu,lam} as Benjamin, Su and Quinn count it ("Counting on continued fractions",
+    Math. Mag. 73, 2000): the sum over the tilings of cells lam+1 .. lam+nu by squares and
+    dominoes of the product of b_k for each square and a_k for each domino, k the cell where
+    the tile ends.  The tilings are the compositions of nu into 1s and 2s: the places of the
+    dominoes among the nu - j tiles, for each count j of dominoes.  nu = -1 has none, so 0."""
+    total = 0
+    for j in range(nu // 2 + 1):
+        tiles = nu - j
+        for dominoes in map(set, combinations(range(tiles), j)):
+            weight, cell = 1, lam
+            for t in range(tiles):
+                cell += 2 if t in dominoes else 1
+                weight *= system.coeff_a(cell) if t in dominoes else system.coeff_b(cell)
+            total += weight
+    return total
 
 
 def convergent(system: PeriodicSystem, nu: int, lam: int = 0) -> Fraction:
@@ -201,7 +222,7 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     over Z (B_{d-1} = 0 allowed).  p must be prime and r_range >= -1."""
     d = system.d
     reduced = ReducedRecurrence.of(transfer(system, d))
-    tag = classify_case(reduced, p)
+    tag = classify_case(reduced, p)[0]
     case = CongruenceCase(p, tag)
     r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
     n_hi = max(p + 1, 6)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -200,6 +201,27 @@ def test_system_json_roundtrip_big_ints():
     assert small == S8
 
 
+ONES = (10 ** 5000 - 1) // 9  # 5 000 ones
+
+
+@pytest.mark.parametrize("read", [
+    lambda: PeriodicSystem.from_json(PeriodicSystem(1, (1,), (ONES,)).to_json()),
+    lambda: PeriodicSystem.from_json('{"d": 1, "a": [1], "b": ["%s"]}' % ("1" * 5000)),
+    lambda: PeriodicSystem.from_json('{"d": 1, "a": [1], "b": [%s]}' % ("1" * 5000)),
+])
+def test_system_json_roundtrip_past_the_int_str_digit_limit(read):
+    # str() and int() of an int past 4300 digits raise a bare ValueError under Python's default limit.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        pytest.skip("this Python has no int <-> str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_digits(4300)
+    try:
+        assert read() == PeriodicSystem(1, (1,), (ONES,))
+    finally:
+        set_digits(old)
+
+
 @pytest.mark.parametrize("doc, message", [
     ([1, 2], "a system must be a JSON object, got list"),
     ({"a": [1, 1], "b": [1, 4]}, "system is missing d"),
@@ -212,6 +234,8 @@ def test_system_json_roundtrip_big_ints():
     ({"d": 1, "a": [-1], "b": [1], "strict": "false"}, "system entry strict must be true or false, got 'false'"),
     ({"d": 1, "a": [-1], "b": [1], "strict": "no"}, "system entry strict must be true or false, got 'no'"),
     ({"d": 1, "a": [1], "b": [1], "strict": 0}, "system entry strict must be true or false, got 0"),
+    ({"d": 2, "a": [1, 1], "b": [1, "4.0"]}, "system entries must be integers, got '4.0'"),
+    ({"d": 2, "a": [1, 1], "b": [1, "4e0"]}, "system entries must be integers, got '4e0'"),
 ])
 def test_system_from_dict_rejects_malformed(doc, message):
     with pytest.raises(InvalidSystem) as exc:

@@ -367,6 +367,39 @@ def test_residues_at_large_index(system, nu, m):
     assert reader(system, m)(nu) == oracles.b_mod(system, nu, m)
 
 
+def shifted(system, lam):
+    """The system whose (A_nu, B_nu) are the (A_{nu,lam}, B_{nu,lam}) of `system`: its
+    coefficients from 1 on are those from lam + 1 on, and its b_0 is b_lam."""
+    ks = range(lam + 1, lam + system.d + 1)
+    return PeriodicSystem(system.d, tuple(map(system.coeff_a, ks)), tuple(map(system.coeff_b, ks)),
+                          system.coeff_b(lam), strict=False)
+
+
+@given(systems(max_d=6), st.integers(-1, 12), MODULI_FROM_1)
+@example(PeriodicSystem(2, (1, 1), (0, 3), strict=False), 6, 7)  # b_1 = 0: the determinant swaps rows
+def test_the_three_definitions_of_a_continuant_agree(system, nu, m):
+    # Euler's recurrence (walk, continuant_pair, the residues reader), Muir's tridiagonal
+    # determinant and Benjamin, Su and Quinn's weighted tilings, at every lam < 2d.
+    for lam in range(2 * system.d):
+        a, b = continuant_pair(system, nu, lam)
+        assert b == walk(system, nu, lam)[-1] == oracles.tilings(system, nu, lam)
+        assert a == oracles.tilings(system, nu + 1, lam - 1)  # A_{nu,lam} tiles cells lam .. lam + nu
+        assert reader(shifted(system, lam), m)(nu) == b % m
+        if nu >= 0:
+            assert continuants.continuant_determinant(shifted(system, lam), nu) == (a, b)
+
+
+@given(systems(max_d=6), st.integers(1, 40), st.integers(0, 12))
+def test_a_continuant_equals_the_continuant_of_its_mirror_image(system, nu, lam):
+    # Muir's reversal: K(b_1, ..., b_nu) = K(b_nu, ..., b_1), where a_k, which joins cells k - 1
+    # and k, moves to join their mirror images.  The mirror image is read as one period of length
+    # nu; its a_1 joins cell 0, which no B value reads, so it keeps a_{lam+1}.
+    a = [system.coeff_a(lam + k) for k in range(1, nu + 1)]
+    b = [system.coeff_b(lam + k) for k in range(1, nu + 1)]
+    mirror = PeriodicSystem(nu, (a[0], *reversed(a[1:])), tuple(reversed(b)), strict=False)
+    assert continuant_pair(mirror, nu)[1] == continuant_pair(system, nu, lam)[1]
+
+
 @settings(max_examples=150)
 @given(systems(max_d=12), st.integers(0, 40), st.integers(0, 12),
        st.one_of(st.integers(1, 100), st.integers(1, 10 ** 12)), st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))

@@ -286,6 +286,21 @@ def test_rank_of_apparition_reports_its_search_bound(system, p, tag, bound):
     assert (rep.case_tag, rep.bound) == (tag, bound)
 
 
+@pytest.mark.parametrize("system, p", [(S8, 3), (S8, 5), (S8, 7), (FIB, 5), (FIB, 11)])
+def test_each_entry_point_reads_the_prime_once(monkeypatch, system, p):
+    # classify_case is the one reader of (Delta|p), and the Pisano bound is built on the
+    # apparition bound: d L(p) times at most one multiplicative order.
+    seen = []
+    jacobi = divisibility.jacobi
+    monkeypatch.setattr(divisibility, "jacobi", lambda a, n: seen.append(n) or jacobi(a, n))
+    for entry in (congruence_suite, rank_of_apparition, pisano):
+        seen.clear()
+        entry(system, p)
+        assert seen == [p], entry.__name__
+    bound, apparition = pisano(system, p)[1], rank_of_apparition(system, p).bound
+    assert bound % (system.d * apparition) == 0 and bound // (system.d * apparition) < p
+
+
 def test_rank_of_apparition_random():
     rng = random.Random(89)
     primes = [p for p in range(2, 101) if _is_prime(p)]
