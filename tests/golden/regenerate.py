@@ -29,7 +29,7 @@ def commands() -> list[list[str]]:
     grid = []
     for n in SQRTS + ["9"]:
         grid += [["expand", "--n", n], ["pell", "--n", n, "--count", "3"]]
-    grid += [["pell", "--n", "61", "--count", "2"], ["pell", "--n", "1000003", "--count", "2"]]
+    grid += [["pell", "--n", n, "--count", "2"] for n in ("61", "1000003", "1000009")]  # d = 11, 458, 743
     for system in SYSTEMS:
         grid.append(["reduce", *system])
         grid += [["binet", *system, "--nu", nu] for nu in ("-7", "0", "13", "1000")]
