@@ -8,10 +8,13 @@ Coefficients repeat with period d, so for nu = qd + r, P = P_r M^q for the perio
 matrix M = T_{lam+d} ... T_{lam+1} (trace C_d, negated determinant D_d) and the
 r-step prefix P_r, which one walk of d steps passes on its way to M (`period`).
 
-Three primitives: a forward walk that returns the prefix of B values over Z or mod m,
-a stride that yields a second-order recurrence one value at a time, and a Lucas
+Four primitives: a forward walk that returns the prefix of B values over Z or mod m,
+a stride that yields a second-order recurrence one value at a time, a Lucas
 doubling ladder with three big products per bit (Joye and Quisquater, 1996), over Z
-or Z/m.  By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I for a 2x2 matrix x
+or Z/m, and a fold that takes the product over a palindromic run with every a_i = 1 from
+its first half: it is its own transpose (the reversal law of continuants; Muir, Knuth
+TAOCP 4.5.3), and Perron proves the period of sqrt(N) is such a run up to its last term.
+By Cayley-Hamilton, x^k = W_k x + (W_{k+1} - c W_k) I for a 2x2 matrix x
 with c = tr x, d = -det x and W_0 = 0, W_1 = 1, W_{j+1} = c W_j + d W_{j-1}.
 `steps` multiplies transfer matrices over Z or mod m, so M, and with it C_d and D_d, comes
 from one walk in either ring; `residues`, the one reader of B mod m at any index, walks
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .errors import IndexOutOfRange, text
+from .errors import HypothesisViolated, IndexOutOfRange, text
 from .systems import PeriodicSystem
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -100,6 +103,22 @@ def mul(x: Matrix, y: Matrix) -> Matrix:
     (p, q), (r, s) = x
     (e, f), (g, h) = y
     return (p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h)
+
+
+def fold(system: PeriodicSystem, k: int) -> Matrix:
+    """T_k ... T_1 over Z for 0 <= k <= d, when b_1..b_k reads the same both ways and every
+    a_i on it is 1.  Each T_i is then symmetric and T_i = T_{k+1-i}, so the product is
+    R^T T_{h+1} R (odd k) or R^T R (even k) for R = T_h ... T_1, h = k // 2: ceil(k/2) steps
+    and one product."""
+    if not 0 <= k <= system.d:
+        raise IndexOutOfRange(f"a fold reads a run inside one period, 0 <= k <= d, got k = {text(k)}")
+    run = system.b[:k]
+    if run != run[::-1] or system.a[:k] != (1,) * k:
+        raise HypothesisViolated(f"a fold needs a palindromic run b_1..b_{text(k)} with every a_i = 1")
+    h = k // 2
+    half = steps(system, 0, h, IDENTITY)
+    (p, q), (r, s) = half
+    return mul(((p, r), (q, s)), steps(system, h, k - 2 * h, half))
 
 
 def period(system: PeriodicSystem, nu: int, lam: int = 0) -> tuple[Matrix, Matrix]:

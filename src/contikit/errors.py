@@ -36,7 +36,7 @@ class DegenerateDiscriminant(ContikitError):
 
 
 class PerfectSquare(ContikitError):
-    """sqrt(N) requested for a perfect square N."""
+    """sqrt(N) requested for a perfect square N >= 0; a negative N is a UsageError."""
 
 
 class HypothesisViolated(ContikitError):

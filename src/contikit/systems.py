@@ -29,7 +29,7 @@ class PeriodicSystem:
     strict: bool = True
 
     def __post_init__(self):
-        a, b = tuple(map(_integer, self.a)), tuple(map(_integer, self.b))
+        a, b = _integers(self.a), _integers(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         _integer(self.b0, decimal=False)  # refuses a b0 that is not an int
@@ -95,6 +95,12 @@ class PeriodicSystem:
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8, -16 or -32
             raise InvalidSystem(f"not a JSON document: {exc}") from None
         return cls.from_dict(obj)
+
+
+def _integers(xs) -> tuple[int, ...]:
+    """tuple(map(_integer, xs)), with no call per entry when every entry is exactly an int."""
+    xs = tuple(xs)
+    return xs if set(map(type, xs)) <= {int} else tuple(map(_integer, xs))
 
 
 def _integer(x, decimal=True) -> int:

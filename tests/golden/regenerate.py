@@ -53,6 +53,7 @@ def commands() -> list[list[str]]:
         ["check", "--sqrt", "8"],  # UsageError
         ["pisano", "--sqrt", "8", "--p", "2199258138047"],  # InputTooLarge
         ["series", "--sqrt", "8", "--family", "pi_over_6", "--terms", "10"],  # PrecisionExhausted
+        ["pell", "--n", "-5", "--count", "1"],  # UsageError: a negative N is no perfect square
     ]
     grid += [  # argparse's refusals, each a UsageError through the same handler
         ["reduce", "--sqrt", "8", "--no-such-option"],

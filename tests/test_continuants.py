@@ -192,6 +192,30 @@ def test_system_validation():
     assert (system.a, system.b) == ((1, 2), (3, 4))
 
 
+BIG = type("Big", (int,), {})(7)
+
+
+@pytest.mark.parametrize("b, stored", [
+    ((BIG, 1), (BIG, 1)),  # an int subclass is kept as the object it is
+    (("12", 1), (12, 1)),
+    ((1, "1" * 5000), (1, (10 ** 5000 - 1) // 9)),  # past the int <-> str digit limit
+    (iter((3, 4)), (3, 4)),  # read once: a second read would find it empty
+    ((1, True), "system entries must be integers, got True"),
+    ((1.5, 1), "system entries must be integers, got 1.5"),
+])
+def test_system_entries_keep_the_reading_of_each_entry(b, stored):
+    # A period of exact ints is stored as given; any other entry is read as _integer reads it.
+    if isinstance(stored, str):
+        with pytest.raises(InvalidSystem) as exc:
+            PeriodicSystem(d=2, a=(1, 1), b=b)
+        assert str(exc.value) == stored
+        return
+    system = PeriodicSystem(d=2, a=(1, 1), b=b)
+    assert system.b == stored and list(map(type, system.b)) == list(map(type, stored))
+    if stored[0] is BIG:
+        assert system.b[0] is BIG
+
+
 def test_system_json_roundtrip_big_ints():
     big = 2 ** 80 + 7
     system = PeriodicSystem(d=2, a=(big, 1), b=(1, big), b0=big, strict=True)

@@ -20,6 +20,8 @@ from contikit import (
     IDENTITIES,
     ContikitError,
     DivisionByZero,
+    FIB,
+    HypothesisViolated,
     IndexOutOfRange,
     S8,
     PeriodicSystem,
@@ -272,9 +274,10 @@ def test_boundary_reads_take_one_period_product(monkeypatch):
         assert sum(taken) <= budget, (name, sum(taken))
         # M mod p in d steps, then for the reader B_{-1} .. B_{2d-2} mod p.
         assert sum(modular) == modular_budget.get(name, 0), name
-    taken.clear()
-    pell_solutions(1000003, 2)
-    assert sum(taken) == d - 1  # the even-period solution ends the first period
+    for n, period_d in ((1000003, d), (1000009, odd.d)):
+        taken.clear()
+        pell_solutions(n, 2)
+        assert sum(taken) == (period_d + 1) // 2, n  # the palindromic period folds from its first half
 
 
 # A period long enough that reads inside it take many steps.
@@ -398,6 +401,45 @@ def test_a_continuant_equals_the_continuant_of_its_mirror_image(system, nu, lam)
     b = [system.coeff_b(lam + k) for k in range(1, nu + 1)]
     mirror = PeriodicSystem(nu, (a[0], *reversed(a[1:])), tuple(reversed(b)), strict=False)
     assert continuant_pair(mirror, nu)[1] == continuant_pair(system, nu, lam)[1]
+
+
+@st.composite
+def palindromic_runs(draw):
+    """(system, k): b_1..b_k reads the same both ways with every a_i = 1 on it, b_i in 1..20 and
+    k in 0..80, of either parity; the period may run on past the run with any coefficients."""
+    k = draw(st.integers(0, 80))
+    coeff = st.integers(1, 20)
+    half = draw(st.lists(coeff, min_size=k // 2, max_size=k // 2))
+    run = half + draw(st.lists(coeff, min_size=k % 2, max_size=k % 2)) + half[::-1]
+    tail = draw(st.lists(st.tuples(st.integers(1, 9), coeff), min_size=0 if k else 1, max_size=3))
+    a, b = (1,) * k + tuple(ai for ai, _ in tail), tuple(run) + tuple(bi for _, bi in tail)
+    return PeriodicSystem(len(b), a, b, b0=draw(coeff)), k
+
+
+@settings(max_examples=200)
+@given(palindromic_runs())
+@example((FIB, 0))  # the empty run: the identity
+@example((FIB, 1))
+@example((expand_sqrt(13), 3))
+@example((expand_sqrt(13), 4))  # (1, 1, 1, 1): the period of sqrt(13) before its 2 a_0 = 6
+@example((expand_sqrt(61), 10))  # an odd centre: d = 11
+def test_fold_matches_the_stepwise_product(case):
+    # The centre T_{h+1} of an odd run is a step of its own; R^T R alone would miss it.
+    system, k = case
+    assert core.fold(system, k) == oracles.transfer(system, k)
+
+
+@pytest.mark.parametrize("system, k, error", [
+    (expand_sqrt(13), 5, HypothesisViolated),  # 1, 1, 1, 1, 6 is no palindrome
+    (PeriodicSystem(3, (1, 1, 1), (1, 2, 3)), 2, HypothesisViolated),
+    (PeriodicSystem(3, (1, 2, 1), (4, 4, 4)), 3, HypothesisViolated),  # a_2 = 2
+    (PeriodicSystem(3, (2, 1, 1), (4, 4, 4)), 1, HypothesisViolated),  # a_1 = 2
+    (FIB, 2, IndexOutOfRange),  # past one period
+    (FIB, -1, IndexOutOfRange),
+])
+def test_fold_refuses_a_run_outside_its_hypothesis(system, k, error):
+    with pytest.raises(error):
+        core.fold(system, k)
 
 
 @settings(max_examples=150)

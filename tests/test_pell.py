@@ -10,6 +10,7 @@ from contikit import (
     pell_solutions,
 )
 from contikit.suite import brute_force_pell
+import oracles
 
 
 def test_expand_sqrt8():
@@ -29,6 +30,12 @@ def test_expand_rejects_squares():
     for n in (0, 1, 4, 9, 49, 10000):
         with pytest.raises(PerfectSquare):
             expand_sqrt(n)
+
+
+def test_a_negative_n_is_a_usage_error_not_a_perfect_square():
+    for call in (lambda: expand_sqrt(-5), lambda: pell_solutions(-5, 1)):
+        with pytest.raises(UsageError, match=r"^need N >= 2, got -5$"):
+            call()
 
 
 @pytest.mark.parametrize("count", [0, 1.5, True])
@@ -61,6 +68,17 @@ def test_fundamental_examples():
     assert (pell_fundamental(13).x, pell_fundamental(13).y) == (649, 180)
     assert (pell_fundamental(8).x, pell_fundamental(8).y) == (3, 1)
     assert (pell_fundamental(2).x, pell_fundamental(2).y) == (3, 2)
+
+
+def test_fundamental_is_the_continuant_pair_at_the_end_of_the_period():
+    # The folded period against the stepwise oracle, at every N <= 5 000: both parities of d.
+    for n in range(2, 5001):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        system = expand_sqrt(n)
+        d = system.d
+        sol = pell_fundamental(n)
+        assert (sol.x, sol.y) == oracles.continuant_pair(system, d - 1 if d % 2 == 0 else 2 * d - 1), n
 
 
 def test_fundamental_vs_brute_force():
