@@ -187,7 +187,6 @@ class ApparitionReport:
     case_tag: str
     omega: int | None
     bound: int  # L = p - (Delta|p), whose divisors the search runs over
-    clause: str
     clause_holds: bool
 
 
@@ -211,24 +210,17 @@ def rank_of_apparition(system: PeriodicSystem, p: int) -> ApparitionReport:
     else:
         omega = _least_divisor(divides, p - eps) if divides(p - eps) else None
 
-    if tag == "p|C,p|D":
-        clause = "omega(p) <= 2 (printed: = 1)"
-        holds = omega in (1, 2)
-    elif tag == "p|C,p~D":
-        clause = "omega(p) in {1, 2}"
+    if tag in ("p|C,p|D", "p|C,p~D"):
         holds = omega in (1, 2)
     elif tag == "p~C,p|D":
         # B_(kd-1) = C^(k-1) B_(d-1) mod p here, so omega is 1 or absent;
         # the theorem's divisor claim is asserted only when omega exists.
-        clause = "omega(p) | p - 1 (when it exists)"
         holds = omega is None or (p - 1) % omega == 0
     elif tag == "p|Delta":
-        clause = "omega(p) in {1, p}"
         holds = omega in (1, p)
     else:
-        clause = f"omega(p) | p - ({eps})"
         holds = omega is not None and (p - eps) % omega == 0
-    return ApparitionReport(p, tag, omega, p - eps, clause, holds)
+    return ApparitionReport(p, tag, omega, p - eps, holds)
 
 
 def _prime_factors(n: int) -> set[int]:

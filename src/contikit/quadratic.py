@@ -84,9 +84,6 @@ class QuadraticNumber:
     def norm(self) -> Fraction:
         return self.p * self.p - self.q * self.q * self.delta
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def mpf(self, dps: int = 50) -> mpmath.mpf:
         """Numeric value at dps decimal digits (requires delta >= 0), to relative error 10^-dps."""
         with mpmath.workdps(dps + 10):

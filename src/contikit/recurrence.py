@@ -87,15 +87,12 @@ def binet_negative(system: PeriodicSystem, n: int, r: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GFReport:
-    numerator: tuple[int, ...]   # coefficients of the expected numerator polynomial
-    product: tuple[int, ...]     # (1 - C x^d - D x^{2d}) * partial series, x^0 .. x^N
-    degree_checked: int
+    numerator: tuple[int, ...]  # (1 - C x^d - D x^{2d}) * sum_{n<=N} B_n x^n at x^0 .. x^{2d-1}
+    higher: tuple[int, ...]     # the same product at x^{2d} .. x^N, all 0 when the identity holds
 
     @property
     def equal(self) -> bool:
-        n = self.degree_checked + 1
-        pad = lambda t: tuple(t[:n]) + (0,) * (n - len(t))
-        return pad(self.numerator) == pad(self.product)
+        return not any(self.higher)
 
 
 def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
@@ -112,7 +109,7 @@ def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
             prod[i + d] -= reduced.Cd * bn
         if i + 2 * d <= n_terms:
             prod[i + 2 * d] -= reduced.Dd * bn
-    return GFReport(tuple(prod[: 2 * d]), tuple(prod), n_terms)
+    return GFReport(tuple(prod[: 2 * d]), tuple(prod[2 * d:]))
 
 
 def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:

@@ -5,8 +5,8 @@ rational (the reciprocal/telescoping families) and in guarded high-precision
 arithmetic for the arctan/artanh and zeta-style families.  Each sum reads only
 the terms it names, one at a time from a stride of the integer core.  Every
 family hands its terms and closed form to `_report`, which sums them by one
-rule, `_sum_terms` (stop at the first term below tolerance/4, or raise
-PrecisionExhausted once max_terms terms have not reached it), evaluates an
+rule (stop at the first term below tolerance/4, or raise PrecisionExhausted
+once max_terms terms, or the whole stream, have not reached it), evaluates an
 exact quadratic-field closed form and judges; only that comparison is
 approximate, and `converged` means exactly |partial - closed| <= tolerance =
 10^-(digits-5).
@@ -82,10 +82,21 @@ ZETA_KINDS = tuple(_ZETA)
 def _report(family: str, terms, closed, symbol: str, ctx: PrecisionContext,
             extras: dict | None = None) -> SeriesReport:
     """Sum terms and judge them against closed: an mpf, or a QuadraticNumber shown as `symbol = closed`."""
-    partial, count = _sum_terms(terms, ctx)
-    if isinstance(closed, QuadraticNumber):
-        symbol, closed = f"{symbol} = {closed}", closed.mpf(ctx.digits + 10)
+    partial = count = 0
     with mpmath.workdps(ctx.digits + 10):
+        tol = ctx.tolerance / 4
+        for term in terms:
+            partial += term
+            count += 1
+            if abs(_to_mpf(term)) < tol:
+                break
+            if count >= ctx.max_terms:
+                raise PrecisionExhausted(
+                    f"{text(count)} terms did not reach the tolerance 10^-{text(ctx.digits - 5)}")
+        else:
+            raise PrecisionExhausted("term stream exhausted before reaching tolerance")
+        if isinstance(closed, QuadraticNumber):
+            symbol, closed = f"{symbol} = {closed}", closed.mpf(ctx.digits + 10)
         value = _to_mpf(partial)
         err = abs(value - closed)
         return SeriesReport(
@@ -103,23 +114,6 @@ def _report(family: str, terms, closed, symbol: str, ctx: PrecisionContext,
 
 def _to_mpf(x) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
-
-
-def _sum_terms(terms_iter, ctx: PrecisionContext):
-    """Sum Fraction terms exactly, or mpf terms, until one drops below tolerance."""
-    total = 0
-    count = 0
-    with mpmath.workdps(ctx.digits + 10):
-        tol = ctx.tolerance / 4
-        for term in terms_iter:
-            total += term
-            count += 1
-            if abs(_to_mpf(term)) < tol:
-                return total, count
-            if count >= ctx.max_terms:
-                raise PrecisionExhausted(
-                    f"{text(count)} terms did not reach the tolerance 10^-{text(ctx.digits - 5)}")
-    raise PrecisionExhausted("term stream exhausted before reaching tolerance")
 
 
 def _admissible(system: PeriodicSystem, family: str, why: str):

@@ -65,8 +65,8 @@ def test_roots_symmetric_functions():
         alpha, beta = roots(red)
         s = alpha + beta
         p = alpha * beta
-        assert s.is_rational() and s.p == Fraction(-red.Cd, red.Dd)
-        assert p.is_rational() and p.p == Fraction(-1, red.Dd)
+        assert s.q == 0 and s.p == Fraction(-red.Cd, red.Dd)
+        assert p.q == 0 and p.p == Fraction(-1, red.Dd)
 
 
 def test_binet_matches_recurrence():
@@ -150,8 +150,8 @@ def test_gf_verify_judges_every_coefficient(monkeypatch):
         assert not gf_verify(S8, 12).equal, nu
     monkeypatch.undo()
     rep = gf_verify(S8, 12)
-    assert rep.equal and rep.degree_checked == 12
-    assert rep.product == rep.numerator + (0,) * 9
+    assert rep.equal and len(rep.numerator + rep.higher) == 13
+    assert rep.higher == (0,) * 9
 
 
 def test_gf_verify_random():
