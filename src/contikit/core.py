@@ -22,6 +22,7 @@ the first two periods mod m and reads the rest on the ladder of (C_d, D_d) mod m
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterator
 
 from .errors import HypothesisViolated, IndexOutOfRange, text
@@ -37,7 +38,7 @@ def walk(system: PeriodicSystem, nu_max: int, lam: int = 0, m: int | None = None
     if nu_max < -1:
         raise IndexOutOfRange(f"nu_max must be >= -1, got {text(nu_max)}")
     a, b, d = system.a, system.b, system.d
-    seq = [0, 1 if m is None else 1 % m]
+    seq = [0, 1 if m is None else 1 % operator.index(m)]
     prev, cur = seq
     for i in range(lam, lam + nu_max):
         k = i % d
@@ -60,6 +61,7 @@ def lucas(c: int, d: int, k: int, m: int | None = None) -> tuple[int, int]:
     if k < 0:
         raise IndexOutOfRange(f"the Lucas ladder reads W_k for k >= 0, got {text(k)}")
     if m is not None:
+        m = operator.index(m)
         c, d = c % m, d % m
     w, w1 = 0, 1
     for bit in bin(k)[2:]:
@@ -88,6 +90,7 @@ def steps(system: PeriodicSystem, lam: int, count: int, start: Matrix, m: int | 
     a, b, d = system.a, system.b, system.d
     (p, q), (r, s) = start
     if m is not None:
+        m = operator.index(m)
         p, q, r, s = p % m, q % m, r % m, s % m
     for i in range(lam, lam + count):
         k = i % d

@@ -17,6 +17,7 @@ Every function here that takes a prime modulus p refuses one that is not.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .systems import PeriodicSystem
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a | n) for odd n >= 1, by the standard binary algorithm."""
+    a, n = operator.index(a), operator.index(n)
     if n <= 0 or n % 2 == 0:
         raise UsageError(f"Jacobi symbol needs odd n >= 1, got {text(n)}")
     a %= n
@@ -121,13 +123,13 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
     """
     d = system.d
     _require_prime(p)
+    r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
+    if min(r_list, default=-1) < -1:
+        raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {text(min(r_list))}")
     reduced = reduce(system, p)
     B = residues(system, reduced.Cd, reduced.Dd, p)
     tag = classify_case(reduced, p)[0]
     case = CongruenceCase(p, tag)
-    r_list = list(range(-1, 2 * d + 1) if r_range is None else r_range)
-    if min(r_list, default=-1) < -1:
-        raise IndexOutOfRange(f"congruence_suite needs r >= -1, got {text(min(r_list))}")
     C, D, delta = reduced.Cd, reduced.Dd, reduced.delta % p
 
     def check(label: str, lhs: int, rhs: int):
@@ -259,9 +261,11 @@ def pisano(system: PeriodicSystem, p: int) -> tuple[int, int]:
     (mod p) for all nu >= -1, and the divisor bound it divides, derived once: d times the
     apparition bound L = p - eps, times ord(C_d/2) if eps = 0 or ord(-D_d) if eps = -1."""
     _require_prime(p)
+    if p == 2:  # read before the walk that gives D_d
+        raise HypothesisViolated("bound requires odd p coprime to D_d")
     reduced = reduce(system, p)
     C, D = reduced.Cd, reduced.Dd
-    if p == 2 or D % p == 0:
+    if D % p == 0:
         raise HypothesisViolated("bound requires odd p coprime to D_d")
     eps = classify_case(reduced, p)[1]
     order = () if eps == 1 else (_mult_order(-D if eps else C * pow(2, -1, p), p),)

@@ -6,6 +6,7 @@ expressions exactly.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ class QuadraticNumber:
     def __post_init__(self):
         object.__setattr__(self, "p", _as_fraction(self.p))
         object.__setattr__(self, "q", _as_fraction(self.q))
-        object.__setattr__(self, "delta", int(self.delta))
+        object.__setattr__(self, "delta", operator.index(self.delta))
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -12,6 +12,7 @@ A reader refuses B_{d-1} = 0 (DivisionByZero) where its answer divides by it, or
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ class ReducedRecurrence:
     def boundary(self, k: int, m: int | None = None) -> int:
         """B_{kd-1} (mod m) for k >= 0: W_k B_{d-1} on the Lucas ladder of (C_d, D_d), or 0 at once."""
         b = self.Bd1 and lucas(self.Cd, self.Dd, k, m)[0] * self.Bd1
-        return b if m is None else b % m
+        return b if m is None else b % operator.index(m)  # also where B_{d-1} = 0 skips the ladder
 
 
 def reduce(system: PeriodicSystem, m: int | None = None) -> ReducedRecurrence:
@@ -114,6 +115,12 @@ def gf_verify(system: PeriodicSystem, n_terms: int) -> GFReport:
 
 def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     """Exact limit of B_{nd+r}/B_{nd+r-1} or B_{(n+1)d+r}/B_{nd+r}, from B_{nd+r} = u lam^n + v mu^n."""
+    if mode not in ("consecutive_terms", "consecutive_periods"):
+        raise UsageError(f"unknown mode {mode!r}")
+    if mode == "consecutive_terms" and r < 0:
+        raise IndexOutOfRange("consecutive_terms requires r >= 0")
+    if r < -1:
+        raise IndexOutOfRange("consecutive_periods requires r >= -1")
     x, m = period(system, r % system.d)  # first column (B_r, B_{r-1}) up to whole periods
     reduced = ReducedRecurrence.of(m)
     if reduced.Bd1 == 0:
@@ -128,14 +135,8 @@ def limit_ratio(system: PeriodicSystem, mode: str, r: int) -> QuadraticNumber:
     y = mul(x, m)  # first column (B_{d+r}, B_{d+r-1})
     u = lambda i: y[i][0] - (reduced.Cd - lam) * x[i][0]  # u of B_{nd+r-i} times (lam - mu)
     if mode == "consecutive_terms":
-        if r < 0:
-            raise IndexOutOfRange("consecutive_terms requires r >= 0")
         if not u(1).norm():
             raise DivisionByZero(f"at r = {text(r)}, B_{{nd+r-1}} has no part in the larger root, "
                                  "so B_{nd+r}/B_{nd+r-1} grows without bound")
         return u(0) / u(1)
-    if mode == "consecutive_periods":
-        if r < -1:
-            raise IndexOutOfRange("consecutive_periods requires r >= -1")
-        return lam if u(0).norm() else reduced.Cd - lam  # mu where B_{nd+r} has no lam part
-    raise UsageError(f"unknown mode {mode!r}")
+    return lam if u(0).norm() else reduced.Cd - lam  # mu where B_{nd+r} has no lam part

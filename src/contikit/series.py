@@ -14,6 +14,7 @@ approximate, and `converged` means exactly |partial - closed| <= tolerance =
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, pairwise
@@ -35,9 +36,9 @@ class PrecisionContext:
     max_terms: int = 60
 
     def __post_init__(self):
-        if self.digits < 20:
+        if operator.index(self.digits) < 20:
             raise UsageError("need at least 20 working digits")
-        if self.max_terms < 1:
+        if operator.index(self.max_terms) < 1:
             raise UsageError("max_terms must be positive")
 
     @property
@@ -117,10 +118,12 @@ def _to_mpf(x) -> mpmath.mpf:
 
 
 def _admissible(system: PeriodicSystem, family: str, why: str):
-    """The reduction and roots (alpha, beta) of system; refuses a system that is not a PeriodicSystem,
-    B_{d-1} = 0 (saying why) and Delta <= 0."""
+    """The reduction and roots (alpha, beta) of system; refuses a system that is not a PeriodicSystem
+    (or, for millin, has d != 2) before the reduction, then B_{d-1} = 0 (saying why) and Delta <= 0."""
     if not isinstance(system, PeriodicSystem):
         raise HypothesisViolated(f"{family} expects a PeriodicSystem")
+    if family == "millin" and system.d != 2:
+        raise HypothesisViolated("millin analogue requires d = 2")
     reduced = reduce(system)
     if reduced.Bd1 == 0:
         raise DivisionByZero(why)
@@ -149,8 +152,6 @@ def telescoping_sum(system_or_n, family: str, ctx: PrecisionContext | None = Non
                                          "B_{d-1} = 0, so every B_{kd-1} the terms divide by is 0")
 
     if family == "millin":
-        if system.d != 2:
-            raise HypothesisViolated("millin analogue requires d = 2")
         a1a2 = system.a[0] * system.a[1]
         # The B index doubles per term, so the stream ends after 14 terms whatever max_terms is.
         terms = (Fraction(a1a2) ** (2 ** (n - 1)) / reduced.boundary(2 ** n)  # B_{2^(n+1)-1}
@@ -209,6 +210,12 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
     ctx = ctx or PrecisionContext()
     if kind not in ZETA_KINDS:
         raise UsageError(f"unknown kind {kind!r}")
+    if compare_zeta is not None:  # parsed first: a bad value is a UsageError at any cap, on any system
+        with mpmath.workdps(ctx.digits + 10):
+            try:
+                cz = mpmath.mpf(compare_zeta)
+            except ValueError:
+                raise UsageError(f"compare_zeta must be a number, got {compare_zeta!r}") from None
     reduced, (alpha, _) = _admissible(system, f"zeta_{kind}",
                                       "B_{d-1} = 0 makes every term and the target 0 (0 = 0)")
     b1, (c, num, den, form) = reduced.Bd1, _ZETA[kind]
@@ -236,11 +243,6 @@ def zeta_series(system: PeriodicSystem, kind: str, ctx: PrecisionContext | None 
                 term = mpmath.mpf(b) / (2 * k + 1) * z ** (2 * k + 1)
                 yield term if c < 0 and k % 2 else -term  # arctan: (-1)^(k+1); artanh: -1
 
-        if compare_zeta is not None:  # parsed first: a bad value is a UsageError at any cap
-            try:
-                cz = mpmath.mpf(compare_zeta)
-            except ValueError:
-                raise UsageError(f"compare_zeta must be a number, got {compare_zeta!r}") from None
         rep = _report(f"zeta_{kind}", terms(zeta), target, symbolic, ctx,
                       extras={"zeta": mpmath.nstr(zeta, ctx.digits)})
         if compare_zeta is not None:
@@ -276,6 +278,8 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         raise UsageError("r must be >= -1")
     if kind == "geometric" and x is None:
         raise UsageError("the geometric sum needs x")
+    if kind not in ("geometric", "binomial"):
+        raise UsageError(f"unknown kind {kind!r}")
     head, m = period(system, r + 1)  # T_{r+1} ... T_1, corner B_r
     reduced = ReducedRecurrence.of(m)
     C, D = reduced.Cd, reduced.Dd
@@ -293,10 +297,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
             - xf * (Fraction(B[1], D) + xf * B[0])
         return ExactSumReport(kind, Fraction(lhs), numer / denom)
 
-    if kind == "binomial":  # alpha + beta = -C/D; b = B_{nd-1}
-        lhs = sum(math.comb(big_n, n) * (-1) ** n * Fraction(-C, D) ** n * b
-                  for n, b in zip(range(1, big_n + 1), islice(stride(C, D, 0, reduced.Bd1), 1, None)))
-        rhs = Fraction(reduced.boundary(2 * big_n), D ** big_n)
-        return ExactSumReport(kind, Fraction(lhs), rhs)
-
-    raise UsageError(f"unknown kind {kind!r}")
+    # binomial: alpha + beta = -C/D; b = B_{nd-1}
+    lhs = sum(math.comb(big_n, n) * (-1) ** n * Fraction(-C, D) ** n * b
+              for n, b in zip(range(1, big_n + 1), islice(stride(C, D, 0, reduced.Bd1), 1, None)))
+    return ExactSumReport(kind, Fraction(lhs), Fraction(reduced.boundary(2 * big_n), D ** big_n))

@@ -277,8 +277,9 @@ def test_reduce_accepts_zero_bd_and_only_readers_dividing_by_it_refuse():
         refusals = [lambda f=f: telescoping_sum(system, f) for f in ("millin", "period_reciprocal", "arctan", "artanh")]
         refusals += [lambda k=k: zeta_series(system, k) for k in ZETA_KINDS]
         # B_{2n} = 1 makes the period ratio 1, not the root 2, and B_{2n-1} = 0 makes it 0/0.
-        refusals += [lambda r=r, mode=mode: limit_ratio(system, mode, r)
-                     for r in (-1, 0) for mode in ("consecutive_periods", "consecutive_terms")]
+        # consecutive_terms at r = -1 is refused as an IndexOutOfRange before the walk.
+        refusals += [lambda r=r, mode=mode: limit_ratio(system, mode, r) for r, mode in
+                     ((-1, "consecutive_periods"), (0, "consecutive_periods"), (0, "consecutive_terms"))]
         refusals += [lambda: weighted_sum_exact(system, "binomial", big_n=3),
                      lambda: weighted_sum_exact(system, "geometric", x=Fraction(1, 7), big_n=3, r=-1)]
         refusals += [lambda: next(pseudoprime_scan(system, []), None), lambda: lucas_pseudoprime_test(system, 7)]

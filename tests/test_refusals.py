@@ -19,22 +19,27 @@ from contikit import (
     continuant_pair,
     convergent,
     expand_sqrt,
+    jacobi,
     law_of_repetition_check,
     limit_ratio,
     lucas_pseudoprime_test,
     pell_fundamental,
     pell_solutions,
+    reduce,
     roots,
     telescoping_sum,
     verify_identity,
     weighted_sum_exact,
     zeta_series,
 )
+from contikit import core, recurrence, series
 from contikit.divisibility import pseudoprime_scan
 from contikit.recurrence import ReducedRecurrence
 from contikit.series import PrecisionContext
 
 ZERO_C = PeriodicSystem(1, (3,), (0,), strict=False)  # C_d = 0, D_d = 3: W_k = 0 at every even k
+ZERO_CORNER = PeriodicSystem(2, (1, 1), (0, 1), strict=False)  # B_{d-1} = b_1 = 0
+FLOAT = "'float' object cannot be interpreted as an integer"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -68,11 +73,43 @@ ZERO_C = PeriodicSystem(1, (3,), (0,), strict=False)  # C_d = 0, D_d = 3: W_k = 
     (lambda: QuadraticNumber(1.5, 0, 2), TypeError, "expected int or Fraction, got float"),
     (lambda: QuadraticNumber(1, 0, 4) / QuadraticNumber(2, 1, 4), DivisionByZero,
      "division by a zero-norm quadratic number"),  # 2 + sqrt(4) has norm 4 - 4 = 0
+    # A non-int where an int is expected is Python's TypeError, read where the value enters.
+    (lambda: jacobi(2, 7.5), TypeError, FLOAT),
+    (lambda: jacobi(2.5, 7), TypeError, FLOAT),
+    (lambda: jacobi(3, 7.0), TypeError, FLOAT),
+    (lambda: jacobi(10 ** 400, 7.0), TypeError, FLOAT),
+    (lambda: QuadraticNumber(1, 1, 2.5), TypeError, FLOAT),
+    (lambda: QuadraticNumber(1, 1, "8"), TypeError, "'str' object cannot be interpreted as an integer"),
+    (lambda: reduce(S8, 7.0), TypeError, FLOAT),
+    (lambda: core.walk(S8, 3, 0, 7.0), TypeError, FLOAT),
+    (lambda: core.lucas(6, -1, 3, 7.0), TypeError, FLOAT),
+    (lambda: ReducedRecurrence(6, -1, 0).boundary(3, 7.0), TypeError, FLOAT),  # B_{d-1} = 0: no ladder
+    (lambda: PrecisionContext(50, 60.5), TypeError, FLOAT),
+    (lambda: PrecisionContext(50.5, 60), TypeError, FLOAT),
+    # A check that reads only the arguments comes before the walk, whose B_{d-1} = 0 it would refuse.
+    (lambda: weighted_sum_exact(ZERO_CORNER, "bogus"), UsageError, "unknown kind 'bogus'"),
+    (lambda: limit_ratio(ZERO_CORNER, "bogus", 0), UsageError, "unknown mode 'bogus'"),
+    # Its own id, so that the S8 row with the same message keeps its name.
+    pytest.param(lambda: limit_ratio(ZERO_CORNER, "consecutive_terms", -1), IndexOutOfRange,
+                 "consecutive_terms requires r >= 0", id="zero-corner-consecutive_terms-r-1"),
+    (lambda: zeta_series(ZERO_CORNER, "ln2", compare_zeta="abc"), UsageError,
+     "compare_zeta must be a number, got 'abc'"),
 ])
 def test_each_refusal_raises_its_type_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_millin_refuses_a_period_other_than_2_before_the_reduction(monkeypatch):
+    reduced = []
+    counted = lambda *args: reduced.append(args) or recurrence.reduce(*args)
+    monkeypatch.setattr(series, "reduce", counted)
+    system = expand_sqrt(1000003)
+    with pytest.raises(HypothesisViolated, match="^millin analogue requires d = 2$"):
+        telescoping_sum(system, "millin")
+    assert reduced == []
+    assert telescoping_sum(S8, "millin").converged and reduced == [(S8,)]  # the count sees a reduction
 
 
 def test_a_pure_surd_prints_without_a_rational_part():
