@@ -1,18 +1,18 @@
 """Divisibility, prime congruences, Pisano periods, rank of apparition,
 law of repetition and the Lucas-style pseudoprime test.
 
-Sequence values come from the integer core (contikit.core).  Reads at period
-boundaries go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1} for the
-Lucas sequence W of (C_d, D_d).  Congruences, apparition and Pisano periods read
-all they need mod p: C_d, D_d and B_{d-1} from reduce(system, p), the period
-matrix walked mod p, the case and eps = (Delta|p) from classify_case, and the
-values at other indices (congruences and Pisano periods only) from the
-core.residues reader.  The rank of apparition divides L = p - eps, and the Pisano
-period divides d L times at most one multiplicative order.  Each is the least
-divisor of its bound with some property, found by one search over the bound's
-prime factors (a factor that trial division below 2^20 cannot split is refused).
-Only the pseudoprime scan refuses B_{d-1} = 0, which makes every tested value 0.
-Every function here that takes a prime modulus p refuses one that is not.
+Sequence values come from the integer core (contikit.core).  Reads at period boundaries
+go through ReducedRecurrence.boundary, B_{kd-1} = W_k B_{d-1} for the Lucas sequence W of
+(C_d, D_d).  Congruences, apparition and Pisano periods read all they need mod p: C_d,
+D_d and B_{d-1} from reduce(system, p), the period matrix walked mod p, the case and
+eps = (Delta|p) from classify_case, and the values at other indices (congruences and
+Pisano periods only) from the core.residues reader.  The rank of apparition divides
+L = p - eps, and the Pisano period divides d L times at most one multiplicative order.
+Each is the least divisor of its bound with some property, found by one search over the
+bound's prime factors (a factor that trial division below 2^20 cannot split is refused).
+The pseudoprime scan reduces over Z once and reads each verdict from n and three
+residues, C_d, D_d and B_{d-1} mod n; only it refuses B_{d-1} = 0, which makes every
+tested value 0.  Every function here that takes a prime modulus p refuses one that is not.
 """
 from __future__ import annotations
 
@@ -297,22 +297,21 @@ class PseudoprimeVerdict:
 def pseudoprime_scan(system: PeriodicSystem, candidates: Iterable[int]) -> Iterator[PseudoprimeVerdict]:
     """Lazily, the Lucas-style test B_{(n - eps(n))d - 1} mod n of each candidate n,
     eps(n) = (Delta | n), applicable to odd n >= 3 coprime to C_d D_d Delta; a nonzero
-    residue proves n composite.  It reads only C_d, D_d and B_{d-1}, so the system is
-    reduced once, before the first verdict."""
+    residue proves n composite.  The system is reduced over Z once, before the first
+    verdict; each verdict is read from n and the three residues C_d, D_d, B_{d-1} mod n."""
     reduced = reduce(system)
     if reduced.Bd1 == 0:
         raise DivisionByZero("B_{d-1} = 0 makes every B_{kd-1} 0, so no candidate could fail")
-    delta = reduced.delta
-    excluded = reduced.Cd * reduced.Dd * delta
-    for n in candidates:
+    for n in map(operator.index, candidates):
         if n < 3:
             raise UsageError("n must be >= 3")
-        if n % 2 == 0 or math.gcd(n, excluded) > 1:
+        mod = ReducedRecurrence(reduced.Cd % n, reduced.Dd % n, reduced.Bd1 % n)
+        if n % 2 == 0 or math.gcd(n, mod.Cd * mod.Dd * mod.delta) > 1:
             yield PseudoprimeVerdict(n, 0, 0, "inapplicable")
             continue
-        eps = jacobi(delta, n)
+        eps = jacobi(mod.delta, n)
         k = n - eps
-        verdict = "probable_prime" if reduced.boundary(k, n) == 0 else "composite_proven"
+        verdict = "probable_prime" if mod.boundary(k, n) == 0 else "composite_proven"
         yield PseudoprimeVerdict(n, eps, k * system.d - 1, verdict)
 
 

@@ -25,7 +25,7 @@ from .core import mul, period, stride
 from .errors import (DivisionByZero, HypothesisViolated, NoAdmissibleRoot, PoleAtRoot,
                      PrecisionExhausted, UsageError, text)
 from .pell import _solutions, expand_sqrt
-from .quadratic import QuadraticNumber
+from .quadratic import QuadraticNumber, _as_fraction
 from .recurrence import ReducedRecurrence, reduce, roots
 from .systems import PeriodicSystem
 
@@ -270,7 +270,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
     geometric: sum_{n=1..N} x^n B_{nd+r} against the closed form with
     denominator (x - alpha)(x - beta) = x^2 + (C/D) x - 1/D.
     binomial: sum_{n=1..N} C(N,n) (-1)^n (alpha+beta)^n B_{nd-1} = B_{2Nd-1}/D^N.
-    Either kind refuses r < -1.
+    Either kind refuses r < -1; x is an int or a Fraction, read before the walk.
     """
     if big_n < 1:
         raise UsageError("N must be >= 1")
@@ -280,6 +280,7 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         raise UsageError("the geometric sum needs x")
     if kind not in ("geometric", "binomial"):
         raise UsageError(f"unknown kind {kind!r}")
+    xf = _as_fraction(x) if kind == "geometric" else None
     head, m = period(system, r + 1)  # T_{r+1} ... T_1, corner B_r
     reduced = ReducedRecurrence.of(m)
     C, D = reduced.Cd, reduced.Dd
@@ -287,7 +288,6 @@ def weighted_sum_exact(system: PeriodicSystem, kind: str, *, x: Fraction | int |
         raise DivisionByZero("B_{d-1} = 0 makes every B_{nd-1} and the closed form 0 (0 = 0)")
 
     if kind == "geometric":
-        xf = Fraction(x)
         denom = xf * xf + Fraction(C, D) * xf - Fraction(1, D)
         if denom == 0:
             raise PoleAtRoot(f"x = {text(xf)} is a root of D x^2 - C x - 1")

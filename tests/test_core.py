@@ -52,7 +52,7 @@ from contikit import (
 from contikit import continuants, core, recurrence
 from contikit.cli import main
 from contikit.core import lucas, power, residues, stride, walk
-from contikit.divisibility import PSI_12, _is_prime
+from contikit.divisibility import PSI_12, PseudoprimeVerdict, _is_prime, jacobi
 import oracles
 
 # Indices reach well past d so that both the walk and the power path run.
@@ -583,6 +583,28 @@ def test_pseudoprime_scan_matches_one_candidate_at_a_time(system, lo, width):
     candidates = range(lo, lo + width)
     assert list(pseudoprime_scan(system, candidates)) == [
         lucas_pseudoprime_test(system, n) for n in candidates]
+
+
+@settings(max_examples=100)
+@given(systems(), st.integers(3, 10 ** 18), st.sampled_from([None, "Cd", "Dd", "delta"]))
+@example(S8, 35, None)
+@example(FIB, 10 ** 18 - 11, "delta")  # n = 5 * 199999999999999997, odd
+def test_pseudoprime_verdicts_from_residues_match_the_z_reduction(system, n, shared):
+    # Odd and even n up to 10^18, some made multiples of C_d, D_d or Delta over Z: the verdict
+    # the scan reads from three residues mod n is the one read from the Z reduction.
+    assume(reducible(system))
+    z = z_reduction(system)
+    f = abs(getattr(z, shared)) if shared else 0
+    if f > 1:
+        n = f * max(2, n // f)
+    (verdict,) = pseudoprime_scan(system, [n])
+    if n % 2 == 0 or math.gcd(n, z.Cd * z.Dd * z.delta) > 1:
+        assert verdict == PseudoprimeVerdict(n, 0, 0, "inapplicable")
+        return
+    eps = jacobi(z.delta, n)
+    residue = oracles.mat_pow(period_matrix(system), n - eps, n)[1][0]  # B_{(n - eps)d - 1} mod n
+    assert verdict == PseudoprimeVerdict(n, eps, (n - eps) * system.d - 1,
+                                         "probable_prime" if residue == 0 else "composite_proven")
 
 
 @settings(max_examples=60)

@@ -35,6 +35,7 @@ from contikit import (
     pell_solutions,
     pisano,
     pisano_period,
+    pseudoprime_scan,
     rank_of_apparition,
     reduce,
     telescoping_sum,
@@ -434,6 +435,19 @@ def test_pseudoprime_s8_35():
     assert verdict.epsilon == -1
     assert verdict.tested_index == 71
     assert not _is_prime(35)  # 35 is a genuine Lucas pseudoprime here
+
+
+def test_pseudoprime_scan_judges_each_candidate_from_residues_mod_n(monkeypatch):
+    # Delta over Z has 1 664 bits on this period; each verdict reads C_d, D_d and B_{d-1} mod n.
+    system = expand_sqrt(1000003)
+    assert reduce(system).delta.bit_length() == 1664
+    symbols, ladders = [], []
+    symbol, ladder = divisibility.jacobi, recurrence.lucas
+    monkeypatch.setattr(divisibility, "jacobi", lambda a, n: symbols.append((a, n)) or symbol(a, n))
+    monkeypatch.setattr(recurrence, "lucas", lambda c, d, k, m: ladders.append((c, d, m)) or ladder(c, d, k, m))
+    assert len(list(pseudoprime_scan(system, range(3, 2001)))) == 1998
+    assert symbols and all(0 <= a < 5 * n * n for a, n in symbols)
+    assert ladders and all(0 <= c < m and 0 <= d < m for c, d, m in ladders)
 
 
 def test_pseudoprime_soundness():

@@ -2,6 +2,7 @@
 rule for arguments that are not ints, and the rule that a refusal names an int through text()."""
 import ast
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -94,6 +95,16 @@ FLOAT = "'float' object cannot be interpreted as an integer"
                  "consecutive_terms requires r >= 0", id="zero-corner-consecutive_terms-r-1"),
     (lambda: zeta_series(ZERO_CORNER, "ln2", compare_zeta="abc"), UsageError,
      "compare_zeta must be a number, got 'abc'"),
+    # A candidate is read through operator.index: C_d % 35.0 would overflow on this period (d = 6 524).
+    pytest.param(lambda: list(pseudoprime_scan(expand_sqrt(10 ** 8 + 7), [35.0])), TypeError, FLOAT,
+                 id="pseudoprime_scan-float-candidate"),
+    # The geometric sum's x is an int or a Fraction: no binary float, no parsed str.
+    pytest.param(lambda: weighted_sum_exact(S8, "geometric", x=0.1), TypeError,
+                 "expected int or Fraction, got float", id="weighted_sum_exact-x-float"),
+    pytest.param(lambda: weighted_sum_exact(S8, "geometric", x="1/7"), TypeError,
+                 "expected int or Fraction, got str", id="weighted_sum_exact-x-str-fraction"),
+    pytest.param(lambda: weighted_sum_exact(S8, "geometric", x="abc"), TypeError,
+                 "expected int or Fraction, got str", id="weighted_sum_exact-x-str"),
 ])
 def test_each_refusal_raises_its_type_and_message(call, error, message):
     with pytest.raises(error) as exc:
@@ -110,6 +121,16 @@ def test_millin_refuses_a_period_other_than_2_before_the_reduction(monkeypatch):
         telescoping_sum(system, "millin")
     assert reduced == []
     assert telescoping_sum(S8, "millin").converged and reduced == [(S8,)]  # the count sees a reduction
+
+
+def test_weighted_sum_refuses_a_float_x_before_the_period_walk(monkeypatch):
+    walked = []
+    counted = lambda *args: walked.append(args) or core.period(*args)
+    monkeypatch.setattr(series, "period", counted)
+    with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
+        weighted_sum_exact(expand_sqrt(1000003), "geometric", x=0.1)
+    assert walked == []
+    assert weighted_sum_exact(S8, "geometric", x=Fraction(1, 7)).equal and walked == [(S8, 0)]
 
 
 def test_a_pure_surd_prints_without_a_rational_part():
