@@ -317,6 +317,7 @@ def pseudoprime_scan(system: PeriodicSystem, candidates: Iterable[int]) -> Itera
 
 def lucas_pseudoprime_test(system: PeriodicSystem, n: int) -> PseudoprimeVerdict:
     """The verdict of pseudoprime_scan on the one candidate n."""
+    n = operator.index(n)  # the scan's rule for a non-int
     if n < 3:  # refused before the reduction, whose errors come second
         raise UsageError("n must be >= 3")
     return next(pseudoprime_scan(system, (n,)))

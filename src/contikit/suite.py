@@ -254,28 +254,22 @@ def check_law_of_repetition() -> SuiteRow:
                 f"observed powers {r1.observed}/{r2.observed}/{r3.observed}")
 
 
-def brute_force_pell(n: int, y_limit: int = 10 ** 4) -> tuple[int, int] | None:
-    for y in range(1, y_limit + 1):
-        x2 = n * y * y + 1
-        x = math.isqrt(x2)
-        if x * x == x2:
-            return x, y
-    return None
-
-
 def check_pell_fundamental() -> SuiteRow:
     bad = []
     for n in range(2, 101):
-        if math.isqrt(n) ** 2 == n:
+        a0 = math.isqrt(n)
+        if a0 * a0 == n:
             continue
+        # The first convergent h/k of sqrt(N) with h^2 - N k^2 = 1 is the fundamental solution.
+        m, q, a = 0, 1, a0  # sqrt(N)'s complete quotient (m + sqrt(N)) / q and its term a
+        h, h1, k, k1 = a0, 1, 1, 0  # h/k and the convergent before it
+        while h * h - n * k * k != 1:
+            m = a * q - m
+            q = (n - m * m) // q
+            a = (a0 + m) // q
+            h, h1, k, k1 = a * h + h1, h, a * k + k1, k
         sol = pell.pell_fundamental(n)
-        brute = brute_force_pell(n)
-        if brute is None:
-            # Fundamental y exceeds the brute-force window; minimality means
-            # no smaller y can work, which the exhausted window confirms.
-            if sol.y <= 10 ** 4:
-                bad.append(n)
-        elif (sol.x, sol.y) != brute:
+        if (sol.x, sol.y) != (h, k):
             bad.append(n)
     return _row("pell-fundamental", not bad, f"non-square N <= 100; mismatches: {bad or 'none'}")
 

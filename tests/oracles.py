@@ -6,8 +6,10 @@ mat_pow, the square-and-multiply power the core used before its Lucas ladder,
 kept as the oracle that core.power is tested against; b_mod reads B mod p from
 it at indices too large to step.  tilings steps nothing: it sums Benjamin, Su and
 Quinn's weighted tilings, a definition of a continuant that shares no recurrence
-with the core.
+with the core.  Nor does brute_force_pell, which tries each y in a window for a
+square N y^2 + 1.
 """
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -275,3 +277,12 @@ def congruence_suite(system: PeriodicSystem, p: int, r_range=None) -> Congruence
         check("B_((p+1)d-1) = 0", B((p + 1) * d - 1), 0)
         check("B_(pd-1) = -B_(d-1)", B(p * d - 1), -B(d - 1))
     return case
+
+
+def brute_force_pell(n: int, y_limit: int = 10 ** 4) -> tuple[int, int] | None:
+    for y in range(1, y_limit + 1):
+        x2 = n * y * y + 1
+        x = math.isqrt(x2)
+        if x * x == x2:
+            return x, y
+    return None

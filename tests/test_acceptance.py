@@ -9,7 +9,9 @@ at 50 digits for the zeta series.
 import random
 from collections import Counter
 
-from contikit import continuants, core, suite
+import pytest
+
+from contikit import continuants, core, pell, suite
 
 CRITERIA = (
     (1, "sqrt(8) B-sequence by three computation paths", suite.check_sqrt8_sequence, False),
@@ -102,6 +104,17 @@ def test_sqrt8_row_reads_a_third_path_on_the_lucas_ladder(monkeypatch):
     monkeypatch.setattr(core, "lucas", lambda *args: ladders.append(args) or lucas(*args))
     row = suite.check_sqrt8_sequence()
     assert row.passed and len(ladders) == 8
+
+
+@pytest.mark.parametrize("second", [(61,), (61, 73, 85, 89, 94, 97)], ids=["61", "all-six"])
+def test_pell_row_fails_a_second_solution_past_any_window(monkeypatch, second):
+    # These N have y_1 > 10^4; the row compares each N with its first solving convergent.
+    wrong = {n: pell.pell_solutions(n, 2)[1] for n in second}
+    fundamental = pell.pell_fundamental
+    monkeypatch.setattr(pell, "pell_fundamental", lambda n: wrong.get(n) or fundamental(n))
+    row = suite.check_pell_fundamental()
+    assert not row.passed
+    assert row.detail == f"non-square N <= 100; mismatches: {list(second)}"
 
 
 def nested_loop_instances(d):

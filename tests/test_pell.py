@@ -9,8 +9,8 @@ from contikit import (
     pell_fundamental,
     pell_solutions,
 )
-from contikit.suite import brute_force_pell
 import oracles
+from oracles import brute_force_pell
 
 
 def test_expand_sqrt8():

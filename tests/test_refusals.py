@@ -98,6 +98,11 @@ FLOAT = "'float' object cannot be interpreted as an integer"
     # A candidate is read through operator.index: C_d % 35.0 would overflow on this period (d = 6 524).
     pytest.param(lambda: list(pseudoprime_scan(expand_sqrt(10 ** 8 + 7), [35.0])), TypeError, FLOAT,
                  id="pseudoprime_scan-float-candidate"),
+    # The one-candidate test reads n by the scan's rule before it compares n with 3.
+    pytest.param(lambda: lucas_pseudoprime_test(S8, 1.0), TypeError, FLOAT,
+                 id="lucas_pseudoprime_test-float-n"),
+    pytest.param(lambda: lucas_pseudoprime_test(S8, "7"), TypeError,
+                 "'str' object cannot be interpreted as an integer", id="lucas_pseudoprime_test-str-n"),
     # The geometric sum's x is an int or a Fraction: no binary float, no parsed str.
     pytest.param(lambda: weighted_sum_exact(S8, "geometric", x=0.1), TypeError,
                  "expected int or Fraction, got float", id="weighted_sum_exact-x-float"),
